@@ -1,11 +1,14 @@
-"""Reverse-mode automatic differentiation over dense float64 matrices.
+"""Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every value in the graph is a 2-D numpy array. Operations append Node
-objects to a Tape in creation order; ``Tape.backward`` walks that list in
-reverse, so gradient accumulation follows one fixed order and repeated
-runs produce bitwise identical results. Softmax and cross-entropy are
-stabilized (row-max subtraction, log-sum-exp), which keeps every output
-finite for finite inputs.
+Values are matrices or ``(B, L, d)`` stacks of them: B sequences of L
+rows each. Stack-by-matrix products run as one ``(B*L, d)`` gemm,
+stack-by-stack products multiply matching sequences, softmax normalises
+over the last axis, and ``mean_rows`` pools a stack over its sequence
+axis. Operations append Node objects to a Tape in creation order;
+``Tape.backward`` walks that list in reverse, so gradient accumulation
+follows one fixed order and repeated runs produce bitwise identical
+results. Softmax and cross-entropy are stabilized (max subtraction,
+log-sum-exp), which keeps every output finite for finite inputs.
 
 Gradients accumulate into ``Node.grad``; run one backward pass per tape,
 or zero the grads yourself before reusing one.
@@ -22,13 +25,14 @@ from .errors import DimensionError, InputError, UsageError
 Array = np.ndarray
 
 
-def as_matrix(values, *, name: str = "matrix") -> Array:
-    """Coerce to a validated 2-D float64 array (finite, at least 1x1)."""
+def as_matrix(values, *, name: str = "matrix", stack: bool = False) -> Array:
+    """Coerce to a finite float64 matrix, or with stack=True a (B, L, d) stack; no empty axis."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionError(f"{name} must be at least 1x1, got shape {arr.shape}")
+    ndim = 3 if stack else 2
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise DimensionError(f"{name} must have no empty axis, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
@@ -36,7 +40,9 @@ def as_matrix(values, *, name: str = "matrix") -> Array:
 
 def _accum(node: "Node", contribution: Array) -> None:
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
+        # ops produce C-ordered values, so this matches zeros_like at a
+        # third of its call overhead
+        node.grad = np.zeros(node.value.shape)
     node.grad += contribution
 
 
@@ -55,7 +61,7 @@ class Node:
         self._backward: Callable[[Array], None] | None = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __repr__(self) -> str:
@@ -67,7 +73,8 @@ class Tape:
 
     ``Tape(grad=False)`` builds a value-only graph with no backward
     closures, which is cheaper for pure evaluation (e.g. finite-difference
-    probes and inference).
+    probes and inference). It keeps no node list and its nodes keep no
+    parents, so intermediates are freed as soon as nothing refers to them.
     """
 
     def __init__(self, grad: bool = True):
@@ -80,19 +87,24 @@ class Tape:
     # -- leaf construction ------------------------------------------------
 
     def constant(self, values, *, name: str = "constant") -> Node:
-        return self._node(as_matrix(values, name=name), "constant", ())
+        """A leaf without gradient: a matrix or a (B, L, d) stack."""
+        return self._node(as_matrix(values, name=name, stack=np.ndim(values) == 3),
+                          "constant", ())
 
     def parameter(self, values, *, validate: bool = True, name: str = "parameter") -> Node:
         """A leaf that receives gradients (when the tape records them)."""
-        arr = as_matrix(values, name=name) if validate else values
+        arr = as_matrix(values, name=name, stack=np.ndim(values) == 3) if validate else values
         node = Node(arr, "parameter", (), self.grad_enabled, self)
-        self._nodes.append(node)
+        if self.grad_enabled:
+            self._nodes.append(node)
         return node
 
     # -- internals ---------------------------------------------------------
 
     def _node(self, value: Array, op: str, parents: tuple) -> Node:
-        requires = self.grad_enabled and any(p.requires_grad for p in parents)
+        if not self.grad_enabled:
+            return Node(value, op, (), False, self)
+        requires = any(p.requires_grad for p in parents)
         node = Node(value, op, parents, requires, self)
         self._nodes.append(node)
         return node
@@ -105,32 +117,51 @@ class Tape:
     # -- operations ----------------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
+        """Matrix product. A (B, L, d) stack times a (d, c) matrix runs as one
+        (B*L, d) gemm; a stack times a (B, d, c) stack multiplies each
+        sequence by its own matrix."""
         self._own(a, b)
-        if a.value.shape[1] != b.value.shape[0]:
-            raise DimensionError(
-                f"matmul: inner dimensions disagree, {a.value.shape} x {b.value.shape}"
-            )
-        node = self._node(a.value @ b.value, "matmul", (a, b))
+        av, bv = a.value, b.value
+        if av.shape[-1] != bv.shape[-2] or (bv.ndim == 3 and (av.ndim, len(av)) != (3, len(bv))):
+            raise DimensionError(f"matmul: inner dimensions disagree, {av.shape} x {bv.shape}")
+        if av.ndim > bv.ndim:  # a stack times a matrix: one gemm over the stacked rows
+            a2 = av.reshape(-1, av.shape[-1])
+            out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[1:])
+        else:
+            a2, out = None, av @ bv
+        node = self._node(out, "matmul", (a, b))
         if node.requires_grad:
             def backward(g: Array) -> None:
+                if a2 is not None:
+                    g2 = g.reshape(-1, g.shape[-1])
+                    if a.requires_grad:
+                        _accum(a, (g2 @ bv.T).reshape(av.shape))
+                    if b.requires_grad:
+                        _accum(b, a2.T @ g2)
+                    return
                 if a.requires_grad:
-                    _accum(a, g @ b.value.T)
+                    _accum(a, g @ bv.swapaxes(-1, -2))
                 if b.requires_grad:
-                    _accum(b, a.value.T @ g)
+                    _accum(b, av.swapaxes(-1, -2) @ g)
             node._backward = backward
         return node
 
     def add(self, a: Node, b: Node) -> Node:
+        """Elementwise sum. Between two stacks, an operand whose sequence
+        axis has length 1 is broadcast over the other's sequence."""
         self._own(a, b)
-        if a.value.shape != b.value.shape:
-            raise DimensionError(f"add: shapes disagree, {a.value.shape} vs {b.value.shape}")
+        a_shape, b_shape = a.value.shape, b.value.shape
+        seq_broadcast = (len(a_shape) == len(b_shape) == 3 and a_shape[::2] == b_shape[::2]
+                         and 1 in (a_shape[1], b_shape[1]))
+        if a_shape != b_shape and not seq_broadcast:
+            raise DimensionError(f"add: shapes disagree, {a_shape} vs {b_shape}")
         node = self._node(a.value + b.value, "add", (a, b))
         if node.requires_grad:
             def backward(g: Array) -> None:
                 if a.requires_grad:
-                    _accum(a, g)
+                    _accum(a, g if g.shape == a_shape else g.sum(axis=1, keepdims=True))
                 if b.requires_grad:
-                    _accum(b, g)
+                    _accum(b, g if g.shape == b_shape else g.sum(axis=1, keepdims=True))
             node._backward = backward
         return node
 
@@ -152,15 +183,16 @@ class Tape:
         return node
 
     def softmax_rows(self, a: Node) -> Node:
+        """Softmax over the last axis."""
         self._own(a)
-        z = a.value - a.value.max(axis=1, keepdims=True)
+        z = a.value - a.value.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        out = e / e.sum(axis=1, keepdims=True)
+        out = e / e.sum(axis=-1, keepdims=True)
         node = self._node(out, "softmax_rows", (a,))
         if node.requires_grad:
             def backward(g: Array) -> None:
                 # ds/dx through a row softmax: s * (g - <g, s>)
-                inner = (g * out).sum(axis=1, keepdims=True)
+                inner = (g * out).sum(axis=-1, keepdims=True)
                 _accum(a, out * (g - inner))
             node._backward = backward
         return node
@@ -236,22 +268,28 @@ class Tape:
         return node
 
     def mean_rows(self, a: Node) -> Node:
-        """Column-wise mean over rows: m x n -> 1 x n."""
+        """Mean over the sequence axis: (B, L, c) -> (B, c); a single
+        (L, c) sequence gives 1 x c."""
         self._own(a)
-        m = a.value.shape[0]
-        node = self._node(a.value.mean(axis=0, keepdims=True), "mean_rows", (a,))
+        shape = a.value.shape
+        m = shape[-2]
+        # sum then divide by the count, as ndarray.mean does, without its overhead
+        out = (np.add.reduce(a.value, axis=-2) / m).reshape(-1, shape[-1])
+        node = self._node(out, "mean_rows", (a,))
         if node.requires_grad:
             def backward(g: Array) -> None:
-                _accum(a, np.broadcast_to(g / m, a.value.shape))
+                # the grad buffer broadcasts the pooled gradient over the sequence
+                _accum(a, (g / m).reshape(shape[:-2] + (1, shape[-1])))
             node._backward = backward
         return node
 
     def transpose(self, a: Node) -> Node:
+        """Swap the last two axes."""
         self._own(a)
-        node = self._node(a.value.T.copy(), "transpose", (a,))
+        node = self._node(a.value.swapaxes(-1, -2).copy(), "transpose", (a,))
         if node.requires_grad:
             def backward(g: Array) -> None:
-                _accum(a, g.T)
+                _accum(a, g.swapaxes(-1, -2))
             node._backward = backward
         return node
 
@@ -276,7 +314,7 @@ class Tape:
         lab = np.asarray(labels)
         if lab.shape != (m,):
             raise InputError(f"labels must be a length-{m} sequence, got shape {lab.shape}")
-        if not np.isin(lab, (0, 1)).all():
+        if not ((lab == 0) | (lab == 1)).all():
             raise InputError("labels must be 0 or 1")
         lab = lab.astype(np.intp)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,11 +68,11 @@ class EvalSettings:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.threshold < 0.0:
-            raise InputError(f"eval.threshold must be non-negative, got {self.threshold}")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise InputError(f"eval.threshold must be finite and non-negative, got {self.threshold}")
         for sigma in self.sigmas:
-            if sigma <= 0.0:
-                raise InputError(f"eval.sigmas entries must be positive, got {sigma}")
+            if not (math.isfinite(sigma) and sigma > 0.0):
+                raise InputError(f"eval.sigmas entries must be finite and positive, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,12 @@ def _coerce(section: str, key: str, kind: str, raw: str):
             raise InputError(f"{where} must be an integer, got {raw!r}") from None
     if kind == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise InputError(f"{where} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"{where} must be a finite number, got {raw!r}")
+        return value
     return raw
 
 

@@ -322,9 +322,3 @@ def batches(dataset: Dataset, batch_size: int, epoch_seed: int) -> list[np.ndarr
     perm = np.random.default_rng(epoch_seed).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
 
-
-def stack_single_rows(records) -> tuple[np.ndarray, np.ndarray]:
-    """Stack length-1 sequences of a record batch into (n x d_t, n x d_i)."""
-    text = np.concatenate([r.text_features for r in records], axis=0)
-    image = np.concatenate([r.image_features for r in records], axis=0)
-    return text, image

@@ -8,10 +8,11 @@ MLP. Restricted variants (single modality, plain concatenation, ungated
 attention) reuse subsets of the same graph, so comparisons across
 variants differ only in the pieces under study.
 
-When both sequences have length 1, the attention softmax runs over a
-single element and collapses to 1, so the attended features reduce to a
-closed form (value-projected other modality plus residual). Batched
-forward passes exploit this by stacking records as rows of one matrix.
+Every forward pass runs on ``(B, L, d)`` stacks of B records at any
+sequence length; a single record is a batch of one. Where a key sequence
+has length 1, the attention softmax runs over one element and is exactly
+1, so that direction reduces to a closed form (value-projected other
+modality plus residual) and computes no scores.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .autodiff import Node, Tape, as_matrix
-from .data import FeatureRecord, stack_single_rows
+from .data import FeatureRecord
 from .errors import InputError, UsageError
 
 Array = np.ndarray
@@ -147,9 +148,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams((name, arr.copy()) for name, arr in self._arrays.items())
 
-    def entry_count(self) -> int:
-        return sum(arr.size for arr in self._arrays.values())
-
 
 def init_params(config: HyperConfig) -> ModelParams:
     """Seeded init: weights uniform in +-init_scale/sqrt(fan_in), biases zero."""
@@ -182,29 +180,29 @@ def check_params_match(params: ModelParams, config: HyperConfig) -> None:
 
 
 # -- graph builders -----------------------------------------------------------
-# All builders accept matrices in either layout: per-record (rows are
-# sequence positions of one record) or batched-L1 (rows are records).
+# They take (B, L, d) stacks: B records of L sequence positions each.
 
 
-def _attend_full(tape, pn, h_t, h_i, d_k):
-    """Scaled dot-product cross-attention in both directions, with residuals."""
-    inv = tape.constant([[1.0 / sqrt(d_k)]])
-    v_i = tape.matmul(h_i, pn["attn_v_image"])
-    scores_t = tape.matmul(tape.matmul(h_t, pn["attn_q_text"]),
-                           tape.transpose(tape.matmul(h_i, pn["attn_k_image"])))
-    att_t = tape.add(tape.matmul(tape.softmax_rows(tape.scale_by_scalar(scores_t, inv)), v_i), h_t)
+def _attend(tape, pn, h_t, h_i, d_k):
+    """Scaled dot-product cross-attention in both directions, with residuals.
 
-    v_t = tape.matmul(h_t, pn["attn_v_text"])
-    scores_i = tape.matmul(tape.matmul(h_i, pn["attn_q_image"]),
-                           tape.transpose(tape.matmul(h_t, pn["attn_k_text"])))
-    att_i = tape.add(tape.matmul(tape.softmax_rows(tape.scale_by_scalar(scores_i, inv)), v_t), h_i)
-    return att_t, att_i
+    A direction whose key sequence has length 1 has attention weight
+    exactly 1.0, so it is the value projection plus the residual, the value
+    broadcast over the query positions.
+    """
+    inv = tape.constant([[1.0 / sqrt(d_k)]]) if max(h_t.shape[1], h_i.shape[1]) > 1 else None
 
+    def direction(h_q, h_kv, w_q, w_k, w_v):
+        values = tape.matmul(h_kv, pn[w_v])
+        if h_kv.shape[1] == 1:
+            return tape.add(values, h_q)
+        scores = tape.matmul(tape.matmul(h_q, pn[w_q]),
+                             tape.transpose(tape.matmul(h_kv, pn[w_k])))
+        weights = tape.softmax_rows(tape.scale_by_scalar(scores, inv))
+        return tape.add(tape.matmul(weights, values), h_q)
 
-def _attend_rows(tape, pn, h_t, h_i):
-    """Length-1 closed form: attention weight is 1, so only value + residual remain."""
-    att_t = tape.add(tape.matmul(h_i, pn["attn_v_image"]), h_t)
-    att_i = tape.add(tape.matmul(h_t, pn["attn_v_text"]), h_i)
+    att_t = direction(h_t, h_i, "attn_q_text", "attn_k_image", "attn_v_image")
+    att_i = direction(h_i, h_t, "attn_q_image", "attn_k_text", "attn_v_text")
     return att_t, att_i
 
 
@@ -221,40 +219,34 @@ def _classify(tape, pn, features):
     return tape.add_row_bias(tape.matmul(hidden, pn["cls_w2"]), pn["cls_b2"])
 
 
-def build_logits(tape, pn, config, x_text, x_image, *, per_record, gate_override=None):
-    """Wire the variant's graph; returns the interesting nodes by name.
-
-    per_record=True treats the inputs as one record's sequences and mean-
-    pools after attention; per_record=False treats rows as independent
-    length-1 records (pooling is then the identity).
+def build_logits(tape, pn, config, x_text, x_image, *, gate_override=None):
+    """Wire the variant's graph over (B, L_t, d_t) and (B, L_i, d_i) feature
+    stacks; returns the interesting nodes by name. Sequences are mean-pooled
+    after projection (and attention), giving one row per record.
     """
     v = config.variant
-    pool = (lambda n: tape.mean_rows(n)) if per_record else (lambda n: n)
     nodes: dict[str, Node] = {}
 
     if v is Variant.TEXT_ONLY:
         h_t = tape.matmul(x_text, pn["proj_text"])
         nodes["projected_text"] = h_t
-        nodes["fused"] = pool(h_t)
+        nodes["fused"] = tape.mean_rows(h_t)
     elif v is Variant.IMAGE_ONLY:
         h_i = tape.matmul(x_image, pn["proj_image"])
         nodes["projected_image"] = h_i
-        nodes["fused"] = pool(h_i)
+        nodes["fused"] = tape.mean_rows(h_i)
     else:
         h_t = tape.matmul(x_text, pn["proj_text"])
         h_i = tape.matmul(x_image, pn["proj_image"])
         nodes["projected_text"] = h_t
         nodes["projected_image"] = h_i
         if v is Variant.CONCAT:
-            nodes["fused"] = tape.concat_cols(pool(h_t), pool(h_i))
+            nodes["fused"] = tape.concat_cols(tape.mean_rows(h_t), tape.mean_rows(h_i))
         else:
-            if per_record:
-                att_t, att_i = _attend_full(tape, pn, h_t, h_i, config.d_k)
-            else:
-                att_t, att_i = _attend_rows(tape, pn, h_t, h_i)
+            att_t, att_i = _attend(tape, pn, h_t, h_i, config.d_k)
             nodes["attended_text"] = att_t
             nodes["attended_image"] = att_i
-            pooled_t, pooled_i = pool(att_t), pool(att_i)
+            pooled_t, pooled_i = tape.mean_rows(att_t), tape.mean_rows(att_i)
             if v is Variant.FULL:
                 if gate_override is None:
                     alpha_t, alpha_i = _gate_alphas(tape, pn, pooled_t, pooled_i)
@@ -297,78 +289,61 @@ class BatchOutputs:
     alpha_image: Array | None = None
 
 
-def check_record_dims(config: HyperConfig, record: FeatureRecord) -> None:
-    if record.text_features.shape[1] != config.d_t:
-        raise InputError(
-            f"record text width {record.text_features.shape[1]} does not match d_t={config.d_t}"
-        )
-    if record.image_features.shape[1] != config.d_i:
-        raise InputError(
-            f"record image width {record.image_features.shape[1]} does not match d_i={config.d_i}"
-        )
+def stack_batch(config: HyperConfig, records) -> tuple[Array, Array]:
+    """Stack a batch's sequences into (B, L_t, d_t) and (B, L_i, d_i) arrays.
+
+    All records must share one text shape and one image shape, and the
+    feature widths must match the config.
+    """
+    if not records:
+        raise InputError("a batch needs at least one record")
+    text_shapes = {r.text_features.shape for r in records}
+    image_shapes = {r.image_features.shape for r in records}
+    if len(text_shapes) > 1 or len(image_shapes) > 1:
+        raise InputError(f"records in a batch must share feature shapes, got {text_shapes} {image_shapes}")
+    ((l_t, d_t),), ((l_i, d_i),) = text_shapes, image_shapes
+    if (d_t, d_i) != (config.d_t, config.d_i):
+        raise InputError(f"record widths (d_t={d_t}, d_i={d_i}) do not match the model "
+                         f"(d_t={config.d_t}, d_i={config.d_i})")
+    n = len(records)
+    text = np.concatenate([r.text_features for r in records]).reshape(n, l_t, d_t)
+    image = np.concatenate([r.image_features for r in records]).reshape(n, l_i, d_i)
+    return text, image
+
+
+def _forward_nodes(params, config, records, gate_override) -> dict[str, Node]:
+    x_t, x_i = stack_batch(config, records)
+    tape = Tape(grad=False)
+    pn = register_parameters(tape, params)
+    return build_logits(tape, pn, config,
+                        tape.constant(x_t, name="text_features"),
+                        tape.constant(x_i, name="image_features"),
+                        gate_override=gate_override)
 
 
 def forward(params: ModelParams, config: HyperConfig, record: FeatureRecord,
             *, gate_override=None) -> ForwardTrace:
-    """Run one record through the variant's graph and capture the trace."""
-    check_record_dims(config, record)
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
-    x_t = tape.constant(record.text_features, name="text_features")
-    x_i = tape.constant(record.image_features, name="image_features")
-    nodes = build_logits(tape, pn, config, x_t, x_i, per_record=True, gate_override=gate_override)
+    """Run one record, as a batch of one, and capture the trace."""
+    nodes = _forward_nodes(params, config, [record], gate_override)
 
-    def val(key):
-        return nodes[key].value.copy() if key in nodes else None
+    def first(key):
+        return nodes[key].value[0] if key in nodes else None
 
-    alpha_t = nodes["alpha_text"].value[0, 0] if "alpha_text" in nodes else None
-    alpha_i = nodes["alpha_image"].value[0, 0] if "alpha_image" in nodes else None
-    return ForwardTrace(
-        logits=nodes["logits"].value.copy(),
-        projected_text=val("projected_text"),
-        projected_image=val("projected_image"),
-        attended_text=val("attended_text"),
-        attended_image=val("attended_image"),
-        alpha_text=None if alpha_t is None else float(alpha_t),
-        alpha_image=None if alpha_i is None else float(alpha_i),
-        fused=val("fused"),
-    )
+    def alpha(key):
+        return float(nodes[key].value[0, 0]) if key in nodes else None
+
+    stages = ("projected_text", "projected_image", "attended_text", "attended_image")
+    return ForwardTrace(logits=nodes["logits"].value, fused=nodes["fused"].value,
+                        alpha_text=alpha("alpha_text"), alpha_image=alpha("alpha_image"),
+                        **{key: first(key) for key in stages})
 
 
 def forward_batch(params: ModelParams, config: HyperConfig, records,
                   *, gate_override=None) -> BatchOutputs:
-    """Forward a batch; vectorized when both sequences have length 1."""
-    records = list(records)
-    if not records:
-        raise InputError("forward_batch needs at least one record")
-    for r in records:
-        check_record_dims(config, r)
-    single_step = all(
-        r.text_features.shape[0] == 1 and r.image_features.shape[0] == 1 for r in records
-    )
-    if single_step:
-        x_t_arr, x_i_arr = stack_single_rows(records)
-        tape = Tape(grad=False)
-        pn = register_parameters(tape, params)
-        nodes = build_logits(tape, pn, config,
-                             tape.constant(x_t_arr, name="text_features"),
-                             tape.constant(x_i_arr, name="image_features"),
-                             per_record=False, gate_override=gate_override)
-        return BatchOutputs(
-            logits=nodes["logits"].value.copy(),
-            alpha_text=nodes["alpha_text"].value[:, 0].copy() if "alpha_text" in nodes else None,
-            alpha_image=nodes["alpha_image"].value[:, 0].copy() if "alpha_image" in nodes else None,
-        )
-
-    traces = [forward(params, config, r, gate_override=gate_override) for r in records]
-    logits = np.concatenate([t.logits for t in traces], axis=0)
-    if traces[0].alpha_text is None:
-        return BatchOutputs(logits=logits)
-    return BatchOutputs(
-        logits=logits,
-        alpha_text=np.array([t.alpha_text for t in traces]),
-        alpha_image=np.array([t.alpha_image for t in traces]),
-    )
+    """Forward a batch of same-shape records as one graph."""
+    nodes = _forward_nodes(params, config, list(records), gate_override)
+    alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
+    return BatchOutputs(nodes["logits"].value, *alphas)
 
 
 def predict_proba(trace: ForwardTrace) -> tuple[float, float]:
@@ -402,13 +377,16 @@ def project(params: ModelParams, record: FeatureRecord) -> tuple[Array, Array]:
 
 
 def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array, Array]:
-    """Bi-directional cross-attention with residuals over projected sequences."""
+    """Bi-directional cross-attention with residuals over one record's
+    projected sequences (run as a batch of one)."""
     _needs(params, _ATTENTION_NAMES)
     tape = Tape(grad=False)
     pn = register_parameters(tape, params)
-    att_t, att_i = _attend_full(tape, pn, tape.constant(h_text, name="h_text"),
-                                tape.constant(h_image, name="h_image"), d_k)
-    return att_t.value.copy(), att_i.value.copy()
+    att_t, att_i = _attend(tape, pn,
+                           tape.constant(as_matrix(h_text, name="h_text")[None], name="h_text"),
+                           tape.constant(as_matrix(h_image, name="h_image")[None], name="h_image"),
+                           d_k)
+    return att_t.value[0], att_i.value[0]
 
 
 def gate(params: ModelParams, attended_text, attended_image):

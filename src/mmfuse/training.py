@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Node, Tape
-from .data import Dataset, atomic_write_bytes, batches, stack_single_rows
+from .data import Dataset, atomic_write_bytes, batches
 from .errors import (
     BadMagicError,
     FileFormatError,
@@ -40,9 +40,9 @@ from .model import (
     Variant,
     build_logits,
     check_params_match,
-    check_record_dims,
     init_params,
     register_parameters,
+    stack_batch,
 )
 
 CHECKPOINT_MAGIC = b"MMCK"
@@ -107,36 +107,15 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, records,
     back out after Tape.backward; otherwise a private tape is used.
     """
     records = list(records)
-    if not records:
-        raise InputError("batch must contain at least one record")
-    for r in records:
-        check_record_dims(hyper, r)
+    x_t, x_i = stack_batch(hyper, records)
     if tape is None:
         tape = Tape()
     if param_nodes is None:
         param_nodes = register_parameters(tape, params)
-    labels = [r.label for r in records]
-
-    single_step = all(
-        r.text_features.shape[0] == 1 and r.image_features.shape[0] == 1 for r in records
-    )
-    if single_step:
-        x_t, x_i = stack_single_rows(records)
-        nodes = build_logits(tape, param_nodes, hyper,
-                             tape.constant(x_t, name="text_features"),
-                             tape.constant(x_i, name="image_features"),
-                             per_record=False)
-        return tape.cross_entropy_logits(nodes["logits"], labels)
-
-    total = None
-    for record in records:
-        nodes = build_logits(tape, param_nodes, hyper,
-                             tape.constant(record.text_features, name="text_features"),
-                             tape.constant(record.image_features, name="image_features"),
-                             per_record=True)
-        loss = tape.cross_entropy_logits(nodes["logits"], [record.label])
-        total = loss if total is None else tape.add(total, loss)
-    return tape.scale_by_scalar(total, tape.constant([[1.0 / len(records)]]))
+    nodes = build_logits(tape, param_nodes, hyper,
+                         tape.constant(x_t, name="text_features"),
+                         tape.constant(x_i, name="image_features"))
+    return tape.cross_entropy_logits(nodes["logits"], [r.label for r in records])
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -222,14 +201,14 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
 
     for epoch in range(config.max_epochs):
         epoch_losses = []
-        for idx in batches(train_ds, config.batch_size, int(epoch_seeds[epoch])):
+        for step, idx in enumerate(batches(train_ds, config.batch_size, int(epoch_seeds[epoch]))):
             batch = [train_ds.records[i] for i in idx]
             tape = Tape()
             param_nodes = register_parameters(tape, params)
             loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=param_nodes)
             value = float(loss.value[0, 0])
             if not math.isfinite(value):
-                raise NumericsError(f"loss diverged at epoch {epoch}")
+                raise NumericsError(f"loss diverged at epoch {epoch}, step {step}")
             tape.backward(loss)
             grads = {
                 name: (node.grad if node.grad is not None else np.zeros_like(params[name]))

@@ -7,6 +7,7 @@ independent oracle for every op.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ def fd_worst_error(build, arrays, step=1e-5):
     return finite_difference_check(f, arrays, grads, step=step)
 
 
-def uniform(rng, rows, cols, avoid_zero=False):
-    a = rng.uniform(-2.0, 2.0, (rows, cols))
+def uniform(rng, *shape, avoid_zero=False):
+    a = rng.uniform(-2.0, 2.0, shape)
     if avoid_zero:
         # keep relu inputs away from the kink
         a = np.where(np.abs(a) < 1e-3, 0.5, a)
@@ -103,6 +104,36 @@ def test_scale_concat_mean_transpose_sum_values():
     assert t.sum_all(a).value[0, 0] == 10.0
 
 
+def test_stack_values():
+    rng = np.random.default_rng(1)
+    x, w = rng.normal(size=(3, 2, 4)), rng.normal(size=(4, 5))
+    t = Tape()
+    a = t.constant(x)
+    assert np.array_equal(t.matmul(a, t.constant(w)).value, (x.reshape(6, 4) @ w).reshape(3, 2, 5))
+    # a length-1 stack runs the same gemm as the matrix of its rows
+    single = rng.normal(size=(7, 1, 4))
+    assert np.array_equal(t.matmul(t.constant(single), t.constant(w)).value[:, 0],
+                          single[:, 0] @ w)
+    y = rng.normal(size=(3, 4, 2))
+    per_matrix = np.stack([x[b] @ y[b] for b in range(3)])
+    assert np.abs(t.matmul(a, t.constant(y)).value - per_matrix).max() <= 1e-14
+    assert np.array_equal(t.transpose(a).value, x.transpose(0, 2, 1))
+    assert np.array_equal(t.mean_rows(a).value, x.mean(axis=1))
+    assert np.abs(t.softmax_rows(a).value.sum(axis=2) - 1.0).max() <= 1e-15
+    column = rng.normal(size=(3, 1, 4))
+    assert np.array_equal(t.add(t.constant(column), a).value, x + column)
+
+
+def test_value_only_tape_frees_intermediates():
+    t = Tape(grad=False)
+    hidden = t.sigmoid(t.constant(np.ones((2, 3, 4))))
+    value = weakref.ref(hidden.value)
+    out = t.relu(hidden)
+    del hidden
+    assert value() is None
+    assert len(t) == 0 and out.value.shape == (2, 3, 4)
+
+
 def test_cross_entropy_values():
     t = Tape()
     even = t.cross_entropy_logits(t.constant([[0.0, 0.0]]), [1])
@@ -164,6 +195,31 @@ OPS = {
         {"a": (4, 3)},
         lambda t, n: t.sum_all(t.matmul(t.transpose(n["a"]), n["w"])),
     ),
+    # (B, L, d) stacks
+    "matmul_stack_by_matrix": (
+        {"a": (2, 3, 4), "b": (4, 2)},
+        lambda t, n: t.sum_all(t.matmul(n["a"], n["b"])),
+    ),
+    "matmul_stack_by_stack": (
+        {"a": (2, 3, 4), "b": (2, 4, 2)},
+        lambda t, n: t.sum_all(t.matmul(n["a"], n["b"])),
+    ),
+    "add_broadcast_sequence": (
+        {"a": (2, 3, 4), "b": (2, 1, 4)},
+        lambda t, n: t.sum_all(t.matmul(t.add(n["a"], n["b"]), n["w"])),
+    ),
+    "softmax_stack": (
+        {"a": (2, 3, 4)},
+        lambda t, n: t.sum_all(t.matmul(t.softmax_rows(n["a"]), n["w"])),
+    ),
+    "mean_rows_stack": (
+        {"a": (2, 3, 4)},
+        lambda t, n: t.sum_all(t.matmul(t.mean_rows(n["a"]), n["w"])),
+    ),
+    "transpose_stack": (
+        {"a": (2, 4, 3)},
+        lambda t, n: t.sum_all(t.matmul(t.transpose(n["a"]), n["w"])),
+    ),
 }
 
 
@@ -171,7 +227,8 @@ OPS = {
 REDUCER_ROWS = {
     "add": 4, "add_row_bias": 4, "softmax_rows": 4, "sigmoid": 4, "relu": 4,
     "scale_by_scalar": 4, "scale_rows": 4, "concat_cols": 4, "mean_rows": 4,
-    "transpose": 4,
+    "transpose": 4, "add_broadcast_sequence": 4, "softmax_stack": 4,
+    "mean_rows_stack": 4, "transpose_stack": 4,
 }
 
 
@@ -180,7 +237,7 @@ def test_gradients_match_finite_differences(op):
     shapes, build = OPS[op]
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        arrays = {k: uniform(rng, r, c, avoid_zero=(op == "relu")) for k, (r, c) in shapes.items()}
+        arrays = {k: uniform(rng, *shape, avoid_zero=(op == "relu")) for k, shape in shapes.items()}
         if op in REDUCER_ROWS:
             arrays["w"] = uniform(rng, REDUCER_ROWS[op], 2)
         assert fd_worst_error(build, arrays) <= 1e-4
@@ -284,6 +341,13 @@ def test_shape_errors_name_both_shapes():
         t.concat_cols(a, t.constant(np.zeros((3, 3))))
     with pytest.raises(DimensionError):
         t.cross_entropy_logits(a, [0, 1])
+    stack = t.constant(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        t.matmul(stack, t.constant(np.zeros((3, 4, 2))))  # batch sizes differ
+    with pytest.raises(DimensionError):
+        t.matmul(t.constant(np.zeros((3, 2))), t.constant(np.zeros((2, 2, 4))))
+    with pytest.raises(DimensionError):
+        t.add(stack, t.constant(np.zeros((2, 2, 4))))  # only length 1 broadcasts
 
 
 def test_cross_entropy_rejects_bad_labels():
@@ -323,6 +387,12 @@ def test_as_matrix_validation():
         as_matrix(np.zeros((0, 2)))
     with pytest.raises(InputError):
         as_matrix([[np.nan]])
+    with pytest.raises(InputError):
+        Tape().constant(np.full((2, 1, 3), np.inf))
+    with pytest.raises(DimensionError):
+        Tape().constant(np.zeros((2, 0, 3)))
+    with pytest.raises(DimensionError):
+        Tape().constant(np.zeros((1, 1, 1, 1)))
 
 
 # -- finite_difference_check itself -------------------------------------------

@@ -333,6 +333,28 @@ def test_usage_errors_exit_one(capsys):
     assert "variant" in stderr
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "train_frac", "nan"),
+    ("model", "init_scale", "inf"),
+    ("eval", "threshold", "nan"),
+    ("train", "learning_rate", "nan"),
+])
+def test_non_finite_config_values_exit_one(tmp_path, capsys, section, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    code, _, stderr = run(["gen-data", "--config", str(ini), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and stderr.startswith("mmfuse: error:")
+    assert f"{section}.{key}" in stderr
+
+
+def test_non_finite_threshold_flag_exits_one(tmp_path, capsys):
+    code, _, stderr = run(["gate-stats", "--out", str(tmp_path / "o"), "--data", "d",
+                           "--checkpoint", "c", "--threshold", "nan"], capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and "threshold" in stderr
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     stdout = capsys.readouterr().out

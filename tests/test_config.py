@@ -89,6 +89,8 @@ def test_sigma_list_parsing():
         parse_config("[eval]\nsigmas = a,b\n")
     with pytest.raises(InputError, match="sigmas"):
         parse_config("[eval]\nsigmas = -0.5\n")
+    with pytest.raises(InputError, match="sigmas"):
+        parse_config("[eval]\nsigmas = 0.5, inf\n")
     with pytest.raises(InputError, match="threshold"):
         parse_config("[eval]\nthreshold = -1\n")
 
@@ -153,6 +155,8 @@ def test_eval_settings_validation():
         EvalSettings(sigmas=(0.5, 0.0))
     with pytest.raises(InputError):
         EvalSettings(threshold=-0.2)
+    with pytest.raises(InputError):
+        EvalSettings(threshold=float("nan"))
 
 
 def test_run_config_fractions_property():

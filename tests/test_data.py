@@ -17,7 +17,6 @@ from mmfuse.data import (
     load,
     save,
     split,
-    stack_single_rows,
 )
 from mmfuse.errors import (
     BadMagicError,
@@ -288,11 +287,3 @@ def test_batches_cover_all_indices_once():
     with pytest.raises(InputError):
         batches(ds, 0, epoch_seed=0)
 
-
-def test_stack_single_rows_matches_records():
-    ds = generate_synthetic(SyntheticSpec(n_samples=6, seed=1))
-    text, image = stack_single_rows(ds.records)
-    assert text.shape == (6, 16) and image.shape == (6, 12)
-    for i, r in enumerate(ds.records):
-        assert np.array_equal(text[i], r.text_features[0])
-        assert np.array_equal(image[i], r.image_features[0])

@@ -32,6 +32,7 @@ from mmfuse.model import (
     predict_proba,
     project,
     register_parameters,
+    stack_batch,
 )
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
@@ -170,11 +171,14 @@ def test_cross_attend_matches_loop_oracle():
     config = config_for(Variant.FULL)
     params = random_params(config, seed=7)
     rng = np.random.default_rng(8)
-    h_t, h_i = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
-    att_t, att_i = cross_attend(params, h_t, h_i, config.d_k)
-    exp_t, exp_i = naive_cross_attend(params, h_t, h_i, config.d_k)
-    assert np.abs(att_t - exp_t).max() <= 1e-10
-    assert np.abs(att_i - exp_i).max() <= 1e-10
+    # (1, 3) and (3, 1): one direction has a single key, the other a softmax
+    for l_t, l_i in ((2, 3), (1, 3), (3, 1), (1, 1)):
+        h_t, h_i = rng.normal(size=(l_t, 4)), rng.normal(size=(l_i, 4))
+        att_t, att_i = cross_attend(params, h_t, h_i, config.d_k)
+        exp_t, exp_i = naive_cross_attend(params, h_t, h_i, config.d_k)
+        assert att_t.shape == (l_t, 4) and att_i.shape == (l_i, 4)
+        assert np.abs(att_t - exp_t).max() <= 1e-10
+        assert np.abs(att_i - exp_i).max() <= 1e-10
 
 
 def test_cross_attend_single_step_closed_form():
@@ -395,13 +399,38 @@ def test_batched_forward_matches_per_record(variant):
             assert abs(out.alpha_image[i] - trace.alpha_image) <= 1e-10
 
 
+@pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
+def test_stack_batch_matches_records(l_t, l_i):
+    config = config_for(Variant.FULL)
+    ds = generate_synthetic(SyntheticSpec(n_samples=6, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=1))
+    text, image = stack_batch(config, ds.records)
+    assert text.shape == (6, l_t, 8) and image.shape == (6, l_i, 6)
+    for i, r in enumerate(ds.records):
+        assert np.array_equal(text[i], r.text_features)
+        assert np.array_equal(image[i], r.image_features)
+
+
+def test_stack_batch_rejects_mixed_or_mismatched_shapes():
+    config = config_for(Variant.FULL)
+    short = random_record(config, seed=1, l_t=2, l_i=4)
+    long = random_record(config, seed=2, l_t=4, l_i=2)  # same total rows, other split
+    with pytest.raises(InputError):
+        stack_batch(config, [short, long])
+    with pytest.raises(InputError):
+        stack_batch(config_for(Variant.FULL, d_i=5), [short])
+    with pytest.raises(InputError):
+        stack_batch(config, [])
+
+
 def test_batched_forward_handles_longer_sequences():
     config = config_for(Variant.FULL)
     params = init_params(config)
     ds = generate_synthetic(SyntheticSpec(n_samples=5, d_t=8, d_i=6, l_t=3, l_i=2, seed=26))
     out = forward_batch(params, config, ds.records)
     for i, record in enumerate(ds.records):
-        assert np.array_equal(out.logits[i:i + 1], forward(params, config, record).logits)
+        # one gemm over all records rounds differently from a batch of one
+        single = forward(params, config, record).logits
+        assert np.abs(out.logits[i:i + 1] - single).max() <= 1e-12 * np.abs(single).max()
 
 
 def test_predict_proba_and_labels():

@@ -14,6 +14,7 @@ from mmfuse.errors import (
     BadMagicError,
     FileFormatError,
     InputError,
+    NumericsError,
     TruncatedFileError,
     VariantMismatchError,
     VersionMismatchError,
@@ -25,6 +26,7 @@ from mmfuse.model import (
     Variant,
     VARIANT_ORDER,
     forward,
+    forward_batch,
     init_params,
     register_parameters,
 )
@@ -109,6 +111,50 @@ def test_batch_loss_gradient_matches_finite_differences(l_t, l_i):
 
     arrays = dict(params.items())
     assert finite_difference_check(f, arrays, analytic, step=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("l_t,l_i", [(3, 2), (1, 3)])
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
+    """One graph over a (B, L, d) stack equals a loop over 1-record batches.
+
+    At (1, 3) only the image queries, over the one text key, take the
+    single-key identity; the text queries run a softmax over three keys.
+    """
+    hyper = HyperConfig(variant=variant, init_seed=5, **SMALL)
+    params = init_params(hyper)
+    records = generate_synthetic(
+        SyntheticSpec(n_samples=7, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=6)
+    ).records
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    overrides = [None, (1.0, 1.0)] if variant is Variant.FULL else [None]
+    for gate_override in overrides:
+        out = forward_batch(params, hyper, records, gate_override=gate_override)
+        singles = [forward_batch(params, hyper, [r], gate_override=gate_override) for r in records]
+        assert_close(out.logits, np.concatenate([s.logits for s in singles]))
+        if variant is Variant.FULL:
+            assert_close(out.alpha_text, np.concatenate([s.alpha_text for s in singles]))
+            assert_close(out.alpha_image, np.concatenate([s.alpha_image for s in singles]))
+
+    def loss_and_grads(batch):
+        tape = Tape()
+        nodes = register_parameters(tape, params)
+        loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=nodes)
+        tape.backward(loss)
+        grads = {
+            name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
+            for name, node in nodes.items()
+        }
+        return loss.value[0, 0], grads
+
+    loss, grads = loss_and_grads(records)
+    singles = [loss_and_grads([r]) for r in records]
+    assert_close(loss, np.mean([value for value, _ in singles]))
+    for name in params.names:
+        assert_close(grads[name], sum(g[name] for _, g in singles) / len(records))
 
 
 def test_batch_loss_rejects_empty_batch():
@@ -265,6 +311,16 @@ def test_training_is_deterministic():
     from dataclasses import replace
     ckpt_c, _ = train(train_ds, val_ds, hyper, replace(config, seed=99))
     assert not params_equal(ckpt_a.params, ckpt_c.params)
+
+
+def test_divergence_names_epoch_and_step():
+    ds = generate_synthetic(SyntheticSpec(n_samples=100, d_t=8, d_i=6, seed=15))
+    train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=15)
+    hyper = HyperConfig(variant=Variant.CONCAT, **SMALL)
+    # one step this large sends the weights past what the next forward can hold
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match=r"^loss diverged at epoch 0, step 1$"):
+        train(train_ds, val_ds, hyper, TrainConfig(learning_rate=1e300, seed=15))
 
 
 def test_train_validates_inputs():
