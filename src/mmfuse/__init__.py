@@ -21,7 +21,6 @@ from .config import (
 )
 from .data import (
     Dataset,
-    FeatureRecord,
     Provenance,
     SyntheticSpec,
     generate_synthetic,
@@ -47,7 +46,6 @@ from .evaluation import (
     MetricsReport,
     PerturbationKind,
     PerturbationScenario,
-    apply_perturbation,
     compute_metrics,
     evaluate,
     gate_stats,
@@ -84,7 +82,6 @@ __all__ = [
     "Dataset",
     "DimensionError",
     "EvalSettings",
-    "FeatureRecord",
     "FileFormatError",
     "GateStatsReport",
     "HyperConfig",
@@ -111,7 +108,6 @@ __all__ = [
     "VariantMismatchError",
     "VersionMismatchError",
     "apply_master_seed",
-    "apply_perturbation",
     "apply_preset",
     "batch_loss",
     "compute_metrics",

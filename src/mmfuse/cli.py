@@ -155,7 +155,7 @@ def cmd_gen_data(args) -> int:
     except OSError as exc:
         raise CommandError(EXIT_DATA, f"cannot write {path}: {exc.strerror or exc}") from exc
     print(
-        f"wrote {len(dataset.records)} records "
+        f"wrote {len(dataset)} records "
         f"(d_t={dataset.d_t}, d_i={dataset.d_i}, l_t={dataset.l_t}, l_i={dataset.l_i}) "
         f"to {path}"
     )

@@ -136,14 +136,23 @@ _SECTIONS = {
 }
 
 
+# Seeds span the uint64 range that apply_master_seed derives; every other
+# integer is a count or a size, bounded to int64 before numpy sees it.
+_SEED_KEYS = frozenset({"seed", "split_seed", "init_seed", "noise_seed"})
+
+
 def _coerce(section: str, key: str, kind: str, raw: str):
     raw = raw.strip()
     where = f"{section}.{key}"
     if kind == "int":
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise InputError(f"{where} must be an integer, got {raw!r}") from None
+        low, high = (0, 2**64 - 1) if key in _SEED_KEYS else (-2**63, 2**63 - 1)
+        if not low <= value <= high:
+            raise InputError(f"{where} must be in [{low}, {high}], got {raw!r}")
+        return value
     if kind == "float":
         try:
             value = float(raw)

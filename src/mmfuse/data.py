@@ -1,10 +1,14 @@
-"""Feature-record datasets: synthetic generation, binary file io, splits.
+"""Feature datasets: synthetic generation, binary file io, splits.
 
-Records hold pre-extracted per-modality feature sequences (text: L_T x D_T,
-image: L_I x D_I) with a binary label (1 = fake, 0 = real) and a provenance
-tag saying which modality carries class signal.
+A ``Dataset`` holds its n records as columns: ``ids`` (n strings),
+``labels`` (n,) with 1 = fake and 0 = real, ``provenance`` (n,) saying
+which modality carries class signal, and the per-modality feature
+sequences as two float64 stacks, ``text`` (n, L_t, d_t) and ``image``
+(n, L_i, d_i). Loading, splitting, batching, perturbing and the forward
+passes all work on these arrays rather than on one object per record.
 
-File format (little-endian), magic ``MMFN``, version 1::
+File format (little-endian), magic ``MMFN``, version 1, unchanged by the
+columnar layout::
 
     header: 4s magic | u32 version | u64 n_records | u32 d_t | u32 d_i | u32 l_t | u32 l_i
     record: u32 id_len | id utf-8 | u8 label | u8 provenance
@@ -18,12 +22,11 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .autodiff import as_matrix
 from .errors import (
     BadMagicError,
     FileFormatError,
@@ -46,52 +49,73 @@ class Provenance(IntEnum):
     BOTH = 3
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
-    record_id: str
-    label: int
-    text_features: np.ndarray
-    image_features: np.ndarray
-    provenance: Provenance = Provenance.UNKNOWN
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise InputError(f"label must be 0 or 1, got {self.label!r}")
-        object.__setattr__(self, "text_features", as_matrix(self.text_features, name="text_features"))
-        object.__setattr__(self, "image_features", as_matrix(self.image_features, name="image_features"))
-        object.__setattr__(self, "provenance", Provenance(self.provenance))
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A homogeneous collection of records sharing feature dimensions."""
+    """n records as columns; every record shares one sequence shape per modality."""
 
-    d_t: int
-    d_i: int
-    l_t: int
-    l_i: int
-    records: list[FeatureRecord] = field(default_factory=list)
+    ids: tuple[str, ...]
+    labels: np.ndarray  # (n,) intp, 1 = fake
+    provenance: np.ndarray  # (n,) intp wire codes
+    text: np.ndarray  # (n, L_t, d_t) float64
+    image: np.ndarray  # (n, L_i, d_i) float64
 
     def __post_init__(self):
-        if min(self.d_t, self.d_i, self.l_t, self.l_i) < 1:
-            raise InputError("feature dimensions must all be at least 1")
-        for r in self.records:
-            if r.text_features.shape != (self.l_t, self.d_t):
-                raise InputError(
-                    f"record {r.record_id}: text features {r.text_features.shape} "
-                    f"do not match dataset shape ({self.l_t}, {self.d_t})"
-                )
-            if r.image_features.shape != (self.l_i, self.d_i):
-                raise InputError(
-                    f"record {r.record_id}: image features {r.image_features.shape} "
-                    f"do not match dataset shape ({self.l_i}, {self.d_i})"
-                )
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("labels", np.intp), ("provenance", np.intp),
+                            ("text", np.float64), ("image", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = len(self.ids)
+        for name in ("labels", "provenance"):
+            if getattr(self, name).shape != (n,):
+                raise InputError(f"{name} must have shape ({n},), got {getattr(self, name).shape}")
+        for name in ("text", "image"):
+            shape = getattr(self, name).shape
+            if len(shape) != 3 or shape[0] != n or min(shape[1:]) < 1:
+                raise InputError(f"{name} must be an ({n}, L, d) stack with L, d >= 1, got shape {shape}")
+        labels, provenance = self.labels, self.provenance
+        finite = np.isfinite(self.text).all(axis=(1, 2)) & np.isfinite(self.image).all(axis=(1, 2))
+        bad = (labels < 0) | (labels > 1) | (provenance < 0) | (provenance > 3) | ~finite
+        if bad.any():  # name the first offending record
+            i = int(bad.argmax())
+            if labels[i] not in (0, 1):
+                reason = f"label must be 0 or 1, got {labels[i]}"
+            elif not 0 <= provenance[i] <= 3:
+                reason = f"provenance must be 0..3, got {provenance[i]}"
+            else:
+                reason = "non-finite feature values"
+            raise InputError(f"record {i}: {reason}")
+
+    @property
+    def d_t(self) -> int:
+        return self.text.shape[2]
+
+    @property
+    def d_i(self) -> int:
+        return self.image.shape[2]
+
+    @property
+    def l_t(self) -> int:
+        return self.text.shape[1]
+
+    @property
+    def l_i(self) -> int:
+        return self.image.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.intp)
+    def take(self, index) -> "Dataset":
+        """The records at the given positions, in that order, as a new dataset.
+
+        Rows of a valid dataset are valid, so the checks are not rerun: a
+        training step takes one batch this way.
+        """
+        index = np.asarray(index, dtype=np.intp)
+        rows = object.__new__(Dataset)
+        rows.__dict__.update(ids=tuple(self.ids[i] for i in index.tolist()),
+                             labels=self.labels[index], provenance=self.provenance[index],
+                             text=self.text[index], image=self.image[index])
+        return rows
 
 
 @dataclass(frozen=True)
@@ -147,7 +171,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     k_t = _signal_columns(spec.d_t)
     k_i = _signal_columns(spec.d_i)
-    records = []
+    text = np.empty((n, spec.l_t, spec.d_t))
+    image = np.empty((n, spec.l_i, spec.d_i))
+    provenance = np.empty(n, dtype=np.intp)
     for i in range(n):
         text_informative = rng.random() < spec.p_text_signal
         image_informative = rng.random() < spec.p_image_signal
@@ -157,29 +183,26 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         if text_informative != image_informative:
             conflicted = rng.random() < spec.conflict_rate
 
-        label = int(labels[i])
-        sign = spec.signal_strength if label == 1 else -spec.signal_strength
-        text = rng.normal(0.0, spec.noise_std, (spec.l_t, spec.d_t))
+        sign = spec.signal_strength if labels[i] == 1 else -spec.signal_strength
+        text[i] = rng.normal(0.0, spec.noise_std, (spec.l_t, spec.d_t))
         if text_informative:
-            text[:, :k_t] += sign
+            text[i, :, :k_t] += sign
         elif conflicted:
-            text[:, :k_t] -= sign
-        image = rng.normal(0.0, spec.noise_std, (spec.l_i, spec.d_i))
+            text[i, :, :k_t] -= sign
+        image[i] = rng.normal(0.0, spec.noise_std, (spec.l_i, spec.d_i))
         if image_informative:
-            image[:, :k_i] += sign
+            image[i, :, :k_i] += sign
         elif conflicted:
-            image[:, :k_i] -= sign
+            image[i, :, :k_i] -= sign
 
         if text_informative and image_informative:
-            provenance = Provenance.BOTH
+            provenance[i] = Provenance.BOTH
         elif text_informative:
-            provenance = Provenance.TEXT
+            provenance[i] = Provenance.TEXT
         else:
-            provenance = Provenance.IMAGE
-        records.append(
-            FeatureRecord(f"syn-{i:06d}", label, text, image, provenance)
-        )
-    return Dataset(spec.d_t, spec.d_i, spec.l_t, spec.l_i, records)
+            provenance[i] = Provenance.IMAGE
+    ids = tuple(f"syn-{i:06d}" for i in range(n))
+    return Dataset(ids, labels, provenance, text, image)
 
 
 # -- binary io -----------------------------------------------------------------
@@ -200,74 +223,82 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         raise
 
 
+_HEADER = struct.Struct("<4sIQIIII")
+
+
 def save(dataset: Dataset, path) -> None:
-    chunks = [
-        struct.pack("<4sIQIIII", MAGIC, FORMAT_VERSION, len(dataset.records),
-                    dataset.d_t, dataset.d_i, dataset.l_t, dataset.l_i)
-    ]
-    for r in dataset.records:
-        rid = r.record_id.encode("utf-8")
-        chunks.append(struct.pack("<I", len(rid)))
-        chunks.append(rid)
-        chunks.append(struct.pack("<BB", r.label, int(r.provenance)))
-        chunks.append(r.text_features.astype("<f8", copy=False).tobytes())
-        chunks.append(r.image_features.astype("<f8", copy=False).tobytes())
+    n = len(dataset)
+    text, image = dataset.text.astype("<f8", copy=False), dataset.image.astype("<f8", copy=False)
+    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, n, dataset.d_t, dataset.d_i,
+                           dataset.l_t, dataset.l_i)]
+    labels, provenance = dataset.labels.tolist(), dataset.provenance.tolist()
+    for i, rid in enumerate(dataset.ids):
+        encoded = rid.encode("utf-8")
+        chunks.append(struct.pack("<I", len(encoded)) + encoded
+                      + struct.pack("<BB", labels[i], provenance[i]))
+        chunks.append(text[i].tobytes())
+        chunks.append(image[i].tobytes())
     atomic_write_bytes(path, b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedFileError(
-                f"file ends at byte {len(self.buf)} but {self.pos + n} bytes are needed"
-            )
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load(path) -> Dataset:
+    """Read a feature file in one pass: each record's feature bytes are
+    copied straight into the two stacks, then labels, provenance and
+    finiteness are checked once over the arrays."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    magic, version = reader.unpack("<4sI")
+        buf = fh.read()
+    size = len(buf)
+
+    def need(end: int) -> None:
+        if end > size:
+            raise TruncatedFileError(f"file ends at byte {size} but {end} bytes are needed")
+
+    need(8)
+    magic, version = struct.unpack_from("<4sI", buf)
     if magic != MAGIC:
         raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"unsupported format version {version}")
-    (n_records,) = reader.unpack("<Q")
-    d_t, d_i, l_t, l_i = reader.unpack("<IIII")
-    if min(d_t, d_i, l_t, l_i) < 1:
+    need(_HEADER.size)
+    _, _, n, d_t, d_i, l_t, l_i = _HEADER.unpack_from(buf)
+    text_bytes, image_bytes = 8 * l_t * d_t, 8 * l_i * d_i
+    if min(d_t, d_i, l_t, l_i) < 1 or text_bytes + image_bytes > np.iinfo(np.intp).max:
         raise InconsistentDimsError(
-            f"header dimensions must all be at least 1, got d_t={d_t} d_i={d_i} l_t={l_t} l_i={l_i}"
+            f"header dimensions must all be at least 1 and give an addressable record, "
+            f"got d_t={d_t} d_i={d_i} l_t={l_t} l_i={l_i}"
         )
+    # every record holds at least its fixed fields and its features, so a
+    # count the file cannot hold is refused before anything is allocated
+    need(_HEADER.size + n * (6 + text_bytes + image_bytes))
 
-    records = []
-    for idx in range(n_records):
-        (id_len,) = reader.unpack("<I")
+    view = memoryview(buf)
+    text, image, codes = bytearray(n * text_bytes), bytearray(n * image_bytes), bytearray(2 * n)
+    ids = []
+    pos = _HEADER.size
+    for k in range(n):
+        need(pos + 4)
+        (id_len,) = struct.unpack_from("<I", buf, pos)
+        start = pos + 4 + id_len
+        end = start + 2 + text_bytes + image_bytes
+        need(end)
         try:
-            rid = reader.take(id_len).decode("utf-8")
+            ids.append(str(view[pos + 4:start], "utf-8"))
         except UnicodeDecodeError as err:
-            raise FileFormatError(f"record {idx}: id is not valid utf-8") from err
-        label, prov = reader.unpack("<BB")
-        if label not in (0, 1):
-            raise FileFormatError(f"record {idx}: label byte must be 0 or 1, got {label}")
-        if prov > 3:
-            raise FileFormatError(f"record {idx}: provenance byte must be 0..3, got {prov}")
-        text = np.frombuffer(reader.take(8 * l_t * d_t), dtype="<f8").reshape(l_t, d_t).copy()
-        image = np.frombuffer(reader.take(8 * l_i * d_i), dtype="<f8").reshape(l_i, d_i).copy()
-        if not (np.isfinite(text).all() and np.isfinite(image).all()):
-            raise FileFormatError(f"record {idx}: non-finite feature values")
-        records.append(FeatureRecord(rid, label, text, image, Provenance(prov)))
-    if reader.pos != len(reader.buf):
-        raise FileFormatError(f"{len(reader.buf) - reader.pos} trailing bytes after last record")
-    return Dataset(d_t, d_i, l_t, l_i, records)
+            raise FileFormatError(f"record {k}: id is not valid utf-8") from err
+        codes[2 * k:2 * k + 2] = view[start:start + 2]
+        text[k * text_bytes:(k + 1) * text_bytes] = view[start + 2:start + 2 + text_bytes]
+        image[k * image_bytes:(k + 1) * image_bytes] = view[end - image_bytes:end]
+        pos = end
+    if pos != size:
+        raise FileFormatError(f"{size - pos} trailing bytes after last record")
+
+    codes = np.frombuffer(codes, dtype=np.uint8).reshape(n, 2)
+    try:
+        return Dataset(tuple(ids), codes[:, 0], codes[:, 1],
+                       np.frombuffer(text, dtype="<f8").reshape(n, l_t, d_t),
+                       np.frombuffer(image, dtype="<f8").reshape(n, l_i, d_i))
+    except InputError as err:
+        raise FileFormatError(str(err)) from err
 
 
 # -- splits and batching -------------------------------------------------------
@@ -286,31 +317,30 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) ->
         raise InputError(f"fractions must be non-negative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InputError(f"fractions must sum to 1, got {fractions}")
-    if not dataset.records:
+    if len(dataset) == 0:
         raise InputError("cannot split an empty dataset")
 
     rng = np.random.default_rng(seed)
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    parts: tuple[list, list, list] = ([], [], [])
     for cls in (0, 1):
-        idx = np.array([i for i, r in enumerate(dataset.records) if r.label == cls], dtype=np.intp)
+        idx = np.flatnonzero(dataset.labels == cls)
         if idx.size == 0:
             continue
         rng.shuffle(idx)
         c1 = int(round(fractions[0] * idx.size))
         c2 = int(round((fractions[0] + fractions[1]) * idx.size))
-        parts[0].extend(idx[:c1])
-        parts[1].extend(idx[c1:c2])
-        parts[2].extend(idx[c2:])
+        parts[0].append(idx[:c1])
+        parts[1].append(idx[c1:c2])
+        parts[2].append(idx[c2:])
 
     names = ("train", "val", "test")
     out = []
-    for name, frac, indices in zip(names, fractions, parts):
-        if frac > 0.0 and not indices:
+    for name, frac, chunks in zip(names, fractions, parts):
+        order = np.sort(np.concatenate(chunks))
+        if frac > 0.0 and order.size == 0:
             raise InputError(f"{name} split would be empty with fraction {frac}")
-        order = np.array(sorted(indices), dtype=np.intp)
         rng.shuffle(order)
-        out.append(Dataset(dataset.d_t, dataset.d_i, dataset.l_t, dataset.l_i,
-                           [dataset.records[i] for i in order]))
+        out.append(dataset.take(order))
     return out[0], out[1], out[2]
 
 
@@ -318,7 +348,6 @@ def batches(dataset: Dataset, batch_size: int, epoch_seed: int) -> list[np.ndarr
     """Seeded permutation of record indices, chunked; the tail batch may be short."""
     if batch_size < 1:
         raise InputError(f"batch_size must be at least 1, got {batch_size}")
-    n = len(dataset.records)
+    n = len(dataset)
     perm = np.random.default_rng(epoch_seed).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
-

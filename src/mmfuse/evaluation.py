@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, FeatureRecord
+from .data import Dataset
 from .errors import InputError, UsageError
 from .model import HyperConfig, ModelParams, Variant, forward_batch, predict_labels
 
@@ -60,10 +61,10 @@ def compute_metrics(labels, predictions) -> MetricsReport:
 
 def evaluate(params: ModelParams, hyper: HyperConfig, dataset: Dataset) -> MetricsReport:
     """Metrics of argmax predictions over a dataset."""
-    if not dataset.records:
+    if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    outputs = forward_batch(params, hyper, dataset.records)
-    return compute_metrics(dataset.labels(), predict_labels(outputs))
+    outputs = forward_batch(params, hyper, dataset)
+    return compute_metrics(dataset.labels, predict_labels(outputs))
 
 
 # -- gate statistics ---------------------------------------------------------------
@@ -87,9 +88,9 @@ def collect_gate_weights(params: ModelParams, hyper: HyperConfig,
     """Per-record gate values over a dataset; full variant only."""
     if hyper.variant is not Variant.FULL:
         raise UsageError(f"variant {hyper.variant.value!r} has no gate")
-    if not dataset.records:
+    if len(dataset) == 0:
         raise InputError("cannot collect gate weights from an empty dataset")
-    outputs = forward_batch(params, hyper, dataset.records)
+    outputs = forward_batch(params, hyper, dataset)
     return outputs.alpha_text, outputs.alpha_image
 
 
@@ -161,29 +162,35 @@ class PerturbationScenario:
         return f"{self.kind.value}(sigma={self.sigma:g})"
 
 
-def apply_perturbation(record: FeatureRecord, scenario: PerturbationScenario) -> FeatureRecord:
-    """A perturbed copy of the record; the original stays untouched."""
-    kind = scenario.kind
-    if kind is PerturbationKind.TEXT_MISSING:
-        return replace(record, text_features=np.zeros_like(record.text_features))
-    if kind is PerturbationKind.IMAGE_MISSING:
-        return replace(record, image_features=np.zeros_like(record.image_features))
-    rng = np.random.default_rng(scenario.noise_seed)
-    if kind is PerturbationKind.TEXT_NOISE:
-        noisy = record.text_features + rng.normal(0.0, scenario.sigma, record.text_features.shape)
-        return replace(record, text_features=noisy)
-    noisy = record.image_features + rng.normal(0.0, scenario.sigma, record.image_features.shape)
-    return replace(record, image_features=noisy)
+@lru_cache(maxsize=1)
+def _unit_noise(noise_seed: int, n: int, width: int) -> np.ndarray:
+    """Row i holds the first ``width`` standard normals of record i's own
+    stream, seeded from (noise_seed, i) through NumPy's documented
+    SeedSequence -> PCG64 path. Read-only: every sigma and side shares it."""
+    rows = np.empty((n, width))
+    for i in range(n):
+        seed = int(np.random.SeedSequence((noise_seed, i)).generate_state(1)[0])
+        rows[i] = np.random.default_rng(seed).standard_normal(width)
+    rows.flags.writeable = False
+    return rows
 
 
 def perturb_dataset(dataset: Dataset, scenario: PerturbationScenario) -> Dataset:
-    """Apply a scenario to every record, with per-record noise streams."""
-    perturbed = []
-    for i, record in enumerate(dataset.records):
-        if scenario.kind in _NOISE_KINDS:
-            seed = int(np.random.SeedSequence((scenario.noise_seed, i)).generate_state(1)[0])
-            record = apply_perturbation(record, replace(scenario, noise_seed=seed))
-        else:
-            record = apply_perturbation(record, scenario)
-        perturbed.append(record)
-    return Dataset(dataset.d_t, dataset.d_i, dataset.l_t, dataset.l_i, perturbed)
+    """A copy of the dataset with one modality zeroed or noised; the input
+    stays untouched.
+
+    Each record's noise comes from its own stream, so it does not depend on
+    the other records. ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z``
+    over the stream's standard normals z, which makes one draw per record
+    serve every sigma and both modalities.
+    """
+    kind = scenario.kind
+    side = "text" if kind in (PerturbationKind.TEXT_MISSING, PerturbationKind.TEXT_NOISE) else "image"
+    x = getattr(dataset, side)
+    if kind in _NOISE_KINDS:
+        width = max(dataset.l_t * dataset.d_t, dataset.l_i * dataset.d_i)
+        z = _unit_noise(scenario.noise_seed, len(dataset), width)
+        perturbed = x + (0.0 + scenario.sigma * z[:, :x.shape[1] * x.shape[2]].reshape(x.shape))
+    else:
+        perturbed = np.zeros_like(x)
+    return replace(dataset, **{side: perturbed})

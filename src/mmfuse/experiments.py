@@ -28,7 +28,7 @@ def run_ablation(
 ) -> tuple[list[tuple[Variant, MetricsReport]], dict[Variant, Checkpoint]]:
     """Train every variant identically; report test metrics in fixed order."""
     train_ds, val_ds, test_ds = splits
-    if not test_ds.records:
+    if len(test_ds) == 0:
         raise InputError("ablation needs a non-empty test split")
     rows = []
     checkpoints: dict[Variant, Checkpoint] = {}
@@ -69,7 +69,7 @@ def run_perturbation_suite(
             f"perturbation suite needs a full-variant checkpoint, got "
             f"{full_checkpoint.hyper.variant.value!r}"
         )
-    if not test_ds.records:
+    if len(test_ds) == 0:
         raise InputError("perturbation suite needs a non-empty test split")
 
     rows = [("unperturbed", evaluate(full_checkpoint.params, full_checkpoint.hyper, test_ds))]

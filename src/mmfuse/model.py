@@ -24,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .autodiff import Node, Tape, as_matrix
-from .data import FeatureRecord
+from .data import Dataset
 from .errors import InputError, UsageError
 
 Array = np.ndarray
@@ -51,7 +51,6 @@ _ATTENTION_NAMES = (
     "attn_q_text", "attn_k_image", "attn_v_image",
     "attn_q_image", "attn_k_text", "attn_v_text",
 )
-_GATE_NAMES = ("gate_w1", "gate_b1", "gate_w_text", "gate_b_text", "gate_w_image", "gate_b_image")
 _BIAS_NAMES = frozenset({"gate_b1", "gate_b_text", "gate_b_image", "cls_b1", "cls_b2"})
 
 
@@ -289,42 +288,31 @@ class BatchOutputs:
     alpha_image: Array | None = None
 
 
-def stack_batch(config: HyperConfig, records) -> tuple[Array, Array]:
-    """Stack a batch's sequences into (B, L_t, d_t) and (B, L_i, d_i) arrays.
-
-    All records must share one text shape and one image shape, and the
-    feature widths must match the config.
-    """
-    if not records:
+def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset) -> tuple[Node, Node]:
+    """A batch's two feature stacks as constants on a tape; the batch must
+    hold at least one record, with the model's feature widths."""
+    if len(batch) == 0:
         raise InputError("a batch needs at least one record")
-    text_shapes = {r.text_features.shape for r in records}
-    image_shapes = {r.image_features.shape for r in records}
-    if len(text_shapes) > 1 or len(image_shapes) > 1:
-        raise InputError(f"records in a batch must share feature shapes, got {text_shapes} {image_shapes}")
-    ((l_t, d_t),), ((l_i, d_i),) = text_shapes, image_shapes
-    if (d_t, d_i) != (config.d_t, config.d_i):
-        raise InputError(f"record widths (d_t={d_t}, d_i={d_i}) do not match the model "
+    if (batch.d_t, batch.d_i) != (config.d_t, config.d_i):
+        raise InputError(f"record widths (d_t={batch.d_t}, d_i={batch.d_i}) do not match the model "
                          f"(d_t={config.d_t}, d_i={config.d_i})")
-    n = len(records)
-    text = np.concatenate([r.text_features for r in records]).reshape(n, l_t, d_t)
-    image = np.concatenate([r.image_features for r in records]).reshape(n, l_i, d_i)
-    return text, image
+    return (tape.constant(batch.text, name="text_features"),
+            tape.constant(batch.image, name="image_features"))
 
 
-def _forward_nodes(params, config, records, gate_override) -> dict[str, Node]:
-    x_t, x_i = stack_batch(config, records)
+def _forward_nodes(params, config, batch, gate_override) -> dict[str, Node]:
     tape = Tape(grad=False)
     pn = register_parameters(tape, params)
-    return build_logits(tape, pn, config,
-                        tape.constant(x_t, name="text_features"),
-                        tape.constant(x_i, name="image_features"),
+    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch),
                         gate_override=gate_override)
 
 
-def forward(params: ModelParams, config: HyperConfig, record: FeatureRecord,
+def forward(params: ModelParams, config: HyperConfig, record: Dataset,
             *, gate_override=None) -> ForwardTrace:
-    """Run one record, as a batch of one, and capture the trace."""
-    nodes = _forward_nodes(params, config, [record], gate_override)
+    """Run a one-record dataset, as a batch of one, and capture the trace."""
+    if len(record) != 1:
+        raise InputError(f"forward takes a one-record dataset, got {len(record)} records")
+    nodes = _forward_nodes(params, config, record, gate_override)
 
     def first(key):
         return nodes[key].value[0] if key in nodes else None
@@ -338,10 +326,10 @@ def forward(params: ModelParams, config: HyperConfig, record: FeatureRecord,
                         **{key: first(key) for key in stages})
 
 
-def forward_batch(params: ModelParams, config: HyperConfig, records,
+def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset,
                   *, gate_override=None) -> BatchOutputs:
-    """Forward a batch of same-shape records as one graph."""
-    nodes = _forward_nodes(params, config, list(records), gate_override)
+    """Forward every record of a dataset as one graph."""
+    nodes = _forward_nodes(params, config, batch, gate_override)
     alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
     return BatchOutputs(nodes["logits"].value, *alphas)
 
@@ -359,27 +347,15 @@ def predict_labels(outputs: BatchOutputs) -> np.ndarray:
     return np.argmax(outputs.logits, axis=1).astype(np.intp)
 
 
-# -- standalone stage wrappers --------------------------------------------------
-# Array-in/array-out views of the graph stages, for inspection and testing.
-
-
-def _needs(params: ModelParams, names) -> None:
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise UsageError(f"params are missing {missing}; wrong variant for this operation")
-
-
-def project(params: ModelParams, record: FeatureRecord) -> tuple[Array, Array]:
-    """Project both feature sequences into the shared space."""
-    _needs(params, ("proj_text", "proj_image"))
-    return (record.text_features @ params["proj_text"],
-            record.image_features @ params["proj_image"])
+# -- standalone stage view ------------------------------------------------------
 
 
 def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array, Array]:
     """Bi-directional cross-attention with residuals over one record's
     projected sequences (run as a batch of one)."""
-    _needs(params, _ATTENTION_NAMES)
+    missing = [n for n in _ATTENTION_NAMES if n not in params]
+    if missing:
+        raise UsageError(f"params are missing {missing}; wrong variant for this operation")
     tape = Tape(grad=False)
     pn = register_parameters(tape, params)
     att_t, att_i = _attend(tape, pn,
@@ -387,31 +363,3 @@ def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array,
                            tape.constant(as_matrix(h_image, name="h_image")[None], name="h_image"),
                            d_k)
     return att_t.value[0], att_i.value[0]
-
-
-def gate(params: ModelParams, attended_text, attended_image):
-    """Pool attended sequences and compute the two modality gates.
-
-    Returns (alpha_text, alpha_image, pooled_text, pooled_image).
-    """
-    _needs(params, _GATE_NAMES)
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
-    pooled_t = tape.mean_rows(tape.constant(attended_text, name="attended_text"))
-    pooled_i = tape.mean_rows(tape.constant(attended_image, name="attended_image"))
-    alpha_t, alpha_i = _gate_alphas(tape, pn, pooled_t, pooled_i)
-    return (float(alpha_t.value[0, 0]), float(alpha_i.value[0, 0]),
-            pooled_t.value.copy(), pooled_i.value.copy())
-
-
-def fuse_classify(params: ModelParams, alpha_text: float, alpha_image: float,
-                  pooled_text, pooled_image) -> Array:
-    """Scale pooled features by their gates, concatenate, and classify."""
-    _needs(params, ("cls_w1", "cls_b1", "cls_w2", "cls_b2"))
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
-    scaled_t = tape.scale_by_scalar(tape.constant(pooled_text, name="pooled_text"),
-                                    tape.constant([[alpha_text]]))
-    scaled_i = tape.scale_by_scalar(tape.constant(pooled_image, name="pooled_image"),
-                                    tape.constant([[alpha_image]]))
-    return _classify(tape, pn, tape.concat_cols(scaled_t, scaled_i)).value.copy()

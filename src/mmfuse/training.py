@@ -40,9 +40,9 @@ from .model import (
     Variant,
     build_logits,
     check_params_match,
+    feature_stacks,
     init_params,
     register_parameters,
-    stack_batch,
 )
 
 CHECKPOINT_MAGIC = b"MMCK"
@@ -99,23 +99,19 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
 # -- loss -----------------------------------------------------------------------
 
 
-def batch_loss(params: ModelParams, hyper: HyperConfig, records,
+def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
                *, tape: Tape | None = None, param_nodes=None) -> Node:
-    """Mean cross-entropy of a record batch as a 1x1 graph node.
+    """Mean cross-entropy of a batch of records as a 1x1 graph node.
 
     Pass a tape plus the nodes from register_parameters to read gradients
     back out after Tape.backward; otherwise a private tape is used.
     """
-    records = list(records)
-    x_t, x_i = stack_batch(hyper, records)
     if tape is None:
         tape = Tape()
     if param_nodes is None:
         param_nodes = register_parameters(tape, params)
-    nodes = build_logits(tape, param_nodes, hyper,
-                         tape.constant(x_t, name="text_features"),
-                         tape.constant(x_i, name="image_features"))
-    return tape.cross_entropy_logits(nodes["logits"], [r.label for r in records])
+    nodes = build_logits(tape, param_nodes, hyper, *feature_stacks(tape, hyper, batch))
+    return tape.cross_entropy_logits(nodes["logits"], batch.labels)
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -158,6 +154,27 @@ def adamw_step(params: ModelParams, grads, state: OptimizerState, config: TrainC
         theta -= config.learning_rate * update + config.learning_rate * config.weight_decay * theta
 
 
+def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
+               state: OptimizerState, config: TrainConfig) -> float:
+    """One AdamW step on a batch, in place; returns the batch loss.
+
+    A non-finite loss is returned without updating anything, so the caller
+    decides how to report it.
+    """
+    tape = Tape()
+    param_nodes = register_parameters(tape, params)
+    loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=param_nodes)
+    value = float(loss.value[0, 0])
+    if math.isfinite(value):
+        tape.backward(loss)
+        grads = {
+            name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
+            for name, node in param_nodes.items()
+        }
+        adamw_step(params, grads, state, config)
+    return value
+
+
 # -- training loop ------------------------------------------------------------------
 
 
@@ -180,7 +197,7 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
     """
     from .evaluation import evaluate  # local import; evaluation also stands alone
 
-    if not train_ds.records or not val_ds.records:
+    if len(train_ds) == 0 or len(val_ds) == 0:
         raise InputError("train and validation splits must both be non-empty")
     for ds, name in ((train_ds, "train"), (val_ds, "validation")):
         if (ds.d_t, ds.d_i) != (hyper.d_t, hyper.d_i):
@@ -202,19 +219,9 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
     for epoch in range(config.max_epochs):
         epoch_losses = []
         for step, idx in enumerate(batches(train_ds, config.batch_size, int(epoch_seeds[epoch]))):
-            batch = [train_ds.records[i] for i in idx]
-            tape = Tape()
-            param_nodes = register_parameters(tape, params)
-            loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=param_nodes)
-            value = float(loss.value[0, 0])
+            value = train_step(params, hyper, train_ds.take(idx), state, config)
             if not math.isfinite(value):
                 raise NumericsError(f"loss diverged at epoch {epoch}, step {step}")
-            tape.backward(loss)
-            grads = {
-                name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
-                for name, node in param_nodes.items()
-            }
-            adamw_step(params, grads, state, config)
             epoch_losses.append(value)
 
         val = evaluate(params, hyper, val_ds)

@@ -18,7 +18,7 @@ from mmfuse.autodiff import Tape, finite_difference_check
 from mmfuse.cli import main as cli_main
 from mmfuse.config import ModelSettings, default_config, render_config
 from mmfuse.data import (
-    FeatureRecord,
+    Dataset,
     Provenance,
     SyntheticSpec,
     batches,
@@ -55,10 +55,20 @@ from mmfuse.training import (
     load_checkpoint,
     save_checkpoint,
     train,
+    train_step,
 )
 
 DATA_SEEDS = (1, 2, 3, 4, 5)
 FRACTIONS = (0.8, 0.1, 0.1)
+
+
+def _random_batch(rng, prefix, count, seq_len, hyper):
+    """count labelled records, alternating 0/1, drawing text then image per record."""
+    draws = [(rng.normal(size=(seq_len, hyper.d_t)), rng.normal(size=(seq_len, hyper.d_i)))
+             for _ in range(count)]
+    return Dataset(tuple(f"{prefix}{j}" for j in range(count)), [j % 2 for j in range(count)],
+                   [Provenance.UNKNOWN] * count,
+                   np.stack([t for t, _ in draws]), np.stack([i for _, i in draws]))
 
 
 def _report(log, tag, ok, detail):
@@ -102,15 +112,7 @@ def test_gradient_fidelity(acceptance_log):
             for trial in range(10):
                 rng = np.random.default_rng(1000 + 17 * trial)
                 hyper = replace(hyper_base, variant=variant, init_seed=trial)
-                records = [
-                    FeatureRecord(
-                        record_id=f"r{j}",
-                        label=j % 2,
-                        text_features=rng.normal(size=(seq_len, hyper.d_t)),
-                        image_features=rng.normal(size=(seq_len, hyper.d_i)),
-                    )
-                    for j in range(4)
-                ]
+                records = _random_batch(rng, "r", 4, seq_len, hyper)
                 params = init_params(hyper)
                 tape = Tape()
                 nodes = register_parameters(tape, params)
@@ -173,15 +175,7 @@ def test_attention_closed_form_and_gate_pinning(acceptance_log):
     rng = np.random.default_rng(400)
     bitwise = True
     for seq_len, count in ((1, 6), (3, 3)):
-        records = [
-            FeatureRecord(
-                record_id=f"p{seq_len}-{j}",
-                label=j % 2,
-                text_features=rng.normal(size=(seq_len, full_hyper.d_t)),
-                image_features=rng.normal(size=(seq_len, full_hyper.d_i)),
-            )
-            for j in range(count)
-        ]
+        records = _random_batch(rng, f"p{seq_len}-", count, seq_len, full_hyper)
         pinned = forward_batch(full_params, full_hyper, records, gate_override=(1.0, 1.0))
         plain = forward_batch(fixed_params, fixed_hyper, records)
         bitwise = bitwise and pinned.logits.tobytes() == plain.logits.tobytes()
@@ -241,9 +235,8 @@ _GATE_EPOCHS = 40
 
 
 def _provenance_separations(params, hyper, dataset):
-    prov = np.array([record.provenance for record in dataset.records])
-    text_mask = prov == Provenance.TEXT
-    image_mask = prov == Provenance.IMAGE
+    text_mask = dataset.provenance == Provenance.TEXT
+    image_mask = dataset.provenance == Provenance.IMAGE
     alpha_t, alpha_i = collect_gate_weights(params, hyper, dataset)
     sep_t = alpha_t[text_mask].mean() - alpha_t[image_mask].mean()
     sep_i = alpha_i[image_mask].mean() - alpha_i[text_mask].mean()
@@ -271,16 +264,7 @@ def _train_gate_candidate(train_ds, val_ds, backbone, data_seed, index):
     best = (_SELECTION_FLOOR, params.copy())
     for epoch in range(_GATE_EPOCHS):
         for batch_idx in batches(train_ds, config.batch_size, int(epoch_seeds[epoch])):
-            batch = [train_ds.records[i] for i in batch_idx]
-            tape = Tape()
-            nodes = register_parameters(tape, params)
-            loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=nodes)
-            tape.backward(loss)
-            grads = {
-                name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
-                for name, node in nodes.items()
-            }
-            adamw_step(params, grads, state, config)
+            train_step(params, hyper, train_ds.take(batch_idx), state, config)
         val_seps = _provenance_separations(params, hyper, val_ds)
         if min(val_seps) > best[0]:
             best = (min(val_seps), params.copy())
@@ -464,12 +448,12 @@ def test_determinism_and_persistence(acceptance_log, tmp_path):
 
     ck_path = tmp_path / "train-a" / "model.mmck"
     checkpoint = load_checkpoint(ck_path)
-    logits_pre = forward_batch(checkpoint.params, checkpoint.hyper, dataset.records[:32]).logits
+    logits_pre = forward_batch(checkpoint.params, checkpoint.hyper, dataset.take(range(32))).logits
     resaved_ck = tmp_path / "again.mmck"
     save_checkpoint(checkpoint, resaved_ck)
     ck_roundtrip = resaved_ck.read_bytes() == ck_path.read_bytes()
     reloaded = load_checkpoint(resaved_ck)
-    logits_post = forward_batch(reloaded.params, reloaded.hyper, dataset.records[:32]).logits
+    logits_post = forward_batch(reloaded.params, reloaded.hyper, dataset.take(range(32))).logits
     forward_bitwise = logits_pre.tobytes() == logits_post.tobytes()
 
     _report(

@@ -371,3 +371,22 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     )
     assert code == 1
     assert "cannot read config" in stderr
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("gen-data", "data", "n_samples", str(10**20)),
+    ("train", "train", "max_epochs", str(10**20)),
+    ("gen-data", "data", "seed", "-1"),
+    ("gen-data", "eval", "noise_seed", str(2**64)),
+])
+def test_out_of_range_config_ints_exit_one(tmp_path, capsys, command, section, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    argv = [command, "--config", str(ini), "--out", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--data", str(tmp_path / "unused.mmfn")]
+    code, _, stderr = run(argv, capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and stderr.startswith("mmfuse: error:")
+    assert f"{section}.{key}" in stderr
+

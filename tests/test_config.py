@@ -162,3 +162,10 @@ def test_eval_settings_validation():
 def test_run_config_fractions_property():
     config = RunConfig(train_frac=0.6, val_frac=0.2, test_frac=0.2)
     assert config.fractions == (0.6, 0.2, 0.2)
+
+
+def test_master_seeds_in_resolved_config_reparse():
+    # derived seeds use the whole uint64 range and must survive the echo
+    config = apply_master_seed(default_config(), 7)
+    assert max(config.synthetic.seed, config.train.seed) >= 2**63
+    assert parse_config(render_config(config)) == config

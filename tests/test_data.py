@@ -6,10 +6,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmfuse.data import (
     Dataset,
-    FeatureRecord,
     Provenance,
     SyntheticSpec,
     batches,
@@ -29,15 +30,9 @@ from mmfuse.errors import (
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if (a.d_t, a.d_i, a.l_t, a.l_i, len(a)) != (b.d_t, b.d_i, b.l_t, b.l_i, len(b)):
-        return False
-    for x, y in zip(a.records, b.records):
-        if x.record_id != y.record_id or x.label != y.label or x.provenance != y.provenance:
-            return False
-        if not (np.array_equal(x.text_features, y.text_features)
-                and np.array_equal(x.image_features, y.image_features)):
-            return False
-    return True
+    return (a.ids == b.ids
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("labels", "provenance", "text", "image")))
 
 
 # -- generation ----------------------------------------------------------------
@@ -51,33 +46,26 @@ def test_generation_is_deterministic():
 def test_class_balance_is_exact():
     for n in (7, 100, 4000):
         ds = generate_synthetic(SyntheticSpec(n_samples=n, seed=1))
-        assert int(ds.labels().sum()) == n // 2
+        assert int(ds.labels.sum()) == n // 2
 
 
 def test_every_record_has_an_informative_modality():
     ds = generate_synthetic(SyntheticSpec(n_samples=500, seed=5))
-    assert all(r.provenance in (Provenance.TEXT, Provenance.IMAGE, Provenance.BOTH)
-               for r in ds.records)
+    assert np.isin(ds.provenance, (Provenance.TEXT, Provenance.IMAGE, Provenance.BOTH)).all()
 
 
 def test_noiseless_limit_exposes_exact_signal():
     spec = SyntheticSpec(n_samples=400, noise_std=0.0, conflict_rate=0.0, seed=3)
     ds = generate_synthetic(spec)
     k_t, k_i = 4, 3  # ceil(16/4), ceil(12/4)
-    for r in ds.records:
-        sign = 1.0 if r.label == 1 else -1.0
-        text_informative = r.provenance in (Provenance.TEXT, Provenance.BOTH)
-        image_informative = r.provenance in (Provenance.IMAGE, Provenance.BOTH)
-        if text_informative:
-            assert np.array_equal(r.text_features[0, :k_t], np.full(k_t, sign))
-            assert np.array_equal(r.text_features[0, k_t:], np.zeros(16 - k_t))
-        else:
-            assert np.array_equal(r.text_features, np.zeros((1, 16)))
-        if image_informative:
-            assert np.array_equal(r.image_features[0, :k_i], np.full(k_i, sign))
-            assert np.array_equal(r.image_features[0, k_i:], np.zeros(12 - k_i))
-        else:
-            assert np.array_equal(r.image_features, np.zeros((1, 12)))
+    sign = np.where(ds.labels == 1, 1.0, -1.0)[:, None]
+    text_informative = np.isin(ds.provenance, (Provenance.TEXT, Provenance.BOTH))
+    image_informative = np.isin(ds.provenance, (Provenance.IMAGE, Provenance.BOTH))
+    for informative, x, k, d in ((text_informative, ds.text[:, 0], k_t, 16),
+                                 (image_informative, ds.image[:, 0], k_i, 12)):
+        signal = np.concatenate([np.broadcast_to(sign, (len(ds), k)), np.zeros((len(ds), d - k))], axis=1)
+        assert np.array_equal(x[informative], signal[informative])
+        assert not x[~informative].any()
 
 
 def test_conflict_plants_opposite_signal():
@@ -85,13 +73,13 @@ def test_conflict_plants_opposite_signal():
     ds = generate_synthetic(spec)
     k_t, k_i = 4, 3
     saw_conflict = 0
-    for r in ds.records:
-        sign = 1.0 if r.label == 1 else -1.0
-        if r.provenance == Provenance.TEXT:
-            assert np.array_equal(r.image_features[0, :k_i], np.full(k_i, -sign))
+    for i in range(len(ds)):
+        sign = 1.0 if ds.labels[i] == 1 else -1.0
+        if ds.provenance[i] == Provenance.TEXT:
+            assert np.array_equal(ds.image[i, 0, :k_i], np.full(k_i, -sign))
             saw_conflict += 1
-        elif r.provenance == Provenance.IMAGE:
-            assert np.array_equal(r.text_features[0, :k_t], np.full(k_t, -sign))
+        elif ds.provenance[i] == Provenance.IMAGE:
+            assert np.array_equal(ds.text[i, 0, :k_t], np.full(k_t, -sign))
             saw_conflict += 1
     assert saw_conflict > 50
 
@@ -99,8 +87,8 @@ def test_conflict_plants_opposite_signal():
 def test_provenance_rates_match_draw_probabilities():
     ds = generate_synthetic(SyntheticSpec(seed=11))
     n = len(ds)
-    text_inf = sum(r.provenance in (Provenance.TEXT, Provenance.BOTH) for r in ds.records) / n
-    image_inf = sum(r.provenance in (Provenance.IMAGE, Provenance.BOTH) for r in ds.records) / n
+    text_inf = np.isin(ds.provenance, (Provenance.TEXT, Provenance.BOTH)).sum() / n
+    image_inf = np.isin(ds.provenance, (Provenance.IMAGE, Provenance.BOTH)).sum() / n
     # P(text informative) = 0.55 + 0.45*0.55, P(image) = 0.45 + 0.45*0.55
     assert abs(text_inf - 0.7975) < 0.03
     assert abs(image_inf - 0.6975) < 0.03
@@ -110,24 +98,24 @@ def test_nearest_class_mean_oracle_separates_classes():
     ds = generate_synthetic(SyntheticSpec(n_samples=2000, seed=17))
     half = 1000
 
-    def informative_row(r):
-        if r.provenance in (Provenance.TEXT, Provenance.BOTH):
-            return r.text_features[0], "t"
-        return r.image_features[0], "i"
+    def informative_row(i):
+        if ds.provenance[i] in (Provenance.TEXT, Provenance.BOTH):
+            return ds.text[i, 0], "t"
+        return ds.image[i, 0], "i"
 
     means = {}
     for key in ("t", "i"):
         for cls in (0, 1):
-            rows = [informative_row(r)[0] for r in ds.records[:half]
-                    if r.label == cls and informative_row(r)[1] == key]
+            rows = [informative_row(i)[0] for i in range(half)
+                    if ds.labels[i] == cls and informative_row(i)[1] == key]
             means[key, cls] = np.mean(rows, axis=0)
 
     correct = 0
-    for r in ds.records[half:]:
-        row, key = informative_row(r)
+    for i in range(half, len(ds)):
+        row, key = informative_row(i)
         d0 = np.linalg.norm(row - means[key, 0])
         d1 = np.linalg.norm(row - means[key, 1])
-        correct += int((d1 < d0) == (r.label == 1))
+        correct += int((d1 < d0) == (ds.labels[i] == 1))
     assert correct / half > 0.9
 
 
@@ -145,11 +133,47 @@ def test_spec_validation_errors():
 
 
 def test_record_and_dataset_validation():
-    with pytest.raises(InputError):
-        FeatureRecord("x", 2, np.zeros((1, 2)), np.zeros((1, 2)))
-    good = FeatureRecord("x", 0, np.zeros((1, 2)), np.zeros((1, 3)))
-    with pytest.raises(InputError):
-        Dataset(2, 4, 1, 1, [good])
+    def columns(**changes):
+        base = dict(ids=("x", "y"), labels=[0, 1], provenance=[0, 3],
+                    text=np.zeros((2, 1, 2)), image=np.zeros((2, 1, 3)))
+        return {**base, **changes}
+
+    ds = Dataset(**columns())
+    assert (len(ds), ds.d_t, ds.d_i, ds.l_t, ds.l_i) == (2, 2, 3, 1, 1)
+    assert ds.labels.dtype == np.intp and ds.text.dtype == np.float64
+    bad = {
+        "label": columns(labels=[0, 2]),
+        "provenance": columns(provenance=[4, 0]),
+        "non-finite": columns(image=np.array([[[0.0, 0.0, 0.0]], [[0.0, np.inf, 0.0]]])),
+        "id count": columns(ids=("x",)),
+        "label count": columns(labels=[0]),
+        "text rank": columns(text=np.zeros((2, 2))),
+        "text rows": columns(text=np.zeros((3, 1, 2))),
+        "empty sequence": columns(image=np.zeros((2, 0, 3))),
+    }
+    for what, kwargs in bad.items():
+        with pytest.raises(InputError):
+            Dataset(**kwargs)
+    with pytest.raises(InputError, match="record 1: label"):
+        Dataset(**bad["label"])
+    with pytest.raises(InputError, match="record 0: provenance"):
+        Dataset(**bad["provenance"])
+    with pytest.raises(InputError, match="record 1: non-finite"):
+        Dataset(**bad["non-finite"])
+
+
+@pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
+def test_take_keeps_rows_in_order(l_t, l_i):
+    ds = generate_synthetic(SyntheticSpec(n_samples=6, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=1))
+    order = [4, 0, 4, 2]
+    rows = ds.take(order)
+    assert rows.ids == tuple(ds.ids[i] for i in order)
+    for name in ("labels", "provenance", "text", "image"):
+        assert np.array_equal(getattr(rows, name), getattr(ds, name)[order])
+    assert (rows.l_t, rows.l_i, rows.d_t, rows.d_i) == (l_t, l_i, 8, 6)
+    assert len(ds.take([])) == 0 and ds.take([]).text.shape == (0, l_t, 8)
+    rows.text[...] = 0.0  # rows are copies
+    assert ds.text.any()
 
 
 # -- file io -------------------------------------------------------------------
@@ -167,6 +191,8 @@ def test_round_trip_preserves_multirow_sequences(tmp_path):
     path = tmp_path / "seq.mmfn"
     save(ds, path)
     assert datasets_equal(ds, load(path))
+    save(ds.take([]), path)  # no records, dims kept
+    assert datasets_equal(ds.take([]), load(path))
 
 
 def test_load_hand_built_file(tmp_path):
@@ -181,12 +207,11 @@ def test_load_hand_built_file(tmp_path):
 
     ds = load(path)
     assert (ds.d_t, ds.d_i, ds.l_t, ds.l_i) == (2, 1, 1, 2)
-    (r,) = ds.records
-    assert r.record_id == "r-01"
-    assert r.label == 1
-    assert r.provenance == Provenance.IMAGE
-    assert np.array_equal(r.text_features, [[1.5, -2.5]])
-    assert np.array_equal(r.image_features, [[0.25], [0.75]])
+    assert ds.ids == ("r-01",)
+    assert ds.labels.tolist() == [1]
+    assert ds.provenance.tolist() == [Provenance.IMAGE]
+    assert np.array_equal(ds.text, [[[1.5, -2.5]]])
+    assert np.array_equal(ds.image, [[[0.25], [0.75]]])
 
 
 def test_load_errors_are_distinct(tmp_path):
@@ -215,6 +240,12 @@ def test_load_errors_are_distinct(tmp_path):
     with pytest.raises(InconsistentDimsError):
         load(zero_dims)
 
+    # no records, so nothing is truncated, but no array can have this shape
+    huge_dims = tmp_path / "huge.mmfn"
+    huge_dims.write_bytes(struct.pack("<4sIQIIII", b"MMFN", 1, 0, *[2**32 - 1] * 4))
+    with pytest.raises(InconsistentDimsError):
+        load(huge_dims)
+
     trailing = tmp_path / "trail.mmfn"
     trailing.write_bytes(good + b"\x00")
     with pytest.raises(FileFormatError):
@@ -237,6 +268,50 @@ def test_load_rejects_bad_label_and_nan(tmp_path):
         load(p2)
 
 
+def _small_file(tmp_path, n=5):
+    ds = generate_synthetic(SyntheticSpec(n_samples=n, d_t=3, d_i=2, l_t=2, l_i=1, seed=4))
+    path = tmp_path / "small.mmfn"
+    save(ds, path)
+    return ds, path.read_bytes()
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_load_errors_name_the_offending_record(tmp_path, k):
+    ds, good = _small_file(tmp_path)
+    record_bytes = 4 + len(ds.ids[0]) + 2 + 8 * (2 * 3 + 1 * 2)  # every id has one length
+    label_at = struct.calcsize("<4sIQIIII") + k * record_bytes + 4 + len(ds.ids[0])
+    feature_at = label_at + 2 + 8 * 4
+    cases = {
+        "label": good[:label_at] + bytes([2]) + good[label_at + 1:],
+        "provenance": good[:label_at + 1] + bytes([9]) + good[label_at + 2:],
+        "non-finite": good[:feature_at] + struct.pack("<d", float("nan")) + good[feature_at + 8:],
+    }
+    for what, payload in cases.items():
+        path = tmp_path / f"{what}.mmfn"
+        path.write_bytes(payload)
+        with pytest.raises(FileFormatError, match=f"record {k}: {what}"):
+            load(path)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+       cut=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_mutated_files_raise_only_format_errors(tmp_path, edits, cut):
+    _, good = _small_file(tmp_path)
+    payload = bytearray(good)
+    for at, value in edits:
+        payload[at % len(payload)] = value
+    if cut is not None:
+        payload = payload[:cut % (len(payload) + 1)]
+    path = tmp_path / "mutated.mmfn"
+    path.write_bytes(bytes(payload))
+    try:
+        load(path)
+    except FileFormatError:
+        pass
+
+
 # -- splits and batching ---------------------------------------------------------
 
 
@@ -244,10 +319,10 @@ def test_split_is_stratified_and_exhaustive():
     ds = generate_synthetic(SyntheticSpec(n_samples=1000, seed=4))
     train, val, test = split(ds, (0.8, 0.1, 0.1), seed=0)
     assert (len(train), len(val), len(test)) == (800, 100, 100)
-    assert int(train.labels().sum()) == 400
-    assert int(val.labels().sum()) == 50
-    assert int(test.labels().sum()) == 50
-    ids = [r.record_id for part in (train, val, test) for r in part.records]
+    assert int(train.labels.sum()) == 400
+    assert int(val.labels.sum()) == 50
+    assert int(test.labels.sum()) == 50
+    ids = [rid for part in (train, val, test) for rid in part.ids]
     assert len(ids) == len(set(ids)) == len(ds)
 
 

@@ -7,12 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mmfuse.data import Dataset, FeatureRecord, SyntheticSpec, generate_synthetic, split
+from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic, split
 from mmfuse.errors import InputError, UsageError
 from mmfuse.evaluation import (
     PerturbationKind,
     PerturbationScenario,
-    apply_perturbation,
+    _unit_noise,
     collect_gate_weights,
     compute_metrics,
     evaluate,
@@ -166,58 +166,96 @@ def test_gate_stats_integration():
 # -- perturbations ------------------------------------------------------------------
 
 
-def sample_record(seed=26, d_t=8, d_i=6):
-    rng = np.random.default_rng(seed)
-    return FeatureRecord(
-        "r-0", 1, rng.normal(size=(1, d_t)), rng.normal(size=(1, d_i))
-    )
+def one_record(text, image):
+    return Dataset(("r-0",), [1], [0], np.asarray(text)[None], np.asarray(image)[None])
 
 
 def test_missing_perturbations_zero_one_side():
-    record = sample_record()
-    text_before = record.text_features.copy()
-    image_before = record.image_features.copy()
+    rng = np.random.default_rng(26)
+    ds = one_record(rng.normal(size=(1, 8)), rng.normal(size=(1, 6)))
+    text_before, image_before = ds.text.copy(), ds.image.copy()
 
-    gone_text = apply_perturbation(record, PerturbationScenario(PerturbationKind.TEXT_MISSING))
-    assert np.array_equal(gone_text.text_features, np.zeros((1, 8)))
-    assert np.array_equal(gone_text.image_features, image_before)
+    gone_text = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_MISSING))
+    assert np.array_equal(gone_text.text, np.zeros((1, 1, 8)))
+    assert np.array_equal(gone_text.image, image_before)
 
-    gone_image = apply_perturbation(record, PerturbationScenario(PerturbationKind.IMAGE_MISSING))
-    assert np.array_equal(gone_image.image_features, np.zeros((1, 6)))
-    assert np.array_equal(gone_image.text_features, text_before)
+    gone_image = perturb_dataset(ds, PerturbationScenario(PerturbationKind.IMAGE_MISSING))
+    assert np.array_equal(gone_image.image, np.zeros((1, 1, 6)))
+    assert np.array_equal(gone_image.text, text_before)
 
-    # the original record is untouched
-    assert np.array_equal(record.text_features, text_before)
-    assert np.array_equal(record.image_features, image_before)
+    # the original dataset is untouched
+    assert np.array_equal(ds.text, text_before)
+    assert np.array_equal(ds.image, image_before)
 
 
 def test_noise_perturbation_moments_and_determinism():
-    record = FeatureRecord("big", 0, np.zeros((1, 10000)), np.zeros((1, 1)))
+    ds = one_record(np.zeros((1, 10000)), np.zeros((1, 1)))
     scenario = PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1.0, noise_seed=5)
-    noisy = apply_perturbation(record, scenario)
-    added = noisy.text_features[0]
+    noisy = perturb_dataset(ds, scenario)
+    added = noisy.text[0, 0]
     assert abs(added.mean()) <= 0.05
     assert abs(added.std() - 1.0) <= 0.05
-    assert np.array_equal(noisy.image_features, record.image_features)
+    assert np.array_equal(noisy.image, ds.image)
 
-    again = apply_perturbation(record, scenario)
-    assert np.array_equal(noisy.text_features, again.text_features)
+    again = perturb_dataset(ds, scenario)
+    assert np.array_equal(noisy.text, again.text)
 
     other_seed = dataclasses.replace(scenario, noise_seed=6)
-    different = apply_perturbation(record, other_seed)
-    assert not np.array_equal(noisy.text_features, different.text_features)
+    different = perturb_dataset(ds, other_seed)
+    assert not np.array_equal(noisy.text, different.text)
 
 
 def test_noise_scales_with_sigma():
-    record = FeatureRecord("big", 0, np.zeros((1, 4000)), np.zeros((1, 1)))
-    small = apply_perturbation(
-        record, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=0.5, noise_seed=7)
-    )
-    large = apply_perturbation(
-        record, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1.0, noise_seed=7)
-    )
+    ds = one_record(np.zeros((1, 4000)), np.zeros((1, 1)))
+    small = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=0.5, noise_seed=7))
+    large = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1.0, noise_seed=7))
     # same seed: identical unit noise scaled by sigma
-    assert np.allclose(large.text_features, 2.0 * small.text_features, rtol=0, atol=1e-15)
+    assert np.allclose(large.text, 2.0 * small.text, rtol=0, atol=1e-15)
+
+
+def per_record_perturbation(ds, scenario):
+    """The per-record perturbation that perturb_dataset replaced, as an oracle:
+    each record draws from a fresh generator seeded from (noise_seed, i)."""
+    text, image = ds.text.copy(), ds.image.copy()
+    for i in range(len(ds)):
+        if scenario.kind is PerturbationKind.TEXT_MISSING:
+            text[i] = np.zeros_like(ds.text[i])
+        elif scenario.kind is PerturbationKind.IMAGE_MISSING:
+            image[i] = np.zeros_like(ds.image[i])
+        else:
+            seed = int(np.random.SeedSequence((scenario.noise_seed, i)).generate_state(1)[0])
+            rng = np.random.default_rng(seed)
+            if scenario.kind is PerturbationKind.TEXT_NOISE:
+                text[i] = ds.text[i] + rng.normal(0.0, scenario.sigma, ds.text[i].shape)
+            else:
+                image[i] = ds.image[i] + rng.normal(0.0, scenario.sigma, ds.image[i].shape)
+    return text, image
+
+
+@pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
+def test_perturb_dataset_matches_per_record_oracle_bitwise(l_t, l_i):
+    ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=29))
+    scenarios = [PerturbationScenario(PerturbationKind.TEXT_MISSING),
+                 PerturbationScenario(PerturbationKind.IMAGE_MISSING)]
+    scenarios += [PerturbationScenario(kind, sigma, noise_seed)
+                  for kind in (PerturbationKind.TEXT_NOISE, PerturbationKind.IMAGE_NOISE)
+                  for sigma in (0.5, 1.7)
+                  for noise_seed in (0, 2**64 - 3)]
+    for scenario in scenarios:
+        out = perturb_dataset(ds, scenario)
+        text, image = per_record_perturbation(ds, scenario)
+        assert out.text.tobytes() == text.tobytes(), scenario.label()
+        assert out.image.tobytes() == image.tobytes(), scenario.label()
+        assert out.ids == ds.ids
+        assert np.array_equal(out.labels, ds.labels) and np.array_equal(out.provenance, ds.provenance)
+
+
+def test_shared_noise_draw_is_read_only():
+    z = _unit_noise(3, 5, 7)
+    assert z.shape == (5, 7) and not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 1.0
+    assert _unit_noise(3, 5, 7) is z
 
 
 def test_scenario_validation_and_labels():
@@ -237,16 +275,13 @@ def test_perturb_dataset_is_deterministic_and_varies_per_record():
     scenario = PerturbationScenario(PerturbationKind.IMAGE_NOISE, sigma=0.5, noise_seed=3)
     out_a = perturb_dataset(ds, scenario)
     out_b = perturb_dataset(ds, scenario)
-    for ra, rb in zip(out_a.records, out_b.records):
-        assert np.array_equal(ra.image_features, rb.image_features)
-    noise_rows = [
-        out_a.records[i].image_features - ds.records[i].image_features for i in range(6)
-    ]
+    assert np.array_equal(out_a.image, out_b.image)
+    noise_rows = out_a.image - ds.image
     assert not np.array_equal(noise_rows[0], noise_rows[1])
 
     zeroed = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_MISSING))
-    assert all(not r.text_features.any() for r in zeroed.records)
-    assert zeroed.d_t == ds.d_t and len(zeroed.records) == len(ds.records)
+    assert not zeroed.text.any()
+    assert zeroed.d_t == ds.d_t and len(zeroed) == len(ds)
 
 
 # -- experiment drivers ----------------------------------------------------------------

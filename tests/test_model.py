@@ -12,27 +12,24 @@ import numpy as np
 import pytest
 
 from mmfuse.autodiff import Tape, finite_difference_check
-from mmfuse.data import FeatureRecord, SyntheticSpec, generate_synthetic
+from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic
 from mmfuse.errors import InputError, UsageError
 from mmfuse.model import (
     HyperConfig,
     ModelParams,
     Variant,
     VARIANT_ORDER,
+    _classify,
     _gate_alphas,
     check_params_match,
     cross_attend,
     forward,
     forward_batch,
-    fuse_classify,
-    gate,
     init_params,
     parameter_shapes,
     predict_labels,
     predict_proba,
-    project,
     register_parameters,
-    stack_batch,
 )
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
@@ -51,12 +48,14 @@ def random_params(config, seed=0):
     )
 
 
+def one_record(text, image, label=0):
+    return Dataset((f"r{label}",), [label], [0], np.asarray(text)[None], np.asarray(image)[None])
+
+
 def random_record(config, seed=0, l_t=1, l_i=1):
     rng = np.random.default_rng(seed)
-    return FeatureRecord(
-        f"r{seed}", int(rng.integers(0, 2)),
-        rng.normal(size=(l_t, config.d_t)), rng.normal(size=(l_i, config.d_i)),
-    )
+    label = int(rng.integers(0, 2))
+    return one_record(rng.normal(size=(l_t, config.d_t)), rng.normal(size=(l_i, config.d_i)), label)
 
 
 # -- initialization --------------------------------------------------------------
@@ -121,17 +120,17 @@ def test_identity_projection_passes_features_through():
     params = random_params(config, seed=5)
     params.set("proj_text", np.eye(4))
     record = random_record(config, seed=1)
-    h_t, _ = project(params, record)
-    assert np.array_equal(h_t, record.text_features)
+    h_t = forward(params, config, record).projected_text
+    assert np.array_equal(h_t, record.text[0])
 
 
 def test_projection_matches_triple_loop():
     config = config_for(Variant.CONCAT)
     params = random_params(config, seed=2)
     record = random_record(config, seed=3, l_t=2, l_i=3)
-    h_t, h_i = project(params, record)
-    for h, x, w in ((h_t, record.text_features, params["proj_text"]),
-                    (h_i, record.image_features, params["proj_image"])):
+    trace = forward(params, config, record)
+    for h, x, w in ((trace.projected_text, record.text[0], params["proj_text"]),
+                    (trace.projected_image, record.image[0], params["proj_image"])):
         expected = np.zeros_like(h)
         for a in range(x.shape[0]):
             for c in range(w.shape[1]):
@@ -206,15 +205,22 @@ def test_cross_attend_zero_values_passes_residual():
 # -- gating ---------------------------------------------------------------------------
 
 
+def gate(params, pooled_text, pooled_image):
+    """The two gate values of one record's pooled features."""
+    tape = Tape(grad=False)
+    pn = register_parameters(tape, params)
+    alpha_t, alpha_i = _gate_alphas(tape, pn, tape.constant(pooled_text), tape.constant(pooled_image))
+    return float(alpha_t.value[0, 0]), float(alpha_i.value[0, 0])
+
+
 def test_gate_is_half_with_zero_head():
     config = config_for(Variant.FULL)
     params = random_params(config, seed=13)
     params.set("gate_w_text", np.zeros((5, 1)))
     params.set("gate_b_text", np.zeros((1, 1)))
-    alpha_t, alpha_i, pooled_t, pooled_i = gate(params, np.ones((2, 4)), np.ones((3, 4)))
+    alpha_t, alpha_i = gate(params, np.ones((1, 4)), np.ones((1, 4)))
     assert alpha_t == 0.5
     assert 0.0 < alpha_i < 1.0
-    assert np.array_equal(pooled_t, np.ones((1, 4)))
 
 
 def test_gate_outputs_stay_in_unit_interval():
@@ -222,7 +228,7 @@ def test_gate_outputs_stay_in_unit_interval():
     rng = np.random.default_rng(14)
     for seed in range(10):
         params = random_params(config, seed=seed)
-        a_t, a_i, _, _ = gate(params, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
+        a_t, a_i = gate(params, rng.normal(size=(1, 4)), rng.normal(size=(1, 4)))
         assert 0.0 < a_t < 1.0 and 0.0 < a_i < 1.0
 
 
@@ -252,6 +258,15 @@ def test_gate_gradient_matches_finite_differences():
 
 
 # -- fuse and classify ------------------------------------------------------------------
+
+
+def fuse_classify(params, alpha_text, alpha_image, pooled_text, pooled_image):
+    """Pooled features scaled by their gates, concatenated and classified."""
+    tape = Tape(grad=False)
+    pn = register_parameters(tape, params)
+    scaled = [tape.scale_rows(tape.constant(pooled), tape.constant([[alpha]]))
+              for pooled, alpha in ((pooled_text, alpha_text), (pooled_image, alpha_image))]
+    return _classify(tape, pn, tape.concat_cols(*scaled)).value
 
 
 def naive_classifier(p, features):
@@ -307,9 +322,7 @@ def test_full_forward_matches_straight_line_oracle(l_t, l_i):
     params = random_params(config, seed=20)
     record = random_record(config, seed=21, l_t=l_t, l_i=l_i)
     trace = forward(params, config, record)
-    logits, a_t, a_i = naive_full_forward(
-        params, record.text_features, record.image_features, config.d_k
-    )
+    logits, a_t, a_i = naive_full_forward(params, record.text[0], record.image[0], config.d_k)
     assert np.abs(trace.logits - logits).max() <= 1e-10
     assert abs(trace.alpha_text - a_t) <= 1e-10
     assert abs(trace.alpha_image - a_i) <= 1e-10
@@ -342,8 +355,8 @@ def test_single_modal_variants_ignore_the_other_modality():
     params = init_params(config)
     rng = np.random.default_rng(23)
     text = rng.normal(size=(1, config.d_t))
-    a = FeatureRecord("a", 0, text, rng.normal(size=(1, config.d_i)))
-    b = FeatureRecord("b", 0, text, rng.normal(size=(1, config.d_i)))
+    a = one_record(text, rng.normal(size=(1, config.d_i)))
+    b = one_record(text, rng.normal(size=(1, config.d_i)))
     assert np.array_equal(forward(params, config, a).logits, forward(params, config, b).logits)
 
 
@@ -367,16 +380,17 @@ def test_trace_fields_follow_variant():
 def test_forward_rejects_mismatched_record():
     config = config_for(Variant.FULL)
     params = init_params(config)
-    bad = FeatureRecord("bad", 0, np.zeros((1, 3)), np.zeros((1, config.d_i)))
+    bad = one_record(np.zeros((1, 3)), np.zeros((1, config.d_i)))
     with pytest.raises(InputError):
         forward(params, config, bad)
+    two = generate_synthetic(SyntheticSpec(n_samples=2, d_t=8, d_i=6, seed=1))
+    with pytest.raises(InputError):
+        forward(params, config, two)
 
 
 def test_stage_wrappers_reject_wrong_variant():
     config = config_for(Variant.CONCAT)
     params = init_params(config)
-    with pytest.raises(UsageError):
-        gate(params, np.ones((1, 4)), np.ones((1, 4)))
     with pytest.raises(UsageError):
         cross_attend(params, np.ones((1, 4)), np.ones((1, 4)), config.d_k)
 
@@ -389,47 +403,35 @@ def test_batched_forward_matches_per_record(variant):
     config = config_for(variant)
     params = init_params(config)
     ds = generate_synthetic(SyntheticSpec(n_samples=16, d_t=8, d_i=6, seed=25))
-    out = forward_batch(params, config, ds.records)
+    out = forward_batch(params, config, ds)
     assert out.logits.shape == (16, 2)
-    for i, record in enumerate(ds.records):
-        trace = forward(params, config, record)
+    for i in range(len(ds)):
+        trace = forward(params, config, ds.take([i]))
         assert np.abs(out.logits[i] - trace.logits[0]).max() <= 1e-10
         if variant is Variant.FULL:
             assert abs(out.alpha_text[i] - trace.alpha_text) <= 1e-10
             assert abs(out.alpha_image[i] - trace.alpha_image) <= 1e-10
 
 
-@pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
-def test_stack_batch_matches_records(l_t, l_i):
+def test_forward_batch_rejects_mismatched_or_empty_batches():
     config = config_for(Variant.FULL)
-    ds = generate_synthetic(SyntheticSpec(n_samples=6, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=1))
-    text, image = stack_batch(config, ds.records)
-    assert text.shape == (6, l_t, 8) and image.shape == (6, l_i, 6)
-    for i, r in enumerate(ds.records):
-        assert np.array_equal(text[i], r.text_features)
-        assert np.array_equal(image[i], r.image_features)
-
-
-def test_stack_batch_rejects_mixed_or_mismatched_shapes():
-    config = config_for(Variant.FULL)
-    short = random_record(config, seed=1, l_t=2, l_i=4)
-    long = random_record(config, seed=2, l_t=4, l_i=2)  # same total rows, other split
+    params = init_params(config)
+    ds = generate_synthetic(SyntheticSpec(n_samples=4, d_t=8, d_i=6, l_t=2, l_i=4, seed=1))
     with pytest.raises(InputError):
-        stack_batch(config, [short, long])
+        forward_batch(params, config, ds.take([]))
+    narrow = config_for(Variant.FULL, d_i=5)
     with pytest.raises(InputError):
-        stack_batch(config_for(Variant.FULL, d_i=5), [short])
-    with pytest.raises(InputError):
-        stack_batch(config, [])
+        forward_batch(init_params(narrow), narrow, ds)
 
 
 def test_batched_forward_handles_longer_sequences():
     config = config_for(Variant.FULL)
     params = init_params(config)
     ds = generate_synthetic(SyntheticSpec(n_samples=5, d_t=8, d_i=6, l_t=3, l_i=2, seed=26))
-    out = forward_batch(params, config, ds.records)
-    for i, record in enumerate(ds.records):
+    out = forward_batch(params, config, ds)
+    for i in range(len(ds)):
         # one gemm over all records rounds differently from a batch of one
-        single = forward(params, config, record).logits
+        single = forward(params, config, ds.take([i])).logits
         assert np.abs(out.logits[i:i + 1] - single).max() <= 1e-12 * np.abs(single).max()
 
 
@@ -441,5 +443,5 @@ def test_predict_proba_and_labels():
     p_real, p_fake = predict_proba(trace)
     assert abs(p_real + p_fake - 1.0) <= 1e-12
     assert (p_fake > p_real) == (trace.logits[0, 1] > trace.logits[0, 0])
-    out = forward_batch(params, config, [record])
+    out = forward_batch(params, config, record)
     assert predict_labels(out)[0] == int(trace.logits[0, 1] > trace.logits[0, 0])

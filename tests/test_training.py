@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmfuse.autodiff import Tape, finite_difference_check
-from mmfuse.data import SyntheticSpec, generate_synthetic, split
+from mmfuse.data import SyntheticSpec, batches, generate_synthetic, split
 from mmfuse.errors import (
     BadMagicError,
     FileFormatError,
@@ -41,6 +41,7 @@ from mmfuse.training import (
     load_checkpoint,
     save_checkpoint,
     train,
+    train_step,
 )
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
@@ -63,7 +64,7 @@ def test_loss_is_zero_for_saturated_correct_logits():
     params.set("cls_w1", np.zeros((4, 6)))
     params.set("cls_b2", [[100.0, -100.0]])  # always confidently "real"
     ds = small_dataset(seed=1)
-    reals = [r for r in ds.records if r.label == 0][:8]
+    reals = ds.take(np.flatnonzero(ds.labels == 0)[:8])
     loss = batch_loss(params, config, reals)
     assert loss.value[0, 0] == 0.0
 
@@ -71,22 +72,22 @@ def test_loss_is_zero_for_saturated_correct_logits():
 def test_loss_starts_near_coin_flip():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     params = init_params(config)
-    loss = batch_loss(params, config, small_dataset(seed=2).records)
+    loss = batch_loss(params, config, small_dataset(seed=2))
     assert abs(float(loss.value[0, 0]) - math.log(2.0)) < 0.2
 
 
 def test_batched_loss_equals_mean_of_per_record_losses():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     params = init_params(config)
-    records = small_dataset(seed=3).records[:10]
+    records = small_dataset(seed=3).take(range(10))
     batched = float(batch_loss(params, config, records).value[0, 0])
 
-    def record_loss(r):
-        logits = forward(params, config, r).logits[0]
+    def record_loss(i):
+        logits = forward(params, config, records.take([i])).logits[0]
         z = logits - logits.max()
-        return float(np.log(np.exp(z).sum()) - z[r.label])
+        return float(np.log(np.exp(z).sum()) - z[records.labels[i]])
 
-    assert abs(batched - np.mean([record_loss(r) for r in records])) <= 1e-12
+    assert abs(batched - np.mean([record_loss(i) for i in range(10)])) <= 1e-12
 
 
 @pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
@@ -95,7 +96,7 @@ def test_batch_loss_gradient_matches_finite_differences(l_t, l_i):
     params = init_params(config)
     records = generate_synthetic(
         SyntheticSpec(n_samples=3, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=4)
-    ).records
+    )
 
     tape = Tape()
     nodes = register_parameters(tape, params)
@@ -125,7 +126,8 @@ def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
     params = init_params(hyper)
     records = generate_synthetic(
         SyntheticSpec(n_samples=7, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=6)
-    ).records
+    )
+    ones = [records.take([i]) for i in range(len(records))]
 
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -133,7 +135,7 @@ def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
     overrides = [None, (1.0, 1.0)] if variant is Variant.FULL else [None]
     for gate_override in overrides:
         out = forward_batch(params, hyper, records, gate_override=gate_override)
-        singles = [forward_batch(params, hyper, [r], gate_override=gate_override) for r in records]
+        singles = [forward_batch(params, hyper, r, gate_override=gate_override) for r in ones]
         assert_close(out.logits, np.concatenate([s.logits for s in singles]))
         if variant is Variant.FULL:
             assert_close(out.alpha_text, np.concatenate([s.alpha_text for s in singles]))
@@ -151,7 +153,7 @@ def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
         return loss.value[0, 0], grads
 
     loss, grads = loss_and_grads(records)
-    singles = [loss_and_grads([r]) for r in records]
+    singles = [loss_and_grads(r) for r in ones]
     assert_close(loss, np.mean([value for value, _ in singles]))
     for name in params.names:
         assert_close(grads[name], sum(g[name] for _, g in singles) / len(records))
@@ -160,7 +162,7 @@ def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
 def test_batch_loss_rejects_empty_batch():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     with pytest.raises(InputError):
-        batch_loss(init_params(config), config, [])
+        batch_loss(init_params(config), config, small_dataset().take([]))
 
 
 # -- AdamW -----------------------------------------------------------------------
@@ -262,7 +264,7 @@ def test_loss_drops_for_every_variant():
     train_ds, val_ds, _ = default_splits(seed=8)
     for variant in VARIANT_ORDER:
         hyper = HyperConfig(d_t=16, d_i=12, variant=variant)
-        initial = float(batch_loss(init_params(hyper), hyper, train_ds.records).value[0, 0])
+        initial = float(batch_loss(init_params(hyper), hyper, train_ds).value[0, 0])
         _, history = train(train_ds, val_ds, hyper, TrainConfig(max_epochs=3, patience=3, seed=8))
         assert history[-1]["train_loss"] <= 0.7 * initial, variant
 
@@ -323,13 +325,44 @@ def test_divergence_names_epoch_and_step():
         train(train_ds, val_ds, hyper, TrainConfig(learning_rate=1e300, seed=15))
 
 
+def test_train_step_loop_reproduces_one_epoch_of_train():
+    ds = generate_synthetic(SyntheticSpec(n_samples=120, d_t=8, d_i=6, seed=16))
+    train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=16)
+    hyper = HyperConfig(variant=Variant.FULL, init_seed=16, **SMALL)
+    config = TrainConfig(max_epochs=1, batch_size=16, seed=16)
+    checkpoint, history = train(train_ds, val_ds, hyper, config)
+
+    params = init_params(hyper)
+    state = init_optimizer_state(params)
+    epoch_seed = int(np.random.SeedSequence(config.seed).generate_state(1, np.uint64)[0])
+    losses = [train_step(params, hyper, train_ds.take(idx), state, config)
+              for idx in batches(train_ds, config.batch_size, epoch_seed)]
+    assert params_equal(params, checkpoint.params)
+    assert float(np.mean(losses)) == history[0]["train_loss"]
+
+
+def test_train_step_skips_update_on_non_finite_loss():
+    hyper = HyperConfig(variant=Variant.TEXT_ONLY, **SMALL)
+    params = init_params(hyper)
+    params.set("cls_w1", np.zeros((4, 6)))
+    params.set("cls_b2", [[1e308, -1e308]])  # a fake record costs an infinite loss
+    ds = small_dataset(seed=17)
+    fakes = ds.take(np.flatnonzero(ds.labels == 1)[:4])
+    before = params.copy()
+    state = init_optimizer_state(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = train_step(params, hyper, fakes, state, TrainConfig())
+    assert not math.isfinite(value)
+    assert params_equal(params, before) and state.step_count == 0
+
+
 def test_train_validates_inputs():
     ds = generate_synthetic(SyntheticSpec(n_samples=50, d_t=8, d_i=6, seed=12))
     train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=12)
     hyper_wrong = HyperConfig(d_t=16, d_i=12)
     with pytest.raises(InputError):
         train(train_ds, val_ds, hyper_wrong, TrainConfig())
-    empty = type(train_ds)(8, 6, 1, 1, [])
+    empty = train_ds.take([])
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     with pytest.raises(InputError):
         train(empty, val_ds, hyper, TrainConfig())
@@ -354,7 +387,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     assert loaded.best_epoch == checkpoint.best_epoch
     assert params_equal(loaded.params, checkpoint.params)
 
-    record = generate_synthetic(SyntheticSpec(n_samples=1, d_t=8, d_i=6, seed=14)).records[0]
+    record = generate_synthetic(SyntheticSpec(n_samples=1, d_t=8, d_i=6, seed=14))
     before = forward(checkpoint.params, checkpoint.hyper, record).logits
     after = forward(loaded.params, loaded.hyper, record).logits
     assert np.array_equal(before, after)
