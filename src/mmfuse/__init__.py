@@ -11,7 +11,6 @@ plain numpy and is deterministic given seeds.
 from .autodiff import Node, Tape, finite_difference_check
 from .config import (
     EvalSettings,
-    ModelSettings,
     RunConfig,
     apply_master_seed,
     default_config,
@@ -90,7 +89,6 @@ __all__ = [
     "MMFuseError",
     "MetricsReport",
     "ModelParams",
-    "ModelSettings",
     "Node",
     "NumericsError",
     "PRESETS",

@@ -30,7 +30,7 @@ from .errors import (
 from .evaluation import evaluate, gate_stats
 from .experiments import default_scenarios, run_ablation, run_perturbation_suite
 from .model import Variant
-from .reports import gate_stats_row, history_row, metrics_row, report_line, write_report
+from .reports import gate_stats_row, metrics_row, report_line, write_report
 from .training import PRESETS, apply_preset, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(data_path)
     train_ds, val_ds, _ = _split_dataset(dataset, config)
     try:
-        hyper = config.model.hyper(dataset.d_t, dataset.d_i)
+        hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
         checkpoint, history = train(train_ds, val_ds, hyper, config.train)
     except (InputError, DimensionError) as exc:
         raise CommandError(EXIT_USAGE, str(exc)) from exc
@@ -189,9 +189,8 @@ def cmd_train(args) -> int:
         save_checkpoint(checkpoint, checkpoint_path)
     except OSError as exc:
         raise CommandError(EXIT_DATA, f"cannot write {checkpoint_path}: {exc.strerror or exc}") from exc
-    rows = [history_row(entry) for entry in history]
-    _write_outputs(out_dir, "history.jsonl", rows)
-    _print_rows(rows)
+    _write_outputs(out_dir, "history.jsonl", history)
+    _print_rows(history)
     print(
         f"saved checkpoint to {checkpoint_path} "
         f"(best val_f1={checkpoint.best_val_f1!r} at epoch {checkpoint.best_epoch})"
@@ -254,7 +253,7 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(data_path)
     splits = _split_dataset(dataset, config)
     try:
-        hyper = config.model.hyper(dataset.d_t, dataset.d_i)
+        hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
         results, checkpoints = run_ablation(splits, hyper, config.train)
     except (InputError, DimensionError) as exc:
         raise CommandError(EXIT_USAGE, str(exc)) from exc
@@ -384,6 +383,10 @@ def main(argv=None) -> int:
         message = " ".join(str(err).split())
         sys.stderr.write(f"mmfuse: error: {message}\n")
         return EXIT_DATA
+    except MemoryError as err:  # a size within every bound that this host cannot allocate
+        message = " ".join(str(err).split()) or "out of memory"
+        sys.stderr.write(f"mmfuse: error: {message}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -146,6 +146,12 @@ class SyntheticSpec:
             raise InputError(f"n_samples must be at least 1, got {self.n_samples}")
         if min(self.d_t, self.d_i, self.l_t, self.l_i) < 1:
             raise InputError("d_t, d_i, l_t, l_i must all be at least 1")
+        record_bytes = 8 * (self.l_t * self.d_t + self.l_i * self.d_i)
+        if self.n_samples * record_bytes > np.iinfo(np.intp).max:  # the loader's header rule
+            raise InputError(
+                f"n_samples={self.n_samples} records of {record_bytes} feature bytes "
+                f"are more than an array can hold"
+            )
         for name in ("p_text_signal", "p_image_signal", "conflict_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -78,6 +78,13 @@ class HyperConfig:
             raise InputError(f"d_k must equal d_c (got d_k={self.d_k}, d_c={self.d_c})")
         if self.init_scale <= 0.0:
             raise InputError(f"init_scale must be positive, got {self.init_scale}")
+        total = sum(rows * cols for rows, cols in parameter_shapes(self).values())
+        if 8 * total > np.iinfo(np.intp).max:
+            raise InputError(
+                f"model widths d_t={self.d_t}, d_i={self.d_i}, d_c={self.d_c}, "
+                f"gate_hidden={self.gate_hidden}, cls_hidden={self.cls_hidden} give "
+                f"{total} parameters, more than an array can hold"
+            )
 
     @property
     def classifier_input_width(self) -> int:

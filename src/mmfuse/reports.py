@@ -8,6 +8,7 @@ reruns produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -45,39 +46,8 @@ def parse_report(text: str) -> list[dict]:
 
 
 def metrics_row(label_key: str, label_value: str, metrics: MetricsReport) -> dict:
-    return {
-        label_key: label_value,
-        "accuracy": metrics.accuracy,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-        "tp": metrics.tp,
-        "fp": metrics.fp,
-        "tn": metrics.tn,
-        "fn": metrics.fn,
-    }
+    return {label_key: label_value, **asdict(metrics)}
 
 
 def gate_stats_row(stats: GateStatsReport) -> dict:
-    return {
-        "mean_alpha_t": stats.mean_alpha_t,
-        "mean_alpha_i": stats.mean_alpha_i,
-        "std_alpha_t": stats.std_alpha_t,
-        "std_alpha_i": stats.std_alpha_i,
-        "pct_text_dominant": stats.pct_text_dominant,
-        "pct_image_dominant": stats.pct_image_dominant,
-        "pct_balanced": stats.pct_balanced,
-        "threshold": stats.threshold,
-        "n_records": stats.n_records,
-    }
-
-
-def history_row(entry: dict) -> dict:
-    return {
-        "epoch": entry["epoch"],
-        "train_loss": entry["train_loss"],
-        "val_accuracy": entry["val_accuracy"],
-        "val_precision": entry["val_precision"],
-        "val_recall": entry["val_recall"],
-        "val_f1": entry["val_f1"],
-    }
+    return asdict(stats)

@@ -8,7 +8,8 @@ positive) and the returned checkpoint always holds the best parameters.
 Checkpoint format (little-endian), magic ``MMCK``, version 1::
 
     4s magic | u32 version
-    | u32 len + utf-8 hyper-config block (key=value lines)
+    | u32 len + utf-8 hyper-config block (key=value lines, one per field,
+      values in the INI config's text form)
     | u32 len + utf-8 train-config block
     | u32 n_params
     | per param: u32 len + utf-8 name | u32 rows | u32 cols | rows*cols f64
@@ -34,6 +35,7 @@ from .errors import (
     VariantMismatchError,
     VersionMismatchError,
 )
+from .fieldtext import field_types, parse_value, render_value
 from .model import (
     HyperConfig,
     ModelParams,
@@ -250,25 +252,14 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
 # -- checkpoint io --------------------------------------------------------------------
 
 
-_HYPER_FIELDS = {
-    "d_t": int, "d_i": int, "d_c": int, "d_k": int, "gate_hidden": int,
-    "cls_hidden": int, "variant": Variant, "init_scale": float, "init_seed": int,
-}
-_TRAIN_FIELDS = {
-    "learning_rate": float, "batch_size": int, "max_epochs": int, "patience": int,
-    "weight_decay": float, "beta1": float, "beta2": float, "epsilon": float, "seed": int,
-}
-
-
-def _encode_config(obj, fields) -> bytes:
-    lines = []
-    for name, kind in fields.items():
-        value = getattr(obj, name)
-        lines.append(f"{name}={value.value if kind is Variant else repr(kind(value))}")
+def _encode_config(obj) -> bytes:
+    kinds = field_types(type(obj))
+    lines = (f"{name}={render_value(kind, getattr(obj, name))}" for name, kind in kinds.items())
     return "\n".join(lines).encode("utf-8")
 
 
-def _decode_config(blob: bytes, fields, cls):
+def _decode_config(blob: bytes, cls):
+    kinds = field_types(cls)
     kwargs = {}
     try:
         text = blob.decode("utf-8")
@@ -278,14 +269,13 @@ def _decode_config(blob: bytes, fields, cls):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
-        if not sep or key not in fields:
+        if not sep or key not in kinds:
             raise FileFormatError(f"unexpected config line {line!r} in checkpoint")
-        kind = fields[key]
         try:
-            kwargs[key] = Variant(value) if kind is Variant else kind(value)
-        except (ValueError, KeyError) as err:
-            raise FileFormatError(f"bad value for {key!r} in checkpoint: {value!r}") from err
-    missing = set(fields) - set(kwargs)
+            kwargs[key] = parse_value(key, kinds[key], value)
+        except InputError as err:
+            raise FileFormatError(f"bad value in checkpoint config: {err}") from err
+    missing = set(kinds) - set(kwargs)
     if missing:
         raise FileFormatError(f"checkpoint config block is missing keys {sorted(missing)}")
     try:
@@ -295,8 +285,8 @@ def _decode_config(blob: bytes, fields, cls):
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    hyper_block = _encode_config(checkpoint.hyper, _HYPER_FIELDS)
-    train_block = _encode_config(checkpoint.train_config, _TRAIN_FIELDS)
+    hyper_block = _encode_config(checkpoint.hyper)
+    train_block = _encode_config(checkpoint.train_config)
     chunks = [
         struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION),
         struct.pack("<I", len(hyper_block)), hyper_block,
@@ -342,9 +332,9 @@ def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint
         raise VersionMismatchError(f"unsupported checkpoint version {version}")
 
     (hyper_len,) = reader.unpack("<I")
-    hyper = _decode_config(reader.take(hyper_len), _HYPER_FIELDS, HyperConfig)
+    hyper = _decode_config(reader.take(hyper_len), HyperConfig)
     (train_len,) = reader.unpack("<I")
-    train_config = _decode_config(reader.take(train_len), _TRAIN_FIELDS, TrainConfig)
+    train_config = _decode_config(reader.take(train_len), TrainConfig)
     if expected_variant is not None and hyper.variant is not Variant(expected_variant):
         raise VariantMismatchError(
             f"checkpoint holds variant {hyper.variant.value!r}, expected {Variant(expected_variant).value!r}"

@@ -16,7 +16,7 @@ import pytest
 
 from mmfuse.autodiff import Tape, finite_difference_check
 from mmfuse.cli import main as cli_main
-from mmfuse.config import ModelSettings, default_config, render_config
+from mmfuse.config import default_config, render_config
 from mmfuse.data import (
     Dataset,
     Provenance,
@@ -417,7 +417,7 @@ def test_determinism_and_persistence(acceptance_log, tmp_path):
         default_config(),
         synthetic=SyntheticSpec(n_samples=600, seed=3),
         split_seed=3,
-        model=replace(ModelSettings(), init_seed=3),
+        model=replace(default_config().model, init_seed=3),
         train=replace(TrainConfig(), max_epochs=4, seed=3),
     )
     ini = tmp_path / "run.ini"

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from mmfuse.cli import main
 from mmfuse.model import Variant, VARIANT_ORDER
-from mmfuse.training import load_checkpoint
+from mmfuse.training import load_checkpoint, save_checkpoint
 
 SMALL_INI = """\
 [data]
@@ -390,3 +391,51 @@ def test_out_of_range_config_ints_exit_one(tmp_path, capsys, command, section, k
     assert stderr.count("\n") == 1 and stderr.startswith("mmfuse: error:")
     assert f"{section}.{key}" in stderr
 
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("gen-data", "data", "n_samples"),
+    ("train", "model", "d_c"),
+])
+def test_sizes_no_host_can_allocate_exit_one(tmp_path, capsys, command, section, key):
+    ini = tmp_path / "huge.ini"
+    ini.write_text(f"[{section}]\n{key} = {2**62}\n")
+    argv = [command, "--config", str(ini), "--out", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--data", str(tmp_path / "unused.mmfn")]
+    code, _, stderr = run(argv, capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and stderr.startswith("mmfuse: error:")
+    assert f"{key}={2**62}" in stderr
+
+
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr("mmfuse.cli.generate_synthetic", exhausted)
+    code, _, stderr = run(["gen-data", "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert stderr == "mmfuse: error: Unable to allocate 8.00 EiB for an array\n"
+
+
+def test_bad_model_value_exits_one_on_every_command(workspace, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[model]\nd_c = 0\n")
+    code, _, stderr = run(["eval", "--config", str(ini), "--data", str(workspace["data"]),
+                           "--checkpoint", str(workspace["full"]), "--out", str(tmp_path / "o")],
+                          capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and "model dimensions" in stderr
+
+
+def test_eval_on_checkpoint_with_bad_config_value(workspace, tmp_path, capsys):
+    checkpoint = load_checkpoint(workspace["full"])
+    bad = replace(checkpoint, train_config=replace(checkpoint.train_config,
+                                                   learning_rate=float("nan")))
+    path = tmp_path / "nan-lr.mmck"
+    save_checkpoint(bad, path)
+    code, _, stderr = run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(path),
+                           "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert stderr.count("\n") == 1 and "learning_rate" in stderr

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse.config import (
     EvalSettings,
-    ModelSettings,
     RunConfig,
     apply_master_seed,
     default_config,
@@ -16,6 +18,7 @@ from mmfuse.config import (
     parse_config,
     render_config,
 )
+from mmfuse.data import SyntheticSpec
 from mmfuse.errors import InputError
 from mmfuse.model import Variant
 
@@ -75,10 +78,27 @@ def test_variant_parsing():
 
 
 def test_d_k_defaults_to_common_dim():
-    assert ModelSettings(d_c=6).d_k == 6
-    assert ModelSettings(d_c=6, d_k=6).d_k == 6
-    config = parse_config("[model]\nd_c = 6\n")
-    assert config.model.d_k == 6
+    assert parse_config("[model]\nd_c = 6\n").model.d_k == 6
+    assert parse_config("[model]\nd_c = 6\nd_k =\n").model.d_k == 6
+    with pytest.raises(InputError, match="d_k"):
+        parse_config("[model]\nd_c = 6\nd_k = 4\n")
+
+
+def test_model_widths_are_the_data_widths():
+    config = parse_config("[data]\nd_t = 5\nd_i = 3\n")
+    assert (config.model.d_t, config.model.d_i) == (5, 3)
+    assert RunConfig(synthetic=SyntheticSpec(d_t=5)).model.d_t == 5
+    model_section = render_config(config).split("[model]")[1].split("[train]")[0]
+    assert "d_t" not in model_section and "d_i" not in model_section
+    with pytest.raises(InputError, match="d_t"):
+        parse_config("[model]\nd_t = 5\n")  # widths are [data] keys only
+
+
+def test_model_values_are_checked_at_parse_time():
+    with pytest.raises(InputError, match="model dimensions"):
+        parse_config("[model]\nd_c = 0\n")
+    with pytest.raises(InputError, match="init_scale"):
+        parse_config("[model]\ninit_scale = -1\n")
 
 
 def test_sigma_list_parsing():
@@ -168,4 +188,40 @@ def test_master_seeds_in_resolved_config_reparse():
     # derived seeds use the whole uint64 range and must survive the echo
     config = apply_master_seed(default_config(), 7)
     assert max(config.synthetic.seed, config.train.seed) >= 2**63
+    assert parse_config(render_config(config)) == config
+
+
+def _echoed_keys():
+    echo = configparser.ConfigParser(interpolation=None)
+    echo.optionxform = str
+    echo.read_string(render_config(default_config()))
+    return [(section, key) for section in echo.sections() for key in echo[section]]
+
+
+_ALL_KEYS = _echoed_keys()
+# mostly values some key accepts, so accepted configs are common enough to check
+_VALUES = st.one_of(
+    st.integers(1, 64).map(str),
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from([v.value for v in Variant] + ["", "0.5,1.0", "x.mmfn", "x.mmfn\n  y"]),
+    st.integers(-2**65, 2**65).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ALL_KEYS), _VALUES), max_size=6))
+def test_random_values_parse_or_raise_input_error(assignments):
+    sections: dict[str, dict[str, str]] = {}
+    for (section, key), value in assignments:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+    try:
+        config = parse_config(text)
+    except InputError:
+        return
     assert parse_config(render_config(config)) == config

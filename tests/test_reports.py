@@ -6,16 +6,18 @@ import json
 
 import numpy as np
 
+from mmfuse.data import SyntheticSpec, generate_synthetic, split
 from mmfuse.evaluation import compute_metrics, gate_stats_from_alphas
+from mmfuse.model import HyperConfig
 from mmfuse.reports import (
     gate_stats_row,
-    history_row,
     metrics_row,
     parse_report,
     render_report,
     report_line,
     write_report,
 )
+from mmfuse.training import TrainConfig, train
 
 
 def test_report_line_preserves_key_order_and_types():
@@ -74,13 +76,18 @@ def test_gate_stats_row_layout():
 
 
 def test_history_row_layout():
-    entry = {
-        "epoch": 0,
-        "train_loss": 0.693,
-        "val_accuracy": 0.5,
-        "val_precision": 0.5,
-        "val_recall": 0.5,
-        "val_f1": 0.5,
-    }
-    parsed = json.loads(report_line(history_row(entry)))
-    assert parsed == entry
+    # train() history entries are the history.jsonl rows as they are
+    ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=4, d_i=3, seed=0))
+    train_ds, val_ds, _ = split(ds, (0.6, 0.4, 0.0), seed=0)
+    hyper = HyperConfig(d_t=4, d_i=3, d_c=2, gate_hidden=2, cls_hidden=2)
+    _, history = train(train_ds, val_ds, hyper, TrainConfig(max_epochs=1))
+    entry = history[0]
+    assert list(entry) == [
+        "epoch",
+        "train_loss",
+        "val_accuracy",
+        "val_precision",
+        "val_recall",
+        "val_f1",
+    ]
+    assert json.loads(report_line(entry)) == entry

@@ -5,8 +5,12 @@ from __future__ import annotations
 import math
 import struct
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmfuse.autodiff import Tape, finite_difference_check
 from mmfuse.data import SyntheticSpec, batches, generate_synthetic, split
@@ -432,6 +436,39 @@ def test_checkpoint_load_errors(tmp_path):
     trailing.write_bytes(good + b"\x01")
     with pytest.raises(FileFormatError):
         load_checkpoint(trailing)
+
+    # config blocks get the INI's finite and range checks
+    hyper, recipe = checkpoint.hyper, checkpoint.train_config
+    for key, bad in (
+        ("learning_rate", replace(checkpoint, train_config=replace(recipe, learning_rate=math.nan))),
+        ("epsilon", replace(checkpoint, train_config=replace(recipe, epsilon=math.nan))),
+        ("init_scale", replace(checkpoint, hyper=replace(hyper, init_scale=math.inf))),
+        ("init_seed", replace(checkpoint, hyper=replace(hyper, init_seed=-1))),
+        ("init_seed", replace(checkpoint, hyper=replace(hyper, init_seed=2**64))),
+    ):
+        bad_config = tmp_path / f"{key}.mmck"
+        save_checkpoint(bad, bad_config)
+        with pytest.raises(FileFormatError, match=key):
+            load_checkpoint(bad_config)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+       cut=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_mutated_checkpoints_raise_only_format_errors(tmp_path, edits, cut):
+    path = tmp_path / "model.mmck"
+    save_checkpoint(tiny_checkpoint(variant=Variant.TEXT_ONLY), path)
+    payload = bytearray(path.read_bytes())
+    for at, value in edits:
+        payload[at % len(payload)] = value
+    if cut is not None:
+        payload = payload[:cut % (len(payload) + 1)]
+    path.write_bytes(bytes(payload))
+    try:
+        load_checkpoint(path)
+    except FileFormatError:
+        pass
 
 
 def test_checkpoint_variant_mismatch(tmp_path):
