@@ -60,7 +60,6 @@ from .model import (
     forward_batch,
     init_params,
     predict_labels,
-    predict_proba,
 )
 from .training import (
     Checkpoint,
@@ -124,7 +123,6 @@ __all__ = [
     "parse_config",
     "perturb_dataset",
     "predict_labels",
-    "predict_proba",
     "render_config",
     "run_ablation",
     "run_perturbation_suite",

@@ -43,7 +43,7 @@ def _accum(node: "Node", contribution: Array) -> None:
         # ops produce C-ordered values, so this matches zeros_like at a
         # third of its call overhead
         node.grad = np.zeros(node.value.shape)
-    node.grad += contribution
+    node.grad += contribution  # in place: a preset grad may be a view into a caller's buffer
 
 
 class Node:

@@ -14,6 +14,7 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -315,6 +316,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parse_args keeps no state in the parser; handlers read globals per call
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="mmfuse",
@@ -363,30 +365,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message, code: int) -> int:
+    """Print one single-line error and return its exit code."""
+    sys.stderr.write(f"mmfuse: error: {' '.join(str(message).split())}\n")
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except CommandError as err:
-        message = " ".join(str(err.message).split())
-        sys.stderr.write(f"mmfuse: error: {message}\n")
-        return err.code
+        return _fail(err.message, err.code)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else 0
     except MMFuseError as err:
-        message = " ".join(str(err).split())
-        sys.stderr.write(f"mmfuse: error: {message}\n")
-        return EXIT_USAGE
+        return _fail(err, EXIT_USAGE)
     except OSError as err:
-        message = " ".join(str(err).split())
-        sys.stderr.write(f"mmfuse: error: {message}\n")
-        return EXIT_DATA
+        return _fail(err, EXIT_DATA)
     except MemoryError as err:  # a size within every bound that this host cannot allocate
-        message = " ".join(str(err).split()) or "out of memory"
-        sys.stderr.write(f"mmfuse: error: {message}\n")
-        return EXIT_USAGE
+        return _fail(str(err).strip() or "out of memory", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -98,7 +98,8 @@ _SECTIONS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # no default section, so a [DEFAULT] block is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     parser.optionxform = str  # keep keys case-sensitive
     try:
         parser.read_string(text)

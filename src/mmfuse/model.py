@@ -119,13 +119,23 @@ def parameter_shapes(config: HyperConfig) -> dict[str, tuple[int, int]]:
 
 
 class ModelParams:
-    """Named parameter matrices with a fixed iteration order."""
+    """Named parameter matrices, in order, each a (rows, cols) view into one
+    float64 vector ``flat``; ``views`` lays out any such vector the same way."""
 
     def __init__(self, entries):
         items = entries.items() if hasattr(entries, "items") else entries
-        self._arrays: dict[str, Array] = {
-            name: as_matrix(arr, name=name) for name, arr in items
-        }
+        # the entries set the layout views() follows; zeros(0) lets there be none
+        self._arrays = {name: as_matrix(arr, name=name) for name, arr in items}
+        self.flat = np.concatenate([np.zeros(0), *(arr.ravel() for arr in self._arrays.values())])
+        self._arrays = self.views(self.flat)
+
+    def views(self, vector: Array) -> dict[str, Array]:
+        """Named (rows, cols) views into a vector laid out like ``flat``."""
+        out, start = {}, 0
+        for name, arr in self._arrays.items():
+            out[name] = vector[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+        return out
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -138,12 +148,12 @@ class ModelParams:
         return self._arrays[name]
 
     def set(self, name: str, values) -> None:
-        """Replace an existing parameter with same-shape values."""
+        """Overwrite an existing parameter with same-shape values."""
         current = self._arrays[name]
         arr = as_matrix(values, name=name)
         if arr.shape != current.shape:
             raise InputError(f"parameter {name} has shape {current.shape}, got {arr.shape}")
-        self._arrays[name] = arr
+        current[...] = arr
 
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
@@ -152,7 +162,10 @@ class ModelParams:
         return len(self._arrays)
 
     def copy(self) -> "ModelParams":
-        return ModelParams((name, arr.copy()) for name, arr in self._arrays.items())
+        clone = object.__new__(ModelParams)
+        clone.flat = self.flat.copy()
+        clone._arrays = self.views(clone.flat)
+        return clone
 
 
 def init_params(config: HyperConfig) -> ModelParams:
@@ -339,14 +352,6 @@ def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset,
     nodes = _forward_nodes(params, config, batch, gate_override)
     alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
     return BatchOutputs(nodes["logits"].value, *alphas)
-
-
-def predict_proba(trace: ForwardTrace) -> tuple[float, float]:
-    """Class probabilities (p_real, p_fake) from a trace's logits."""
-    z = trace.logits[0] - trace.logits[0].max()
-    e = np.exp(z)
-    p = e / e.sum()
-    return float(p[0]), float(p[1])
 
 
 def predict_labels(outputs: BatchOutputs) -> np.ndarray:

@@ -121,59 +121,55 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
 
 @dataclass
 class OptimizerState:
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
 
 def init_optimizer_state(params: ModelParams) -> OptimizerState:
-    return OptimizerState(
-        first_moment={name: np.zeros_like(arr) for name, arr in params.items()},
-        second_moment={name: np.zeros_like(arr) for name, arr in params.items()},
-    )
+    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adamw_step(params: ModelParams, grads, state: OptimizerState, config: TrainConfig) -> None:
-    """One AdamW update in place, with decoupled weight decay.
+def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
+               config: TrainConfig) -> None:
+    """One AdamW update of ``params.flat`` in place, with decoupled weight
+    decay; ``grad`` and both moments are vectors laid out like it.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * theta
     """
+    theta = params.flat
+    if grad.shape != theta.shape:
+        raise InputError(f"gradient has shape {grad.shape}, the parameters {theta.shape}")
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
-    for name, theta in params.items():
-        if name not in grads:
-            raise InputError(f"gradient for parameter {name} is missing")
-        g = grads[name]
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
-        theta -= config.learning_rate * update + config.learning_rate * config.weight_decay * theta
+    bc1 = 1.0 - config.beta1 ** state.step_count
+    bc2 = 1.0 - config.beta2 ** state.step_count
+    m, v = state.first_moment, state.second_moment
+    m *= config.beta1
+    m += (1.0 - config.beta1) * grad
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (grad * grad)
+    update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+    theta -= config.learning_rate * update + config.learning_rate * config.weight_decay * theta
 
 
 def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
                state: OptimizerState, config: TrainConfig) -> float:
     """One AdamW step on a batch, in place; returns the batch loss.
 
-    A non-finite loss is returned without updating anything, so the caller
-    decides how to report it.
+    Gradients accumulate into views of one zeroed vector, so a parameter
+    the loss does not reach gets zeros. A non-finite loss is returned
+    without updating anything, so the caller decides how to report it.
     """
     tape = Tape()
     param_nodes = register_parameters(tape, params)
     loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=param_nodes)
     value = float(loss.value[0, 0])
     if math.isfinite(value):
+        grad = np.zeros_like(params.flat)
+        for name, view in params.views(grad).items():
+            param_nodes[name].grad = view
         tape.backward(loss)
-        grads = {
-            name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
-            for name, node in param_nodes.items()
-        }
-        adamw_step(params, grads, state, config)
+        adamw_step(params, grad, state, config)
     return value
 
 
@@ -351,7 +347,7 @@ def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint
         rows, cols = reader.unpack("<II")
         if rows < 1 or cols < 1:
             raise FileFormatError(f"parameter {name}: shape ({rows}, {cols}) is invalid")
-        values = np.frombuffer(reader.take(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
+        values = np.frombuffer(reader.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
         entries.append((name, values))
     (best_f1,) = reader.unpack("<d")
     (best_epoch,) = reader.unpack("<I")

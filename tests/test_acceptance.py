@@ -473,7 +473,7 @@ def test_optimizer_step(acceptance_log):
     params = ModelParams({"w": np.array([[1.0]])})
     state = init_optimizer_state(params)
     config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
-    adamw_step(params, {"w": np.array([[1.0]])}, state, config)
+    adamw_step(params, np.array([1.0]), state, config)
     theta = float(params["w"][0, 0])
     # m = (1-b1)*g, v = (1-b2)*g^2; bias correction divides both back to 1
     expected = 1.0 - 0.1 * (1.0 / (np.sqrt(1.0) + config.epsilon))
@@ -481,7 +481,7 @@ def test_optimizer_step(acceptance_log):
 
     frozen = ModelParams({"w": np.array([[0.7, -0.3]])})
     before = frozen["w"].tobytes()
-    adamw_step(frozen, {"w": np.zeros((1, 2))}, init_optimizer_state(frozen),
+    adamw_step(frozen, np.zeros(2), init_optimizer_state(frozen),
                TrainConfig(learning_rate=0.5, weight_decay=0.0))
     identity = frozen["w"].tobytes() == before
 

@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from mmfuse.cli import main
+from mmfuse.cli import build_parser, main
+from mmfuse.config import apply_master_seed, load_config, render_config
 from mmfuse.model import Variant, VARIANT_ORDER
 from mmfuse.training import load_checkpoint, save_checkpoint
 
@@ -354,6 +355,34 @@ def test_non_finite_threshold_flag_exits_one(tmp_path, capsys):
                            "--checkpoint", "c", "--threshold", "nan"], capsys)
     assert code == 1
     assert stderr.count("\n") == 1 and "threshold" in stderr
+
+
+def test_default_section_in_config_exits_one(tmp_path, capsys):
+    ini = tmp_path / "default.ini"
+    ini.write_text("[DEFAULT]\nseed = 5\n[data]\n[train]\n")
+    code, _, stderr = run(["gen-data", "--config", str(ini), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and stderr.startswith("mmfuse: error:")
+    assert "DEFAULT" in stderr
+
+
+def test_consecutive_calls_share_no_parser_state(tmp_path, capsys):
+    assert build_parser() is build_parser()  # built once per process
+    argv = ["gate-stats", "--out", "o", "--data", "d", "--checkpoint", "c"]
+    first = build_parser().parse_args(argv + ["--threshold", "0.3", "--seed", "4"])
+    second = build_parser().parse_args(argv)
+    assert (first.threshold, first.seed) == (0.3, 4)
+    assert (second.threshold, second.seed, second.config) == (None, None, None)
+
+    ini = tmp_path / "small.ini"
+    ini.write_text("[data]\nn_samples = 20\n")
+    assert run(["gen-data", "--config", str(ini), "--seed", "3", "--out", str(tmp_path / "a")],
+               capsys)[0] == 0
+    assert run(["gen-data", "--config", str(ini), "--out", str(tmp_path / "b")], capsys)[0] == 0
+    config = load_config(ini)
+    assert (tmp_path / "a" / "resolved-config.ini").read_text() == \
+        render_config(apply_master_seed(config, 3))
+    assert (tmp_path / "b" / "resolved-config.ini").read_text() == render_config(config)
 
 
 def test_help_exits_zero(capsys):

@@ -52,6 +52,14 @@ def test_unknown_sections_and_keys_are_named():
         parse_config("[train]\nlr = 0.1\n")
 
 
+def test_default_section_is_an_unknown_section():
+    # configparser would otherwise copy [DEFAULT] keys into every section unchecked
+    with pytest.raises(InputError, match="DEFAULT"):
+        parse_config("[DEFAULT]\nbogus = 1\n")
+    with pytest.raises(InputError, match="DEFAULT"):
+        parse_config("[DEFAULT]\nseed = 5\n[data]\n[train]\n")
+
+
 def test_type_errors_name_section_and_key():
     with pytest.raises(InputError, match="data.n_samples"):
         parse_config("[data]\nn_samples = many\n")

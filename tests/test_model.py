@@ -28,7 +28,6 @@ from mmfuse.model import (
     init_params,
     parameter_shapes,
     predict_labels,
-    predict_proba,
     register_parameters,
 )
 
@@ -110,6 +109,37 @@ def test_check_params_match_flags_wrong_variant():
     check_params_match(params, full)
     with pytest.raises(InputError):
         check_params_match(params, config_for(Variant.CONCAT))
+
+
+def test_params_are_views_into_one_vector():
+    params = init_params(config_for(Variant.FULL))
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    # canonical order, back to back
+    assert np.array_equal(params.flat, np.concatenate([arr.ravel() for _, arr in params.items()]))
+    assert all(np.shares_memory(arr, params.flat) for _, arr in params.items())
+    grad = np.arange(params.flat.size, dtype=np.float64)
+    views = params.views(grad)
+    assert tuple(views) == params.names
+    assert all(views[n].shape == params[n].shape and np.shares_memory(views[n], grad)
+               for n in params.names)
+
+    clone = params.copy()
+    assert clone.names == params.names and np.array_equal(clone.flat, params.flat)
+    assert not np.shares_memory(clone.flat, params.flat)
+    assert not any(np.shares_memory(arr, params.flat) for _, arr in clone.items())
+    params.set("cls_b2", [[1.0, 2.0]])  # the last parameter: the end of the vector
+    assert params.flat[-2:].tolist() == [1.0, 2.0]
+    assert clone["cls_b2"].tolist() == [[0.0, 0.0]]
+
+
+def test_params_copy_their_entries():
+    entries = np.ones((2, 3))
+    params = ModelParams([("w", entries)])
+    assert not np.shares_memory(params["w"], entries)
+    params["w"][0, 0] = 5.0
+    assert entries[0, 0] == 1.0
+    with pytest.raises(InputError):
+        params.set("w", np.ones((3, 2)))
 
 
 # -- projections ------------------------------------------------------------------
@@ -435,13 +465,10 @@ def test_batched_forward_handles_longer_sequences():
         assert np.abs(out.logits[i:i + 1] - single).max() <= 1e-12 * np.abs(single).max()
 
 
-def test_predict_proba_and_labels():
+def test_predict_labels_follow_logits():
     config = config_for(Variant.FULL)
     params = init_params(config)
     record = random_record(config, seed=27)
     trace = forward(params, config, record)
-    p_real, p_fake = predict_proba(trace)
-    assert abs(p_real + p_fake - 1.0) <= 1e-12
-    assert (p_fake > p_real) == (trace.logits[0, 1] > trace.logits[0, 0])
     out = forward_batch(params, config, record)
     assert predict_labels(out)[0] == int(trace.logits[0, 1] > trace.logits[0, 0])

@@ -188,7 +188,7 @@ def test_adamw_first_step_hand_value():
     config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
     params = ModelParams([("w", np.array([[1.0]]))])
     state = init_optimizer_state(params)
-    adamw_step(params, {"w": np.array([[1.0]])}, state, config)
+    adamw_step(params, np.array([1.0]), state, config)
     # bias correction makes m_hat = v_hat = 1 on step one
     assert abs(params["w"][0, 0] - (1.0 - 0.1 / (1.0 + 1e-8))) <= 1e-12
     assert state.step_count == 1
@@ -200,7 +200,7 @@ def test_adamw_matches_reference_recurrence_over_steps():
     state = init_optimizer_state(params)
     grads = [0.3, -1.1, 0.45, 2.0]
     for g in grads:
-        adamw_step(params, {"w": np.array([[g]])}, state, config)
+        adamw_step(params, np.array([g]), state, config)
     expected = reference_adamw(0.7, grads, lr=0.05, wd=0.02)
     assert abs(params["w"][0, 0] - expected) <= 1e-12
 
@@ -209,7 +209,7 @@ def test_weight_decay_alone_shrinks_exactly():
     config = TrainConfig(learning_rate=0.1, weight_decay=0.1)
     params = ModelParams([("w", np.ones((2, 3)))])
     state = init_optimizer_state(params)
-    adamw_step(params, {"w": np.zeros((2, 3))}, state, config)
+    adamw_step(params, np.zeros(6), state, config)
     assert np.array_equal(params["w"], np.full((2, 3), 0.99))
 
 
@@ -220,14 +220,49 @@ def test_zero_grad_zero_decay_is_identity():
     params = ModelParams([("w", original.copy())])
     state = init_optimizer_state(params)
     for _ in range(3):
-        adamw_step(params, {"w": np.zeros((3, 2))}, state, config)
+        adamw_step(params, np.zeros(6), state, config)
     assert np.array_equal(params["w"], original)
 
 
-def test_adamw_requires_all_gradients():
-    params = ModelParams([("w", np.ones((1, 1)))])
-    with pytest.raises(InputError):
-        adamw_step(params, {}, init_optimizer_state(params), TrainConfig())
+def test_adamw_rejects_gradient_of_wrong_length():
+    params = ModelParams([("w", np.ones((1, 2)))])
+    state = init_optimizer_state(params)
+    for grad in (np.zeros(0), np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(InputError):
+            adamw_step(params, grad, state, TrainConfig())
+    assert state.step_count == 0 and params["w"].tolist() == [[1.0, 1.0]]
+
+
+def per_parameter_adamw(arrays, grads, moments, step, config):
+    """AdamW as one loop over named parameters, the form the flat update replaces."""
+    bc1 = 1.0 - config.beta1 ** step
+    bc2 = 1.0 - config.beta2 ** step
+    for name, theta in arrays.items():
+        g = grads[name]
+        m, v = moments[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        theta -= config.learning_rate * update + config.learning_rate * config.weight_decay * theta
+
+
+def test_flat_adamw_matches_per_parameter_loop_bitwise():
+    params = init_params(HyperConfig(d_t=SyntheticSpec.d_t, d_i=SyntheticSpec.d_i,
+                                     variant=Variant.FULL, init_seed=30))
+    reference = {name: arr.copy() for name, arr in params.items()}
+    moments = {name: (np.zeros_like(arr), np.zeros_like(arr)) for name, arr in reference.items()}
+    state = init_optimizer_state(params)
+    config = TrainConfig(learning_rate=0.01, weight_decay=0.05)
+    rng = np.random.default_rng(30)
+    for step in range(1, 6):
+        grad = rng.normal(size=params.flat.shape)
+        adamw_step(params, grad, state, config)
+        per_parameter_adamw(reference, params.views(grad), moments, step, config)
+    assert all(np.array_equal(params[name], reference[name]) for name in params.names)
+    for moment, index in ((state.first_moment, 0), (state.second_moment, 1)):
+        assert np.array_equal(moment, np.concatenate([mv[index].ravel() for mv in moments.values()]))
 
 
 def test_train_config_validation_and_preset():
@@ -395,6 +430,17 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     before = forward(checkpoint.params, checkpoint.hyper, record).logits
     after = forward(loaded.params, loaded.hyper, record).logits
     assert np.array_equal(before, after)
+
+
+def test_loaded_parameters_are_writable(tmp_path):
+    checkpoint = tiny_checkpoint()
+    path = tmp_path / "model.mmck"
+    save_checkpoint(checkpoint, path)
+    params = load_checkpoint(path).params
+    assert params.flat.flags.writeable
+    assert all(np.shares_memory(arr, params.flat) for _, arr in params.items())
+    adamw_step(params, np.ones_like(params.flat), init_optimizer_state(params), TrainConfig())
+    assert not np.array_equal(params.flat, checkpoint.params.flat)
 
 
 def test_checkpoint_save_is_reproducible(tmp_path):
