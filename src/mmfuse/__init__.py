@@ -8,7 +8,7 @@ reverse-mode differentiation, the optimizer, file formats -- is built on
 plain numpy and is deterministic given seeds.
 """
 
-from .autodiff import Node, Tape, finite_difference_check
+from .autodiff import Node, Tape
 from .config import (
     EvalSettings,
     RunConfig,
@@ -56,7 +56,6 @@ from .model import (
     ModelParams,
     Variant,
     VARIANT_ORDER,
-    forward,
     forward_batch,
     init_params,
     predict_labels,
@@ -111,8 +110,6 @@ __all__ = [
     "default_config",
     "default_scenarios",
     "evaluate",
-    "finite_difference_check",
-    "forward",
     "forward_batch",
     "gate_stats",
     "generate_synthetic",

@@ -229,6 +229,32 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         raise
 
 
+class ByteReader:
+    """Bounds-checked reads from a file's bytes, advancing ``pos``; ``what``
+    names the file in the truncation error."""
+
+    def __init__(self, data: bytes, what: str):
+        self.buf = memoryview(data)
+        self.what = what
+        self.pos = 0
+
+    def need(self, end: int) -> None:
+        """Refuse a read that would end past the last byte."""
+        if end > len(self.buf):
+            raise TruncatedFileError(
+                f"{self.what} ends at byte {len(self.buf)} but {end} bytes are needed")
+
+    def take(self, n: int) -> memoryview:
+        end = self.pos + n
+        self.need(end)
+        out = self.buf[self.pos:end]
+        self.pos = end
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
 _HEADER = struct.Struct("<4sIQIIII")
 
 
@@ -252,21 +278,13 @@ def load(path) -> Dataset:
     copied straight into the two stacks, then labels, provenance and
     finiteness are checked once over the arrays."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    size = len(buf)
-
-    def need(end: int) -> None:
-        if end > size:
-            raise TruncatedFileError(f"file ends at byte {size} but {end} bytes are needed")
-
-    need(8)
-    magic, version = struct.unpack_from("<4sI", buf)
+        reader = ByteReader(fh.read(), "file")
+    magic, version = reader.unpack("<4sI")
     if magic != MAGIC:
         raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"unsupported format version {version}")
-    need(_HEADER.size)
-    _, _, n, d_t, d_i, l_t, l_i = _HEADER.unpack_from(buf)
+    n, d_t, d_i, l_t, l_i = reader.unpack("<QIIII")  # the rest of _HEADER
     text_bytes, image_bytes = 8 * l_t * d_t, 8 * l_i * d_i
     if min(d_t, d_i, l_t, l_i) < 1 or text_bytes + image_bytes > np.iinfo(np.intp).max:
         raise InconsistentDimsError(
@@ -275,15 +293,14 @@ def load(path) -> Dataset:
         )
     # every record holds at least its fixed fields and its features, so a
     # count the file cannot hold is refused before anything is allocated
-    need(_HEADER.size + n * (6 + text_bytes + image_bytes))
+    need, view, pos = reader.need, reader.buf, reader.pos
+    need(pos + n * (6 + text_bytes + image_bytes))
 
-    view = memoryview(buf)
     text, image, codes = bytearray(n * text_bytes), bytearray(n * image_bytes), bytearray(2 * n)
     ids = []
-    pos = _HEADER.size
     for k in range(n):
         need(pos + 4)
-        (id_len,) = struct.unpack_from("<I", buf, pos)
+        (id_len,) = struct.unpack_from("<I", view, pos)
         start = pos + 4 + id_len
         end = start + 2 + text_bytes + image_bytes
         need(end)
@@ -295,8 +312,8 @@ def load(path) -> Dataset:
         text[k * text_bytes:(k + 1) * text_bytes] = view[start + 2:start + 2 + text_bytes]
         image[k * image_bytes:(k + 1) * image_bytes] = view[end - image_bytes:end]
         pos = end
-    if pos != size:
-        raise FileFormatError(f"{size - pos} trailing bytes after last record")
+    if pos != len(view):
+        raise FileFormatError(f"{len(view) - pos} trailing bytes after last record")
 
     codes = np.frombuffer(codes, dtype=np.uint8).reshape(n, 2)
     try:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import Node, Tape, as_matrix
 from .data import Dataset
-from .errors import InputError, UsageError
+from .errors import InputError
 
 Array = np.ndarray
 
@@ -147,17 +147,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Array:
         return self._arrays[name]
 
-    def set(self, name: str, values) -> None:
-        """Overwrite an existing parameter with same-shape values."""
-        current = self._arrays[name]
-        arr = as_matrix(values, name=name)
-        if arr.shape != current.shape:
-            raise InputError(f"parameter {name} has shape {current.shape}, got {arr.shape}")
-        current[...] = arr
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
     def __len__(self) -> int:
         return len(self._arrays)
 
@@ -183,7 +172,7 @@ def init_params(config: HyperConfig) -> ModelParams:
 
 def register_parameters(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Put every parameter on a tape as a gradient-receiving leaf."""
-    return {name: tape.parameter(arr, validate=False, name=name) for name, arr in params.items()}
+    return {name: tape.parameter(arr) for name, arr in params.items()}
 
 
 def check_params_match(params: ModelParams, config: HyperConfig) -> None:
@@ -238,7 +227,7 @@ def _classify(tape, pn, features):
     return tape.add_row_bias(tape.matmul(hidden, pn["cls_w2"]), pn["cls_b2"])
 
 
-def build_logits(tape, pn, config, x_text, x_image, *, gate_override=None):
+def build_logits(tape, pn, config, x_text, x_image):
     """Wire the variant's graph over (B, L_t, d_t) and (B, L_i, d_i) feature
     stacks; returns the interesting nodes by name. Sequences are mean-pooled
     after projection (and attention), giving one row per record.
@@ -267,12 +256,7 @@ def build_logits(tape, pn, config, x_text, x_image, *, gate_override=None):
             nodes["attended_image"] = att_i
             pooled_t, pooled_i = tape.mean_rows(att_t), tape.mean_rows(att_i)
             if v is Variant.FULL:
-                if gate_override is None:
-                    alpha_t, alpha_i = _gate_alphas(tape, pn, pooled_t, pooled_i)
-                else:
-                    m = pooled_t.value.shape[0]
-                    alpha_t = tape.constant(np.full((m, 1), float(gate_override[0])))
-                    alpha_i = tape.constant(np.full((m, 1), float(gate_override[1])))
+                alpha_t, alpha_i = _gate_alphas(tape, pn, pooled_t, pooled_i)
                 nodes["alpha_text"] = alpha_t
                 nodes["alpha_image"] = alpha_i
                 nodes["fused"] = tape.concat_cols(tape.scale_rows(pooled_t, alpha_t),
@@ -284,21 +268,6 @@ def build_logits(tape, pn, config, x_text, x_image, *, gate_override=None):
 
 
 # -- forward passes ------------------------------------------------------------
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediate values of one record's forward pass (None where the
-    variant has no such stage)."""
-
-    logits: Array
-    projected_text: Array | None = None
-    projected_image: Array | None = None
-    attended_text: Array | None = None
-    attended_image: Array | None = None
-    alpha_text: float | None = None
-    alpha_image: float | None = None
-    fused: Array | None = None
 
 
 @dataclass
@@ -320,36 +289,15 @@ def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset) -> tuple[Nod
             tape.constant(batch.image, name="image_features"))
 
 
-def _forward_nodes(params, config, batch, gate_override) -> dict[str, Node]:
+def _forward_nodes(params, config, batch) -> dict[str, Node]:
     tape = Tape(grad=False)
     pn = register_parameters(tape, params)
-    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch),
-                        gate_override=gate_override)
+    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch))
 
 
-def forward(params: ModelParams, config: HyperConfig, record: Dataset,
-            *, gate_override=None) -> ForwardTrace:
-    """Run a one-record dataset, as a batch of one, and capture the trace."""
-    if len(record) != 1:
-        raise InputError(f"forward takes a one-record dataset, got {len(record)} records")
-    nodes = _forward_nodes(params, config, record, gate_override)
-
-    def first(key):
-        return nodes[key].value[0] if key in nodes else None
-
-    def alpha(key):
-        return float(nodes[key].value[0, 0]) if key in nodes else None
-
-    stages = ("projected_text", "projected_image", "attended_text", "attended_image")
-    return ForwardTrace(logits=nodes["logits"].value, fused=nodes["fused"].value,
-                        alpha_text=alpha("alpha_text"), alpha_image=alpha("alpha_image"),
-                        **{key: first(key) for key in stages})
-
-
-def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset,
-                  *, gate_override=None) -> BatchOutputs:
+def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset) -> BatchOutputs:
     """Forward every record of a dataset as one graph."""
-    nodes = _forward_nodes(params, config, batch, gate_override)
+    nodes = _forward_nodes(params, config, batch)
     alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
     return BatchOutputs(nodes["logits"].value, *alphas)
 
@@ -357,21 +305,3 @@ def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset,
 def predict_labels(outputs: BatchOutputs) -> np.ndarray:
     """Hard labels by logit argmax (ties resolve to 0/real)."""
     return np.argmax(outputs.logits, axis=1).astype(np.intp)
-
-
-# -- standalone stage view ------------------------------------------------------
-
-
-def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array, Array]:
-    """Bi-directional cross-attention with residuals over one record's
-    projected sequences (run as a batch of one)."""
-    missing = [n for n in _ATTENTION_NAMES if n not in params]
-    if missing:
-        raise UsageError(f"params are missing {missing}; wrong variant for this operation")
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
-    att_t, att_i = _attend(tape, pn,
-                           tape.constant(as_matrix(h_text, name="h_text")[None], name="h_text"),
-                           tape.constant(as_matrix(h_image, name="h_image")[None], name="h_image"),
-                           d_k)
-    return att_t.value[0], att_i.value[0]

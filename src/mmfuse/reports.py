@@ -41,10 +41,6 @@ def write_report(path, rows) -> None:
     atomic_write_bytes(path, render_report(rows).encode("utf-8"))
 
 
-def parse_report(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
 def metrics_row(label_key: str, label_value: str, metrics: MetricsReport) -> dict:
     return {label_key: label_value, **asdict(metrics)}
 

@@ -25,13 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Node, Tape
-from .data import Dataset, atomic_write_bytes, batches
+from .data import ByteReader, Dataset, atomic_write_bytes, batches
 from .errors import (
     BadMagicError,
     FileFormatError,
     InputError,
     NumericsError,
-    TruncatedFileError,
     VariantMismatchError,
     VersionMismatchError,
 )
@@ -254,11 +253,11 @@ def _encode_config(obj) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _decode_config(blob: bytes, cls):
+def _decode_config(blob: memoryview, cls):
     kinds = field_types(cls)
     kwargs = {}
     try:
-        text = blob.decode("utf-8")
+        text = str(blob, "utf-8")
     except UnicodeDecodeError as err:
         raise FileFormatError("config block is not valid utf-8") from err
     for line in text.splitlines():
@@ -267,6 +266,8 @@ def _decode_config(blob: bytes, cls):
         key, sep, value = line.partition("=")
         if not sep or key not in kinds:
             raise FileFormatError(f"unexpected config line {line!r} in checkpoint")
+        if key in kwargs:
+            raise FileFormatError(f"checkpoint config sets {key} twice")
         try:
             kwargs[key] = parse_value(key, kinds[key], value)
         except InputError as err:
@@ -300,27 +301,9 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     atomic_write_bytes(path, b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedFileError(
-                f"checkpoint ends at byte {len(self.buf)} but {self.pos + n} bytes are needed"
-            )
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint:
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        reader = ByteReader(fh.read(), "checkpoint")
     magic, version = reader.unpack("<4sI")
     if magic != CHECKPOINT_MAGIC:
         raise BadMagicError(f"expected magic {CHECKPOINT_MAGIC!r}, got {magic!r}")
@@ -341,7 +324,7 @@ def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint
     for _ in range(n_params):
         (name_len,) = reader.unpack("<I")
         try:
-            name = reader.take(name_len).decode("utf-8")
+            name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as err:
             raise FileFormatError("parameter name is not valid utf-8") from err
         rows, cols = reader.unpack("<II")

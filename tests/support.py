@@ -1,0 +1,148 @@
+"""Oracles and stage views that only the tests use.
+
+Each one runs package code (``model._forward_nodes``, ``model._attend``,
+``Tape._node``), so the tests that call them still check what the
+package computes.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Callable, Mapping
+
+import numpy as np
+
+from mmfuse import model
+from mmfuse.autodiff import Node, Tape, _accum, as_matrix
+from mmfuse.data import Dataset
+from mmfuse.errors import InputError, UsageError
+from mmfuse.model import HyperConfig, ModelParams, register_parameters
+from mmfuse.training import batch_loss
+
+Array = np.ndarray
+
+
+def finite_difference_check(
+    f: Callable[[Mapping[str, Array]], float],
+    params: Mapping[str, Array],
+    analytic: Mapping[str, Array],
+    step: float = 1e-5,
+) -> float:
+    """Compare analytic gradients against central differences of f.
+
+    Perturbs each parameter entry in place (restoring it afterwards) and
+    returns the worst relative error, measured as
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    if step <= 0.0:
+        raise InputError("step must be positive")
+    worst = 0.0
+    for name, theta in params.items():
+        grad = np.asarray(analytic[name]).reshape(-1)
+        flat = theta.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            f_plus = f(params)
+            flat[i] = orig - step
+            f_minus = f(params)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
+            if err > worst:
+                worst = err
+    return worst
+
+
+def sum_all(tape: Tape, a: Node) -> Node:
+    """Sum of all entries: m x n -> 1 x 1."""
+    tape._own(a)
+    node = tape._node(np.array([[a.value.sum()]]), "sum_all", (a,))
+    if node.requires_grad:
+        def backward(g: Array) -> None:
+            _accum(a, np.full_like(a.value, g[0, 0]))
+        node._backward = backward
+    return node
+
+
+def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):
+    """The batch loss and every parameter's gradient, zeros where the loss does not reach."""
+    tape = Tape()
+    nodes = register_parameters(tape, params)
+    loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=nodes)
+    tape.backward(loss)
+    return loss.value[0, 0], {name: node.grad if node.grad is not None else np.zeros_like(params[name])
+                              for name, node in nodes.items()}
+
+
+def set_param(params: ModelParams, name: str, values) -> None:
+    """Overwrite an existing parameter with same-shape values."""
+    current = params[name]
+    arr = as_matrix(values, name=name)
+    if arr.shape != current.shape:
+        raise InputError(f"parameter {name} has shape {current.shape}, got {arr.shape}")
+    current[...] = arr
+
+
+def pin_gates(params: ModelParams) -> ModelParams:
+    """A copy whose gates are exactly 1.0 for every input: zero output
+    weights and a bias of 40, so the model's own sigmoid computes
+    0.5 * (1 + tanh(20)), which is 1.0 in float64."""
+    pinned = params.copy()
+    for side in ("text", "image"):
+        pinned[f"gate_w_{side}"][...] = 0.0
+        pinned[f"gate_b_{side}"][...] = 40.0
+    return pinned
+
+
+@dataclass
+class ForwardTrace:
+    """Intermediate values of one record's forward pass (None where the
+    variant has no such stage)."""
+
+    logits: Array
+    projected_text: Array | None = None
+    projected_image: Array | None = None
+    attended_text: Array | None = None
+    attended_image: Array | None = None
+    alpha_text: float | None = None
+    alpha_image: float | None = None
+    fused: Array | None = None
+
+
+def forward(params: ModelParams, config: HyperConfig, record: Dataset) -> ForwardTrace:
+    """Run a one-record dataset, as a batch of one, and capture the trace."""
+    if len(record) != 1:
+        raise InputError(f"forward takes a one-record dataset, got {len(record)} records")
+    nodes = model._forward_nodes(params, config, record)
+
+    def first(key):
+        return nodes[key].value[0] if key in nodes else None
+
+    def alpha(key):
+        return float(nodes[key].value[0, 0]) if key in nodes else None
+
+    stages = ("projected_text", "projected_image", "attended_text", "attended_image")
+    return ForwardTrace(logits=nodes["logits"].value, fused=nodes["fused"].value,
+                        alpha_text=alpha("alpha_text"), alpha_image=alpha("alpha_image"),
+                        **{key: first(key) for key in stages})
+
+
+def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array, Array]:
+    """Bi-directional cross-attention with residuals over one record's
+    projected sequences (run as a batch of one)."""
+    missing = [n for n in model._ATTENTION_NAMES if n not in params.names]
+    if missing:
+        raise UsageError(f"params are missing {missing}; wrong variant for this operation")
+    tape = Tape(grad=False)
+    pn = register_parameters(tape, params)
+    att_t, att_i = model._attend(tape, pn,
+                                 tape.constant(as_matrix(h_text, name="h_text")[None], name="h_text"),
+                                 tape.constant(as_matrix(h_image, name="h_image")[None], name="h_image"),
+                                 d_k)
+    return att_t.value[0], att_i.value[0]
+
+
+def parse_report(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]

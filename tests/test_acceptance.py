@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from mmfuse.autodiff import Tape, finite_difference_check
+from mmfuse.autodiff import Tape
 from mmfuse.cli import main as cli_main
 from mmfuse.config import default_config, render_config
 from mmfuse.data import (
@@ -41,11 +41,8 @@ from mmfuse.model import (
     HyperConfig,
     ModelParams,
     Variant,
-    cross_attend,
-    forward,
     forward_batch,
     init_params,
-    register_parameters,
 )
 from mmfuse.training import (
     TrainConfig,
@@ -57,6 +54,7 @@ from mmfuse.training import (
     train,
     train_step,
 )
+from support import cross_attend, finite_difference_check, loss_and_grads, pin_gates, set_param
 
 DATA_SEEDS = (1, 2, 3, 4, 5)
 FRACTIONS = (0.8, 0.1, 0.1)
@@ -114,14 +112,7 @@ def test_gradient_fidelity(acceptance_log):
                 hyper = replace(hyper_base, variant=variant, init_seed=trial)
                 records = _random_batch(rng, "r", 4, seq_len, hyper)
                 params = init_params(hyper)
-                tape = Tape()
-                nodes = register_parameters(tape, params)
-                loss = batch_loss(params, hyper, records, tape=tape, param_nodes=nodes)
-                tape.backward(loss)
-                analytic = {
-                    name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
-                    for name, node in nodes.items()
-                }
+                _, analytic = loss_and_grads(params, hyper, records)
 
                 def loss_value(_):
                     return float(batch_loss(params, hyper, records).value[0, 0])
@@ -169,23 +160,24 @@ def test_attention_closed_form_and_gate_pinning(acceptance_log):
     full_hyper = HyperConfig(d_t=9, d_i=7, d_c=5, variant=Variant.FULL, init_seed=8)
     fixed_hyper = replace(full_hyper, variant=Variant.FIXED_ATTENTION)
     full_params = init_params(full_hyper)
-    fixed_params = init_params(fixed_hyper)
-    for name in fixed_params.names:
-        fixed_params.set(name, full_params[name].copy())
+    fixed_params = ModelParams((name, full_params[name]) for name in init_params(fixed_hyper).names)
     rng = np.random.default_rng(400)
-    bitwise = True
+    bitwise = unit_gates = True
     for seq_len, count in ((1, 6), (3, 3)):
         records = _random_batch(rng, f"p{seq_len}-", count, seq_len, full_hyper)
-        pinned = forward_batch(full_params, full_hyper, records, gate_override=(1.0, 1.0))
+        pinned = forward_batch(pin_gates(full_params), full_hyper, records)
         plain = forward_batch(fixed_params, fixed_hyper, records)
         bitwise = bitwise and pinned.logits.tobytes() == plain.logits.tobytes()
+        unit_gates = unit_gates and bool((pinned.alpha_text == 1.0).all()
+                                         and (pinned.alpha_image == 1.0).all())
 
     _report(
         acceptance_log,
         "[2/9] attention closed form",
-        worst_closed <= 1e-12 and worst_rowsum <= 1e-12 and bitwise,
+        worst_closed <= 1e-12 and worst_rowsum <= 1e-12 and bitwise and unit_gates,
         f"L=1 residual-mix error {worst_closed:.2e}, softmax row-sum error "
-        f"{worst_rowsum:.2e} (bounds 1e-12), gate-pinned logits bitwise equal: {bitwise}",
+        f"{worst_rowsum:.2e} (bounds 1e-12), gate-pinned logits bitwise equal: {bitwise}, "
+        f"pinned gates exactly 1: {unit_gates}",
     )
 
 
@@ -253,9 +245,9 @@ def _train_gate_candidate(train_ds, val_ds, backbone, data_seed, index):
     params = init_params(hyper)
     for name, values in backbone.params.items():
         if name in params.names:
-            params.set(name, values.copy())
-    params.set("gate_w_text", np.zeros_like(params["gate_w_text"]))
-    params.set("gate_w_image", np.zeros_like(params["gate_w_image"]))
+            set_param(params, name, values.copy())
+    set_param(params, "gate_w_text", np.zeros_like(params["gate_w_text"]))
+    set_param(params, "gate_w_image", np.zeros_like(params["gate_w_image"]))
 
     config = TrainConfig(seed=init_seed, learning_rate=lr, weight_decay=0.01,
                          batch_size=32, max_epochs=_GATE_EPOCHS)

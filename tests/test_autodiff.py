@@ -12,8 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from mmfuse.autodiff import Tape, as_matrix, finite_difference_check
+from mmfuse.autodiff import Tape, as_matrix
 from mmfuse.errors import DimensionError, InputError, UsageError
+from support import finite_difference_check, sum_all
 
 
 def fd_worst_error(build, arrays, step=1e-5):
@@ -101,7 +102,7 @@ def test_scale_concat_mean_transpose_sum_values():
     assert np.array_equal(t.concat_cols(a, b).value, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
     assert np.array_equal(t.mean_rows(a).value, [[2.0, 3.0]])
     assert np.array_equal(t.transpose(a).value, [[1.0, 3.0], [2.0, 4.0]])
-    assert t.sum_all(a).value[0, 0] == 10.0
+    assert sum_all(t, a).value[0, 0] == 10.0
 
 
 def test_stack_values():
@@ -153,72 +154,72 @@ def test_cross_entropy_values():
 OPS = {
     "matmul": (
         {"a": (3, 4), "b": (4, 2)},
-        lambda t, n: t.sum_all(t.matmul(n["a"], n["b"])),
+        lambda t, n: sum_all(t, t.matmul(n["a"], n["b"])),
     ),
     "add": (
         {"a": (3, 4), "b": (3, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.add(n["a"], n["b"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.add(n["a"], n["b"]), n["w"])),
     ),
     "add_row_bias": (
         {"a": (3, 4), "bias": (1, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.add_row_bias(n["a"], n["bias"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.add_row_bias(n["a"], n["bias"]), n["w"])),
     ),
     "softmax_rows": (
         {"a": (3, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.softmax_rows(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.softmax_rows(n["a"]), n["w"])),
     ),
     "sigmoid": (
         {"a": (3, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.sigmoid(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.sigmoid(n["a"]), n["w"])),
     ),
     "relu": (
         {"a": (3, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.relu(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.relu(n["a"]), n["w"])),
     ),
     "scale_by_scalar": (
         {"a": (3, 4), "s": (1, 1)},
-        lambda t, n: t.sum_all(t.matmul(t.scale_by_scalar(n["a"], n["s"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.scale_by_scalar(n["a"], n["s"]), n["w"])),
     ),
     "scale_rows": (
         {"a": (3, 4), "s": (3, 1)},
-        lambda t, n: t.sum_all(t.matmul(t.scale_rows(n["a"], n["s"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.scale_rows(n["a"], n["s"]), n["w"])),
     ),
     "concat_cols": (
         {"a": (3, 2), "b": (3, 2)},
-        lambda t, n: t.sum_all(t.matmul(t.concat_cols(n["a"], n["b"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.concat_cols(n["a"], n["b"]), n["w"])),
     ),
     "mean_rows": (
         {"a": (5, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.mean_rows(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.mean_rows(n["a"]), n["w"])),
     ),
     "transpose": (
         {"a": (4, 3)},
-        lambda t, n: t.sum_all(t.matmul(t.transpose(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.transpose(n["a"]), n["w"])),
     ),
     # (B, L, d) stacks
     "matmul_stack_by_matrix": (
         {"a": (2, 3, 4), "b": (4, 2)},
-        lambda t, n: t.sum_all(t.matmul(n["a"], n["b"])),
+        lambda t, n: sum_all(t, t.matmul(n["a"], n["b"])),
     ),
     "matmul_stack_by_stack": (
         {"a": (2, 3, 4), "b": (2, 4, 2)},
-        lambda t, n: t.sum_all(t.matmul(n["a"], n["b"])),
+        lambda t, n: sum_all(t, t.matmul(n["a"], n["b"])),
     ),
     "add_broadcast_sequence": (
         {"a": (2, 3, 4), "b": (2, 1, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.add(n["a"], n["b"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.add(n["a"], n["b"]), n["w"])),
     ),
     "softmax_stack": (
         {"a": (2, 3, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.softmax_rows(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.softmax_rows(n["a"]), n["w"])),
     ),
     "mean_rows_stack": (
         {"a": (2, 3, 4)},
-        lambda t, n: t.sum_all(t.matmul(t.mean_rows(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.mean_rows(n["a"]), n["w"])),
     ),
     "transpose_stack": (
         {"a": (2, 4, 3)},
-        lambda t, n: t.sum_all(t.matmul(t.transpose(n["a"]), n["w"])),
+        lambda t, n: sum_all(t, t.matmul(t.transpose(n["a"]), n["w"])),
     ),
 }
 
@@ -259,7 +260,7 @@ def test_composite_graph_gradient():
         s = t.softmax_rows(h)
         g = t.sigmoid(t.matmul(t.mean_rows(s), n["w2"]))
         scaled = t.scale_rows(t.concat_cols(g, g), n["alpha"])
-        return t.sum_all(t.matmul(scaled, n["w3"]))
+        return sum_all(t, t.matmul(scaled, n["w3"]))
 
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
@@ -279,8 +280,8 @@ def test_composite_graph_gradient():
 
 def test_backward_seeds_root_with_one():
     t = Tape()
-    x = t.parameter([[2.0, 3.0]])
-    y = t.sum_all(x)
+    x = t.parameter(as_matrix([[2.0, 3.0]]))
+    y = sum_all(t, x)
     t.backward(y)
     assert np.array_equal(y.grad, [[1.0]])
     assert np.array_equal(x.grad, [[1.0, 1.0]])
@@ -288,8 +289,8 @@ def test_backward_seeds_root_with_one():
 
 def test_gradients_accumulate_for_repeated_parent():
     t = Tape()
-    x = t.parameter([[1.5]])
-    y = t.sum_all(t.add(x, x))
+    x = t.parameter(as_matrix([[1.5]]))
+    y = sum_all(t, t.add(x, x))
     t.backward(y)
     assert np.array_equal(x.grad, [[2.0]])
 
@@ -311,10 +312,10 @@ def test_backward_is_bitwise_deterministic():
 
 def test_unused_branches_get_no_gradient():
     t = Tape()
-    x = t.parameter([[1.0]])
-    unused = t.parameter([[5.0]])
+    x = t.parameter(as_matrix([[1.0]]))
+    unused = t.parameter(as_matrix([[5.0]]))
     t.sigmoid(unused)  # on the tape, off the path
-    y = t.sum_all(x)
+    y = sum_all(t, x)
     t.backward(y)
     assert unused.grad is None
 

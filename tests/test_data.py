@@ -231,9 +231,12 @@ def test_load_errors_are_distinct(tmp_path):
         load(bad_version)
 
     truncated = tmp_path / "trunc.mmfn"
-    truncated.write_bytes(good[:-10])
-    with pytest.raises(TruncatedFileError):
-        load(truncated)
+    for cut in range(len(good)):
+        truncated.write_bytes(good[:cut])
+        with pytest.raises(FileFormatError) as err:
+            load(truncated)
+        if isinstance(err.value, TruncatedFileError):
+            assert f"file ends at byte {cut} but " in str(err.value)
 
     zero_dims = tmp_path / "dims.mmfn"
     zero_dims.write_bytes(good[:16] + struct.pack("<I", 0) + good[20:])
@@ -361,4 +364,3 @@ def test_batches_cover_all_indices_once():
     assert not np.array_equal(np.concatenate(batches(ds, 4, 4)), np.concatenate(chunks))
     with pytest.raises(InputError):
         batches(ds, 0, epoch_seed=0)
-

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mmfuse.autodiff import Tape, finite_difference_check
+from mmfuse.autodiff import Tape
 from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic
 from mmfuse.errors import InputError, UsageError
 from mmfuse.model import (
@@ -22,14 +22,13 @@ from mmfuse.model import (
     _classify,
     _gate_alphas,
     check_params_match,
-    cross_attend,
-    forward,
     forward_batch,
     init_params,
     parameter_shapes,
     predict_labels,
     register_parameters,
 )
+from support import cross_attend, finite_difference_check, forward, pin_gates, set_param
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
 
@@ -127,7 +126,7 @@ def test_params_are_views_into_one_vector():
     assert clone.names == params.names and np.array_equal(clone.flat, params.flat)
     assert not np.shares_memory(clone.flat, params.flat)
     assert not any(np.shares_memory(arr, params.flat) for _, arr in clone.items())
-    params.set("cls_b2", [[1.0, 2.0]])  # the last parameter: the end of the vector
+    set_param(params, "cls_b2", [[1.0, 2.0]])  # the last parameter: the end of the vector
     assert params.flat[-2:].tolist() == [1.0, 2.0]
     assert clone["cls_b2"].tolist() == [[0.0, 0.0]]
 
@@ -139,7 +138,7 @@ def test_params_copy_their_entries():
     params["w"][0, 0] = 5.0
     assert entries[0, 0] == 1.0
     with pytest.raises(InputError):
-        params.set("w", np.ones((3, 2)))
+        set_param(params, "w", np.ones((3, 2)))
 
 
 # -- projections ------------------------------------------------------------------
@@ -148,7 +147,7 @@ def test_params_copy_their_entries():
 def test_identity_projection_passes_features_through():
     config = config_for(Variant.CONCAT, d_t=4, d_c=4)
     params = random_params(config, seed=5)
-    params.set("proj_text", np.eye(4))
+    set_param(params, "proj_text", np.eye(4))
     record = random_record(config, seed=1)
     h_t = forward(params, config, record).projected_text
     assert np.array_equal(h_t, record.text[0])
@@ -223,8 +222,8 @@ def test_cross_attend_single_step_closed_form():
 def test_cross_attend_zero_values_passes_residual():
     config = config_for(Variant.FULL)
     params = random_params(config, seed=11)
-    params.set("attn_v_image", np.zeros((4, 4)))
-    params.set("attn_v_text", np.zeros((4, 4)))
+    set_param(params, "attn_v_image", np.zeros((4, 4)))
+    set_param(params, "attn_v_text", np.zeros((4, 4)))
     rng = np.random.default_rng(12)
     h_t, h_i = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
     att_t, att_i = cross_attend(params, h_t, h_i, config.d_k)
@@ -246,8 +245,8 @@ def gate(params, pooled_text, pooled_image):
 def test_gate_is_half_with_zero_head():
     config = config_for(Variant.FULL)
     params = random_params(config, seed=13)
-    params.set("gate_w_text", np.zeros((5, 1)))
-    params.set("gate_b_text", np.zeros((1, 1)))
+    set_param(params, "gate_w_text", np.zeros((5, 1)))
+    set_param(params, "gate_b_text", np.zeros((1, 1)))
     alpha_t, alpha_i = gate(params, np.ones((1, 4)), np.ones((1, 4)))
     assert alpha_t == 0.5
     assert 0.0 < alpha_i < 1.0
@@ -268,12 +267,6 @@ def test_gate_gradient_matches_finite_differences():
     rng = np.random.default_rng(16)
     pooled_t_arr, pooled_i_arr = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
 
-    def alpha_of(p):
-        tape = Tape(grad=False)
-        pn = register_parameters(tape, ModelParams(p.items()))
-        a_t, _ = _gate_alphas(tape, pn, tape.constant(pooled_t_arr), tape.constant(pooled_i_arr))
-        return float(a_t.value[0, 0])
-
     tape = Tape()
     pn = register_parameters(tape, params)
     alpha_t, _ = _gate_alphas(tape, pn, tape.constant(pooled_t_arr), tape.constant(pooled_i_arr))
@@ -282,7 +275,7 @@ def test_gate_gradient_matches_finite_differences():
     analytic = {"gate_w1": pn["gate_w1"].grad}
 
     def f(arrs):
-        return alpha_of(params)
+        return gate(params, pooled_t_arr, pooled_i_arr)[0]
 
     assert finite_difference_check(f, arrays, analytic, step=1e-5) <= 1e-5
 
@@ -361,22 +354,16 @@ def test_full_forward_matches_straight_line_oracle(l_t, l_i):
 # -- variant wiring -------------------------------------------------------------------
 
 
-def fixed_attention_subset(full_params, config):
-    names = parameter_shapes(config_for(Variant.FIXED_ATTENTION, **{
-        k: getattr(config, k) for k in ("d_t", "d_i", "d_c", "gate_hidden", "cls_hidden")
-    }))
-    return ModelParams((name, full_params[name]) for name in names)
-
-
 def test_pinned_gates_equal_ungated_attention_bitwise():
     full_config = config_for(Variant.FULL)
     fixed_config = config_for(Variant.FIXED_ATTENTION)
     params = random_params(full_config, seed=22)
-    fixed_params = fixed_attention_subset(params, full_config)
+    fixed_params = ModelParams((name, params[name]) for name in parameter_shapes(fixed_config))
     for seed in range(5):
         record = random_record(full_config, seed=30 + seed)
-        pinned = forward(params, full_config, record, gate_override=(1.0, 1.0))
+        pinned = forward(pin_gates(params), full_config, record)
         plain = forward(fixed_params, fixed_config, record)
+        assert pinned.alpha_text == pinned.alpha_image == 1.0
         assert np.array_equal(pinned.logits, plain.logits)
 
 

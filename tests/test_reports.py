@@ -12,12 +12,12 @@ from mmfuse.model import HyperConfig
 from mmfuse.reports import (
     gate_stats_row,
     metrics_row,
-    parse_report,
     render_report,
     report_line,
     write_report,
 )
 from mmfuse.training import TrainConfig, train
+from support import parse_report
 
 
 def test_report_line_preserves_key_order_and_types():

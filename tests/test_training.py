@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmfuse.autodiff import Tape, finite_difference_check
 from mmfuse.data import SyntheticSpec, batches, generate_synthetic, split
 from mmfuse.errors import (
     BadMagicError,
@@ -29,10 +28,8 @@ from mmfuse.model import (
     ModelParams,
     Variant,
     VARIANT_ORDER,
-    forward,
     forward_batch,
     init_params,
-    register_parameters,
 )
 from mmfuse.training import (
     Checkpoint,
@@ -47,6 +44,7 @@ from mmfuse.training import (
     train,
     train_step,
 )
+from support import finite_difference_check, forward, loss_and_grads, pin_gates, set_param
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
 
@@ -65,8 +63,8 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
 def test_loss_is_zero_for_saturated_correct_logits():
     config = HyperConfig(variant=Variant.TEXT_ONLY, **SMALL)
     params = init_params(config)
-    params.set("cls_w1", np.zeros((4, 6)))
-    params.set("cls_b2", [[100.0, -100.0]])  # always confidently "real"
+    set_param(params, "cls_w1", np.zeros((4, 6)))
+    set_param(params, "cls_b2", [[100.0, -100.0]])  # always confidently "real"
     ds = small_dataset(seed=1)
     reals = ds.take(np.flatnonzero(ds.labels == 0)[:8])
     loss = batch_loss(params, config, reals)
@@ -102,14 +100,7 @@ def test_batch_loss_gradient_matches_finite_differences(l_t, l_i):
         SyntheticSpec(n_samples=3, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=4)
     )
 
-    tape = Tape()
-    nodes = register_parameters(tape, params)
-    loss = batch_loss(params, config, records, tape=tape, param_nodes=nodes)
-    tape.backward(loss)
-    analytic = {
-        name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
-        for name, node in nodes.items()
-    }
+    _, analytic = loss_and_grads(params, config, records)
 
     def f(arrays):
         return float(batch_loss(params, config, records).value[0, 0])
@@ -136,28 +127,18 @@ def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    overrides = [None, (1.0, 1.0)] if variant is Variant.FULL else [None]
-    for gate_override in overrides:
-        out = forward_batch(params, hyper, records, gate_override=gate_override)
-        singles = [forward_batch(params, hyper, r, gate_override=gate_override) for r in ones]
+    for p in [params, pin_gates(params)] if variant is Variant.FULL else [params]:
+        out = forward_batch(p, hyper, records)
+        singles = [forward_batch(p, hyper, r) for r in ones]
         assert_close(out.logits, np.concatenate([s.logits for s in singles]))
         if variant is Variant.FULL:
             assert_close(out.alpha_text, np.concatenate([s.alpha_text for s in singles]))
             assert_close(out.alpha_image, np.concatenate([s.alpha_image for s in singles]))
+    if variant is Variant.FULL:  # the last pass ran with pinned gates
+        assert (out.alpha_text == 1.0).all() and (out.alpha_image == 1.0).all()
 
-    def loss_and_grads(batch):
-        tape = Tape()
-        nodes = register_parameters(tape, params)
-        loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=nodes)
-        tape.backward(loss)
-        grads = {
-            name: (node.grad if node.grad is not None else np.zeros_like(params[name]))
-            for name, node in nodes.items()
-        }
-        return loss.value[0, 0], grads
-
-    loss, grads = loss_and_grads(records)
-    singles = [loss_and_grads(r) for r in ones]
+    loss, grads = loss_and_grads(params, hyper, records)
+    singles = [loss_and_grads(params, hyper, r) for r in ones]
     assert_close(loss, np.mean([value for value, _ in singles]))
     for name in params.names:
         assert_close(grads[name], sum(g[name] for _, g in singles) / len(records))
@@ -315,18 +296,12 @@ def test_early_stopping_patience_semantics():
     # learning rate too small to change predictions: F1 never improves
     frozen = TrainConfig(learning_rate=1e-12, max_epochs=10, seed=9)
 
-    _, history0 = train(train_ds, val_ds, hyper, replace_patience(frozen, 0))
+    _, history0 = train(train_ds, val_ds, hyper, replace(frozen, patience=0))
     assert len(history0) == 2  # first epoch sets the best, second fails, stop
-    _, history3 = train(train_ds, val_ds, hyper, replace_patience(frozen, 3))
+    _, history3 = train(train_ds, val_ds, hyper, replace(frozen, patience=3))
     assert len(history3) == 4
     f1s = [h["val_f1"] for h in history3]
     assert max(f1s[1:]) <= f1s[0] + 1e-6
-
-
-def replace_patience(config: TrainConfig, patience: int) -> TrainConfig:
-    from dataclasses import replace
-
-    return replace(config, patience=patience)
 
 
 def test_checkpoint_holds_best_parameters():
@@ -348,8 +323,6 @@ def test_training_is_deterministic():
     ckpt_b, hist_b = train(train_ds, val_ds, hyper, config)
     assert hist_a == hist_b
     assert params_equal(ckpt_a.params, ckpt_b.params)
-
-    from dataclasses import replace
     ckpt_c, _ = train(train_ds, val_ds, hyper, replace(config, seed=99))
     assert not params_equal(ckpt_a.params, ckpt_c.params)
 
@@ -383,8 +356,8 @@ def test_train_step_loop_reproduces_one_epoch_of_train():
 def test_train_step_skips_update_on_non_finite_loss():
     hyper = HyperConfig(variant=Variant.TEXT_ONLY, **SMALL)
     params = init_params(hyper)
-    params.set("cls_w1", np.zeros((4, 6)))
-    params.set("cls_b2", [[1e308, -1e308]])  # a fake record costs an infinite loss
+    set_param(params, "cls_w1", np.zeros((4, 6)))
+    set_param(params, "cls_b2", [[1e308, -1e308]])  # a fake record costs an infinite loss
     ds = small_dataset(seed=17)
     fakes = ds.take(np.flatnonzero(ds.labels == 1)[:4])
     before = params.copy()
@@ -468,15 +441,26 @@ def test_checkpoint_load_errors(tmp_path):
         load_checkpoint(bad_version)
 
     truncated = tmp_path / "trunc.mmck"
-    truncated.write_bytes(good[:-6])
-    with pytest.raises(TruncatedFileError):
-        load_checkpoint(truncated)
+    for cut in range(len(good)):
+        truncated.write_bytes(good[:cut])
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(truncated)
+        if isinstance(err.value, TruncatedFileError):
+            assert f"checkpoint ends at byte {cut} but " in str(err.value)
 
     # corrupt the hyper-block length field so it points past the end
     corrupt_len = tmp_path / "len.mmck"
     corrupt_len.write_bytes(good[:8] + struct.pack("<I", 10 ** 6) + good[12:])
     with pytest.raises(TruncatedFileError):
         load_checkpoint(corrupt_len)
+
+    # a key the hyper-config block sets twice
+    (hyper_len,) = struct.unpack_from("<I", good, 8)
+    repeated = tmp_path / "repeated.mmck"
+    block = good[12:12 + hyper_len] + b"\ninit_seed=7"
+    repeated.write_bytes(good[:8] + struct.pack("<I", len(block)) + block + good[12 + hyper_len:])
+    with pytest.raises(FileFormatError, match="init_seed"):
+        load_checkpoint(repeated)
 
     trailing = tmp_path / "trail.mmck"
     trailing.write_bytes(good + b"\x01")
