@@ -39,6 +39,7 @@ from .errors import (
     UsageError,
     VariantMismatchError,
     VersionMismatchError,
+    WidthMismatchError,
 )
 from .evaluation import (
     GateStatsReport,
@@ -103,6 +104,7 @@ __all__ = [
     "Variant",
     "VariantMismatchError",
     "VersionMismatchError",
+    "WidthMismatchError",
     "apply_master_seed",
     "apply_preset",
     "batch_loss",

@@ -4,14 +4,16 @@ Values are matrices or ``(B, L, d)`` stacks of them: B sequences of L
 rows each. Stack-by-matrix products run as one ``(B*L, d)`` gemm,
 stack-by-stack products multiply matching sequences, softmax normalises
 over the last axis, and ``mean_rows`` pools a stack over its sequence
-axis. Operations append Node objects to a Tape in creation order;
-``Tape.backward`` walks that list in reverse, so gradient accumulation
-follows one fixed order and repeated runs produce bitwise identical
-results. Softmax and cross-entropy are stabilized (max subtraction,
+axis. Softmax and cross-entropy are stabilized (max subtraction,
 log-sum-exp), which keeps every output finite for finite inputs.
 
-Gradients accumulate into ``Node.grad``; run one backward pass per tape,
-or zero the grads yourself before reusing one.
+Each operation is one record: an output buffer and a forward function
+that fills it, run once when the op is called. A tape that records
+gradients keeps its nodes in creation order; ``Tape.backward`` walks them
+in reverse, so gradient accumulation follows one fixed order and repeated
+runs produce bitwise identical results. ``Tape.replay`` reruns the same
+forward functions, in the same order and into the same buffers, on what
+the named ``input`` leaves hold now, without rebuilding the graph.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def _accum(node: "Node", contribution: Array) -> None:
 
 
 class Node:
-    """One value in a computation graph, plus its accumulated gradient."""
+    """One value in a computation graph, plus its accumulated gradient; an
+    op's node also keeps the functions that refill it and push gradients on."""
 
-    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "tape", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "tape", "_forward", "_backward")
 
     def __init__(self, value: Array, op: str, parents: tuple, requires_grad: bool, tape: "Tape"):
         self.value = value
@@ -58,7 +61,8 @@ class Node:
         self.parents = parents
         self.requires_grad = requires_grad
         self.tape = tape
-        self._backward: Callable[[Array], None] | None = None
+        self._forward: Callable[[Array], None] | None = None
+        self._backward: Callable[[Array, Array], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,17 +73,20 @@ class Node:
 
 
 class Tape:
-    """Ordered record of graph nodes; owns the backward traversal.
+    """Ordered record of graph nodes; owns the backward traversal and replay.
 
     ``Tape(grad=False)`` builds a value-only graph with no backward
     closures, which is cheaper for pure evaluation (e.g. finite-difference
     probes and inference). It keeps no node list and its nodes keep no
-    parents, so intermediates are freed as soon as nothing refers to them.
+    parents or forward functions, so intermediates are freed as soon as
+    nothing refers to them.
     """
 
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
         self._nodes: list[Node] = []
+        self._inputs: dict[str, Node] = {}
+        self.root: Node | None = None  # of the last backward; what replay recomputes
 
     def __len__(self) -> int:  # perfbench reads it as the nodes per training step
         return len(self._nodes)
@@ -88,24 +95,50 @@ class Tape:
 
     def constant(self, values, *, name: str = "constant") -> Node:
         """A leaf without gradient: a matrix or a (B, L, d) stack."""
-        return self._node(as_matrix(values, name=name, stack=np.ndim(values) == 3),
-                          "constant", ())
+        return self._leaf(as_matrix(values, name=name, stack=np.ndim(values) == 3), "constant")
 
     def parameter(self, value: Array) -> Node:
         """A leaf that receives gradients (when the tape records them); the
         float64 array is taken as it is, without checks or a copy."""
-        node = Node(value, "parameter", (), self.grad_enabled, self)
-        if self.grad_enabled:
-            self._nodes.append(node)
+        return self._leaf(value, "parameter", requires_grad=True)
+
+    def input(self, name: str, values: Array) -> Node:
+        """A named leaf without gradient for data the caller has checked,
+        taken as it is (no copy, no finite scan). Called again with that
+        name, it points the leaf at new values of the recorded shape."""
+        node = self._inputs.get(name)
+        if node is None:
+            node = self._leaf(values, "input")
+            if self.grad_enabled:  # only these replay; a value-only tape holds no inputs
+                self._inputs[name] = node
+        elif node.value.shape != values.shape:
+            raise UsageError(f"input {name!r} was recorded with shape {node.value.shape}, "
+                             f"got {values.shape}")
+        else:
+            node.value = values
         return node
 
     # -- internals ---------------------------------------------------------
 
-    def _node(self, value: Array, op: str, parents: tuple) -> Node:
+    def _leaf(self, value: Array, op: str, requires_grad: bool = False) -> Node:
+        node = Node(value, op, (), requires_grad and self.grad_enabled, self)
+        if self.grad_enabled and value.dtype.kind == "f":  # integer labels index values
+            self._nodes.append(node)
+        return node
+
+    def _record(self, shape: tuple, op: str, parents: tuple, forward: Callable[[Array], None],
+                backward: Callable[[Array, Array], None]) -> Node:
+        """One op: allocate its output buffer and run ``forward(out)`` into it
+        once. A tape that records gradients keeps the node, its forward for
+        replay and, if it needs a gradient, ``backward(g, out)``."""
+        out = np.empty(shape)
+        forward(out)
         if not self.grad_enabled:
-            return Node(value, op, (), False, self)
-        requires = any(p.requires_grad for p in parents)
-        node = Node(value, op, parents, requires, self)
+            return Node(out, op, (), False, self)
+        node = Node(out, op, parents, any(p.requires_grad for p in parents), self)
+        node._forward = forward
+        if node.requires_grad:
+            node._backward = backward
         self._nodes.append(node)
         return node
 
@@ -115,6 +148,8 @@ class Tape:
                 raise UsageError(f"node from a different tape passed to {type(self).__name__} op")
 
     # -- operations ----------------------------------------------------------
+    # Forward and backward functions read their parents' values when they
+    # run, not when they are made, so a replay sees the current inputs.
 
     def matmul(self, a: Node, b: Node) -> Node:
         """Matrix product. A (B, L, d) stack times a (d, c) matrix runs as one
@@ -124,27 +159,26 @@ class Tape:
         av, bv = a.value, b.value
         if av.shape[-1] != bv.shape[-2] or (bv.ndim == 3 and (av.ndim, len(av)) != (3, len(bv))):
             raise DimensionError(f"matmul: inner dimensions disagree, {av.shape} x {bv.shape}")
-        if av.ndim > bv.ndim:  # a stack times a matrix: one gemm over the stacked rows
-            a2 = av.reshape(-1, av.shape[-1])
-            out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[1:])
-        else:
-            a2, out = None, av @ bv
-        node = self._node(out, "matmul", (a, b))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                if a2 is not None:
-                    g2 = g.reshape(-1, g.shape[-1])
-                    if a.requires_grad:
-                        _accum(a, (g2 @ bv.T).reshape(av.shape))
-                    if b.requires_grad:
-                        _accum(b, a2.T @ g2)
-                    return
+        d, c = bv.shape[-2:]
+        shape = av.shape[:-1] + (c,)
+        stacked = av.ndim > bv.ndim  # a stack times a matrix: one gemm over the stacked rows
+        a_rows, out_rows = ((-1, d), (-1, c)) if stacked else (av.shape, shape)
+
+        def backward(g: Array, out: Array) -> None:
+            av, bv = a.value, b.value
+            if stacked:
+                g2 = g.reshape(-1, c)
                 if a.requires_grad:
-                    _accum(a, g @ bv.swapaxes(-1, -2))
+                    _accum(a, (g2 @ bv.T).reshape(av.shape))
                 if b.requires_grad:
-                    _accum(b, av.swapaxes(-1, -2) @ g)
-            node._backward = backward
-        return node
+                    _accum(b, av.reshape(-1, d).T @ g2)
+                return
+            if a.requires_grad:
+                _accum(a, g @ bv.swapaxes(-1, -2))
+            if b.requires_grad:
+                _accum(b, av.swapaxes(-1, -2) @ g)
+        return self._record(shape, "matmul", (a, b), lambda out: np.matmul(
+            a.value.reshape(a_rows), b.value, out=out.reshape(out_rows)), backward)
 
     def add(self, a: Node, b: Node) -> Node:
         """Elementwise sum. Between two stacks, an operand whose sequence
@@ -155,15 +189,14 @@ class Tape:
                          and 1 in (a_shape[1], b_shape[1]))
         if a_shape != b_shape and not seq_broadcast:
             raise DimensionError(f"add: shapes disagree, {a_shape} vs {b_shape}")
-        node = self._node(a.value + b.value, "add", (a, b))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                if a.requires_grad:
-                    _accum(a, g if g.shape == a_shape else g.sum(axis=1, keepdims=True))
-                if b.requires_grad:
-                    _accum(b, g if g.shape == b_shape else g.sum(axis=1, keepdims=True))
-            node._backward = backward
-        return node
+
+        def backward(g: Array, out: Array) -> None:
+            if a.requires_grad:
+                _accum(a, g if g.shape == a_shape else g.sum(axis=1, keepdims=True))
+            if b.requires_grad:
+                _accum(b, g if g.shape == b_shape else g.sum(axis=1, keepdims=True))
+        return self._record(np.broadcast_shapes(a_shape, b_shape), "add", (a, b),
+                            lambda out: np.add(a.value, b.value, out=out), backward)
 
     def add_row_bias(self, a: Node, bias: Node) -> Node:
         """Add a 1 x n bias row to every row of an m x n matrix."""
@@ -172,66 +205,55 @@ class Tape:
             raise DimensionError(
                 f"add_row_bias: bias must be 1x{a.value.shape[1]}, got {bias.value.shape}"
             )
-        node = self._node(a.value + bias.value, "add_row_bias", (a, bias))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                if a.requires_grad:
-                    _accum(a, g)
-                if bias.requires_grad:
-                    _accum(bias, g.sum(axis=0, keepdims=True))
-            node._backward = backward
-        return node
+
+        def backward(g: Array, out: Array) -> None:
+            if a.requires_grad:
+                _accum(a, g)
+            if bias.requires_grad:
+                _accum(bias, g.sum(axis=0, keepdims=True))
+        return self._record(a.value.shape, "add_row_bias", (a, bias),
+                            lambda out: np.add(a.value, bias.value, out=out), backward)
 
     def softmax_rows(self, a: Node) -> Node:
         """Softmax over the last axis."""
         self._own(a)
-        z = a.value - a.value.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        out = e / e.sum(axis=-1, keepdims=True)
-        node = self._node(out, "softmax_rows", (a,))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                # ds/dx through a row softmax: s * (g - <g, s>)
-                inner = (g * out).sum(axis=-1, keepdims=True)
-                _accum(a, out * (g - inner))
-            node._backward = backward
-        return node
+
+        def forward(out: Array) -> None:
+            e = np.exp(a.value - a.value.max(axis=-1, keepdims=True))
+            np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
+
+        def backward(g: Array, out: Array) -> None:
+            # ds/dx through a row softmax: s * (g - <g, s>)
+            inner = (g * out).sum(axis=-1, keepdims=True)
+            _accum(a, out * (g - inner))
+        return self._record(a.value.shape, "softmax_rows", (a,), forward, backward)
 
     def sigmoid(self, a: Node) -> Node:
         self._own(a)
         # tanh form is stable for large |x| and exact at 0
-        out = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-        node = self._node(out, "sigmoid", (a,))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                _accum(a, g * out * (1.0 - out))
-            node._backward = backward
-        return node
+        return self._record(a.value.shape, "sigmoid", (a,),
+                            lambda out: np.multiply(0.5, 1.0 + np.tanh(0.5 * a.value), out=out),
+                            lambda g, out: _accum(a, g * out * (1.0 - out)))
 
     def relu(self, a: Node) -> Node:
         self._own(a)
-        node = self._node(np.maximum(a.value, 0.0), "relu", (a,))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                _accum(a, g * (a.value > 0.0))
-            node._backward = backward
-        return node
+        return self._record(a.value.shape, "relu", (a,),
+                            lambda out: np.maximum(a.value, 0.0, out=out),
+                            lambda g, out: _accum(a, g * (a.value > 0.0)))
 
     def scale_by_scalar(self, a: Node, s: Node) -> Node:
         """Multiply every entry of a by the single entry of a 1x1 node."""
         self._own(a, s)
         if s.value.shape != (1, 1):
             raise DimensionError(f"scale_by_scalar: scale must be 1x1, got {s.value.shape}")
-        sval = s.value[0, 0]
-        node = self._node(a.value * sval, "scale_by_scalar", (a, s))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                if a.requires_grad:
-                    _accum(a, g * sval)
-                if s.requires_grad:
-                    _accum(s, np.array([[np.vdot(a.value, g)]]))
-            node._backward = backward
-        return node
+
+        def backward(g: Array, out: Array) -> None:
+            if a.requires_grad:
+                _accum(a, g * s.value[0, 0])
+            if s.requires_grad:
+                _accum(s, np.array([[np.vdot(a.value, g)]]))
+        return self._record(a.value.shape, "scale_by_scalar", (a, s),
+                            lambda out: np.multiply(a.value, s.value[0, 0], out=out), backward)
 
     def scale_rows(self, a: Node, s: Node) -> Node:
         """Multiply row i of an m x n matrix by entry i of an m x 1 column."""
@@ -240,15 +262,14 @@ class Tape:
             raise DimensionError(
                 f"scale_rows: scale must be {a.value.shape[0]}x1, got {s.value.shape}"
             )
-        node = self._node(a.value * s.value, "scale_rows", (a, s))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                if a.requires_grad:
-                    _accum(a, g * s.value)
-                if s.requires_grad:
-                    _accum(s, (a.value * g).sum(axis=1, keepdims=True))
-            node._backward = backward
-        return node
+
+        def backward(g: Array, out: Array) -> None:
+            if a.requires_grad:
+                _accum(a, g * s.value)
+            if s.requires_grad:
+                _accum(s, (a.value * g).sum(axis=1, keepdims=True))
+        return self._record(a.value.shape, "scale_rows", (a, s),
+                            lambda out: np.multiply(a.value, s.value, out=out), backward)
 
     def concat_cols(self, a: Node, b: Node) -> Node:
         self._own(a, b)
@@ -257,15 +278,15 @@ class Tape:
                 f"concat_cols: row counts disagree, {a.value.shape} vs {b.value.shape}"
             )
         p = a.value.shape[1]
-        node = self._node(np.concatenate((a.value, b.value), axis=1), "concat_cols", (a, b))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                if a.requires_grad:
-                    _accum(a, g[:, :p])
-                if b.requires_grad:
-                    _accum(b, g[:, p:])
-            node._backward = backward
-        return node
+
+        def backward(g: Array, out: Array) -> None:
+            if a.requires_grad:
+                _accum(a, g[:, :p])
+            if b.requires_grad:
+                _accum(b, g[:, p:])
+        return self._record((a.value.shape[0], p + b.value.shape[1]), "concat_cols", (a, b),
+                            lambda out: np.concatenate((a.value, b.value), axis=1, out=out),
+                            backward)
 
     def mean_rows(self, a: Node) -> Node:
         """Mean over the sequence axis: (B, L, c) -> (B, c); a single
@@ -273,69 +294,84 @@ class Tape:
         self._own(a)
         shape = a.value.shape
         m = shape[-2]
-        # sum then divide by the count, as ndarray.mean does, without its overhead
-        out = (np.add.reduce(a.value, axis=-2) / m).reshape(-1, shape[-1])
-        node = self._node(out, "mean_rows", (a,))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                # the grad buffer broadcasts the pooled gradient over the sequence
-                _accum(a, (g / m).reshape(shape[:-2] + (1, shape[-1])))
-            node._backward = backward
-        return node
+        pooled = shape[:-2] + shape[-1:]
+        # sum then divide by the count, as ndarray.mean does, without its overhead;
+        # the grad buffer broadcasts the pooled gradient over the sequence
+        return self._record((shape[0] if len(shape) == 3 else 1, shape[-1]), "mean_rows", (a,),
+                            lambda out: np.divide(np.add.reduce(a.value, axis=-2), m,
+                                                  out=out.reshape(pooled)),
+                            lambda g, out: _accum(a, (g / m).reshape(shape[:-2] + (1, shape[-1]))))
 
     def transpose(self, a: Node) -> Node:
         """Swap the last two axes."""
         self._own(a)
-        node = self._node(a.value.swapaxes(-1, -2).copy(), "transpose", (a,))
-        if node.requires_grad:
-            def backward(g: Array) -> None:
-                _accum(a, g.swapaxes(-1, -2))
-            node._backward = backward
-        return node
+        return self._record(a.value.swapaxes(-1, -2).shape, "transpose", (a,),
+                            lambda out: np.copyto(out, a.value.swapaxes(-1, -2)),
+                            lambda g, out: _accum(a, g.swapaxes(-1, -2)))
 
     def cross_entropy_logits(self, logits: Node, labels) -> Node:
-        """Mean negative log-likelihood of two-class logits: m x 2 -> 1 x 1."""
+        """Mean negative log-likelihood of two-class logits: m x 2 -> 1 x 1.
+        ``labels`` holds a 0/1 class per row: a sequence, or an ``input``
+        leaf that replay can point at other labels."""
         self._own(logits)
         if logits.value.shape[1] != 2:
             raise DimensionError(
                 f"cross_entropy_logits: logits must be m x 2, got {logits.value.shape}"
             )
         m = logits.value.shape[0]
-        lab = np.asarray(labels)
+        if not isinstance(labels, Node):
+            labels = Node(np.asarray(labels), "input", (), False, self)
+        lab = labels.value
         if lab.shape != (m,):
             raise InputError(f"labels must be a length-{m} sequence, got shape {lab.shape}")
         if not ((lab == 0) | (lab == 1)).all():
             raise InputError("labels must be 0 or 1")
-        lab = lab.astype(np.intp)
-
-        z = logits.value - logits.value.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        sum_e = e.sum(axis=1, keepdims=True)
+        labels.value = lab.astype(np.intp, copy=False)
         rows = np.arange(m)
-        log_probs = z - np.log(sum_e)
-        loss = -log_probs[rows, lab].mean()
-        node = self._node(np.array([[loss]]), "cross_entropy_logits", (logits,))
-        if node.requires_grad:
-            probs = e / sum_e
-            def backward(g: Array) -> None:
-                # d loss / d logits = (softmax - onehot) / m
-                scale = g[0, 0] / m
-                d = probs * scale
-                d[rows, lab] -= scale
-                _accum(logits, d)
-            node._backward = backward
-        return node
+        probs = np.empty((m, 2)) if logits.requires_grad and self.grad_enabled else None
+
+        def forward(out: Array) -> None:
+            z = logits.value - logits.value.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            sum_e = e.sum(axis=1, keepdims=True)
+            log_probs = z - np.log(sum_e)
+            out[0, 0] = -log_probs[rows, labels.value].mean()
+            if probs is not None:
+                np.divide(e, sum_e, out=probs)
+
+        def backward(g: Array, out: Array) -> None:
+            # d loss / d logits = (softmax - onehot) / m
+            scale = g[0, 0] / m
+            d = probs * scale
+            d[rows, labels.value] -= scale
+            _accum(logits, d)
+        return self._record((1, 1), "cross_entropy_logits", (logits,), forward, backward)
 
     # -- traversal -------------------------------------------------------
 
     def backward(self, root: Node) -> None:
-        """Seed the root with gradient 1 and propagate through the tape."""
+        """Seed the root with gradient 1 and propagate through the tape. Grads
+        accumulate: run one backward per tape or per ``replay``, which zeroes them."""
         self._own(root)
         if not self.grad_enabled:
             raise UsageError("backward on a tape created with grad=False")
         if root.value.shape != (1, 1):
             raise UsageError(f"backward root must be 1x1, got shape {root.value.shape}")
+        self.root = root
         _accum(root, np.ones((1, 1)))
         for node in reversed(self._nodes):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                node._backward(node.grad, node.value)
+
+    def replay(self) -> Node:
+        """Rerun every recorded op in order into its own buffer, zero the
+        gradient buffers so the next backward fills them as the last one
+        did, and return that backward's root."""
+        if self.root is None:
+            raise UsageError("replay needs a tape that has run backward")
+        for node in self._nodes:
+            if node._forward is not None:
+                node._forward(node.value)
+            if node.grad is not None:
+                node.grad.fill(0.0)
+        return self.root

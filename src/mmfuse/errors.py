@@ -13,6 +13,10 @@ class InputError(MMFuseError):
     """Caller-supplied data or configuration is invalid."""
 
 
+class WidthMismatchError(DimensionError, InputError):
+    """Records have other feature widths than the model reading them."""
+
+
 class UsageError(MMFuseError):
     """An API was invoked in a way its contract forbids."""
 

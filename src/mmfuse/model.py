@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import Node, Tape, as_matrix
 from .data import Dataset
-from .errors import InputError
+from .errors import InputError, WidthMismatchError
 
 Array = np.ndarray
 
@@ -278,15 +278,16 @@ class BatchOutputs:
 
 
 def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset) -> tuple[Node, Node]:
-    """A batch's two feature stacks as constants on a tape; the batch must
-    hold at least one record, with the model's feature widths."""
+    """A batch's two feature stacks as the tape's input leaves (not scanned
+    again: a Dataset's features are finite); the batch must hold at least
+    one record, with the model's feature widths."""
     if len(batch) == 0:
         raise InputError("a batch needs at least one record")
     if (batch.d_t, batch.d_i) != (config.d_t, config.d_i):
-        raise InputError(f"record widths (d_t={batch.d_t}, d_i={batch.d_i}) do not match the model "
-                         f"(d_t={config.d_t}, d_i={config.d_i})")
-    return (tape.constant(batch.text, name="text_features"),
-            tape.constant(batch.image, name="image_features"))
+        raise WidthMismatchError(
+            f"record widths (d_t={batch.d_t}, d_i={batch.d_i}) do not match the model "
+            f"(d_t={config.d_t}, d_i={config.d_i})")
+    return tape.input("text_features", batch.text), tape.input("image_features", batch.image)
 
 
 def _forward_nodes(params, config, batch) -> dict[str, Node]:

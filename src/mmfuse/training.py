@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,17 +106,32 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     """Mean cross-entropy of a batch of records as a 1x1 graph node.
 
     Pass a tape plus the nodes from register_parameters to read gradients
-    back out after Tape.backward; otherwise a private tape is used.
+    back out after Tape.backward; otherwise a private tape is used. A tape
+    that has run backward on this loss, from these params and hyper-config,
+    is replayed on the batch.
     """
     if tape is None:
         tape = Tape()
+    x_text, x_image = feature_stacks(tape, hyper, batch)
+    labels = tape.input("labels", batch.labels)
+    if tape.root is not None:
+        return tape.replay()
     if param_nodes is None:
         param_nodes = register_parameters(tape, params)
-    nodes = build_logits(tape, param_nodes, hyper, *feature_stacks(tape, hyper, batch))
-    return tape.cross_entropy_logits(nodes["logits"], batch.labels)
+    nodes = build_logits(tape, param_nodes, hyper, x_text, x_image)
+    return tape.cross_entropy_logits(nodes["logits"], labels)
 
 
 # -- optimizer -------------------------------------------------------------------
+
+
+class StepRecording(NamedTuple):
+    """A train_step tape, what it was recorded from, and its gradient vector."""
+
+    flat: np.ndarray
+    hyper: HyperConfig
+    tape: Tape
+    grad: np.ndarray
 
 
 @dataclass
@@ -123,6 +139,8 @@ class OptimizerState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
+    # train_step's StepRecording per batch shape
+    recordings: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def init_optimizer_state(params: ModelParams) -> OptimizerState:
@@ -158,17 +176,24 @@ def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     Gradients accumulate into views of one zeroed vector, so a parameter
     the loss does not reach gets zeros. A non-finite loss is returned
     without updating anything, so the caller decides how to report it.
+
+    The first step at a batch shape records its tape in ``state``; later
+    ones replay it while given the same ``params.flat`` and an equal hyper.
     """
-    tape = Tape()
-    param_nodes = register_parameters(tape, params)
-    loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=param_nodes)
+    key = (batch.text.shape, batch.image.shape)
+    recording = state.recordings.get(key)
+    param_nodes = None
+    if recording is None or recording.flat is not params.flat or recording.hyper != hyper:
+        recording = StepRecording(params.flat, hyper, Tape(), np.zeros_like(params.flat))
+        param_nodes = register_parameters(recording.tape, params)
+        for name, view in params.views(recording.grad).items():
+            param_nodes[name].grad = view
+    loss = batch_loss(params, hyper, batch, tape=recording.tape, param_nodes=param_nodes)
     value = float(loss.value[0, 0])
     if math.isfinite(value):
-        grad = np.zeros_like(params.flat)
-        for name, view in params.views(grad).items():
-            param_nodes[name].grad = view
-        tape.backward(loss)
-        adamw_step(params, grad, state, config)
+        recording.tape.backward(loss)
+        state.recordings[key] = recording
+        adamw_step(params, recording.grad, state, config)
     return value
 
 

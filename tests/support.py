@@ -1,7 +1,7 @@
 """Oracles and stage views that only the tests use.
 
 Each one runs package code (``model._forward_nodes``, ``model._attend``,
-``Tape._node``), so the tests that call them still check what the
+``Tape._record``), so the tests that call them still check what the
 package computes.
 """
 
@@ -58,12 +58,8 @@ def finite_difference_check(
 def sum_all(tape: Tape, a: Node) -> Node:
     """Sum of all entries: m x n -> 1 x 1."""
     tape._own(a)
-    node = tape._node(np.array([[a.value.sum()]]), "sum_all", (a,))
-    if node.requires_grad:
-        def backward(g: Array) -> None:
-            _accum(a, np.full_like(a.value, g[0, 0]))
-        node._backward = backward
-    return node
+    return tape._record((1, 1), "sum_all", (a,), lambda out: np.copyto(out, a.value.sum()),
+                        lambda g, out: _accum(a, np.full_like(a.value, g[0, 0])))
 
 
 def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):

@@ -133,6 +133,11 @@ def test_value_only_tape_frees_intermediates():
     del hidden
     assert value() is None
     assert len(t) == 0 and out.value.shape == (2, 3, 4)
+    features = np.ones((2, 1, 3))
+    held = weakref.ref(features)
+    t.input("features", features)
+    del features
+    assert held() is None  # the tape holds no reference to its inputs
 
 
 def test_cross_entropy_values():

@@ -199,18 +199,20 @@ def test_eval_writes_metrics_row(workspace, tmp_path, capsys):
     assert on_disk == rows
 
 
-def test_eval_dim_mismatch_is_checkpoint_error(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "gate-stats", "perturb"])
+def test_dim_mismatch_is_checkpoint_error(command, workspace, tmp_path, capsys):
     other = tmp_path / "wide.ini"
     other.write_text("[data]\nn_samples = 40\nd_t = 16\nd_i = 12\n")
     assert main(["gen-data", "--config", str(other), "--out", str(tmp_path / "wide")]) == 0
     capsys.readouterr()
     code, _, stderr = run(
-        ["eval", "--data", str(tmp_path / "wide" / "data.mmfn"),
+        [command, "--data", str(tmp_path / "wide" / "data.mmfn"),
          "--checkpoint", str(workspace["full"]), "--out", str(tmp_path / "x")],
         capsys,
     )
     assert code == 3
-    assert stderr.startswith("mmfuse: error:")
+    assert stderr.startswith("mmfuse: error:") and "do not match the model" in stderr
+    assert stderr.count("\n") == 1
 
 
 def test_eval_missing_checkpoint(workspace, tmp_path, capsys):

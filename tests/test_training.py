@@ -368,6 +368,63 @@ def test_train_step_skips_update_on_non_finite_loss():
     assert params_equal(params, before) and state.step_count == 0
 
 
+@pytest.mark.parametrize("seq_len", [1, 3])
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
+    """train_step records its tape once per batch shape, a full batch and the
+    short tail each, and replays it; every step equals a fresh eager tape
+    followed by adamw_step, bit for bit."""
+    hyper = HyperConfig(variant=variant, init_seed=40, **SMALL)
+    ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=8, d_i=6, l_t=seq_len,
+                                          l_i=seq_len, seed=40))
+    params = init_params(hyper)
+    reference = params.copy()
+    state, ref_state = init_optimizer_state(params), init_optimizer_state(reference)
+    config = TrainConfig(learning_rate=0.01, seed=40)
+    recorded = {}
+    for epoch in range(3):
+        for idx in batches(ds, 16, epoch):  # 16, 16, then a tail of 8
+            batch = ds.take(idx)
+            value = train_step(params, hyper, batch, state, config)
+            ref_value, grads = loss_and_grads(reference, hyper, batch)
+            adamw_step(reference, np.concatenate([grads[n].ravel() for n in reference.names]),
+                       ref_state, config)
+            assert np.array_equal(value, ref_value)
+            assert np.array_equal(params.flat, reference.flat)
+            assert np.array_equal(state.first_moment, ref_state.first_moment)
+            assert np.array_equal(state.second_moment, ref_state.second_moment)
+            tape = state.recordings[batch.text.shape, batch.image.shape].tape
+            assert recorded.setdefault(len(batch), tape) is tape
+    assert sorted(recorded) == [8, 16] and len(state.recordings) == 2
+
+
+def test_train_step_records_again_for_other_params_or_hyper():
+    """A recording serves only the parameter vector and hyper-config it was
+    recorded from; one state passed other params, or another hyper-config,
+    records again rather than replaying stale views."""
+    hyper = HyperConfig(variant=Variant.FULL, init_seed=41, **SMALL)
+    batch = small_dataset(n=16, seed=41)
+    config = TrainConfig(learning_rate=0.01)
+    first, second = init_params(hyper), init_params(replace(hyper, init_seed=42))
+    state = init_optimizer_state(first)
+    train_step(first, hyper, batch, state, config)
+    (key, recording), = state.recordings.items()
+
+    first_before, second_before = first.copy(), second.copy()
+    expected, _ = loss_and_grads(second, hyper, batch)
+    assert train_step(second, hyper, batch, state, config) == expected
+    assert params_equal(first, first_before) and not params_equal(second, second_before)
+    assert state.recordings[key].tape is not recording.tape
+    recording = state.recordings[key]
+
+    other_hyper = replace(hyper, init_scale=2.0)  # the same graph, but not the recorded config
+    tapes = []
+    for _ in range(2):
+        train_step(second, other_hyper, batch, state, config)
+        tapes.append(state.recordings[key].tape)
+    assert tapes[0] is not recording.tape and tapes[1] is tapes[0]
+
+
 def test_train_validates_inputs():
     ds = generate_synthetic(SyntheticSpec(n_samples=50, d_t=8, d_i=6, seed=12))
     train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=12)
