@@ -5,7 +5,9 @@ A ``Dataset`` holds its n records as columns: ``ids`` (n strings),
 which modality carries class signal, and the per-modality feature
 sequences as two float64 stacks, ``text`` (n, L_t, d_t) and ``image``
 (n, L_i, d_i). Loading, splitting, batching, perturbing and the forward
-passes all work on these arrays rather than on one object per record.
+passes all work on these arrays rather than on one object per record;
+``load`` walks the records only for their ids and gathers each column
+from the file's bytes at once.
 
 File format (little-endian), magic ``MMFN``, version 1, unchanged by the
 columnar layout::
@@ -22,6 +24,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -274,11 +277,15 @@ def save(dataset: Dataset, path) -> None:
 
 
 def load(path) -> Dataset:
-    """Read a feature file in one pass: each record's feature bytes are
-    copied straight into the two stacks, then labels, provenance and
-    finiteness are checked once over the arrays."""
+    """Read a feature file in two phases. Every record ends in a tail of one
+    size: label, provenance, features. Phase 1 walks the records, decoding
+    the ids and noting where each tail starts. Phase 2 views the file as one
+    tail-sized ``uint8`` row at every byte offset and gathers the codes and
+    the two feature stacks with one fancy index each, so every column is one
+    fresh copy. Labels, provenance and finiteness are checked once after."""
     with open(path, "rb") as fh:
-        reader = ByteReader(fh.read(), "file")
+        data = fh.read()
+    reader = ByteReader(data, "file")
     magic, version = reader.unpack("<4sI")
     if magic != MAGIC:
         raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")
@@ -293,33 +300,35 @@ def load(path) -> Dataset:
         )
     # every record holds at least its fixed fields and its features, so a
     # count the file cannot hold is refused before anything is allocated
-    need, view, pos = reader.need, reader.buf, reader.pos
-    need(pos + n * (6 + text_bytes + image_bytes))
+    tail, size, need, pos = 2 + text_bytes + image_bytes, len(data), reader.need, reader.pos
+    need(pos + n * (4 + tail))
 
-    text, image, codes = bytearray(n * text_bytes), bytearray(n * image_bytes), bytearray(2 * n)
-    ids = []
+    id_len_at = struct.Struct("<I").unpack_from
+    ids, starts = [], array("q")  # packed int64 offsets, not one int object per record
     for k in range(n):
-        need(pos + 4)
-        (id_len,) = struct.unpack_from("<I", view, pos)
+        if pos + 4 > size:
+            need(pos + 4)
+        (id_len,) = id_len_at(data, pos)
         start = pos + 4 + id_len
-        end = start + 2 + text_bytes + image_bytes
-        need(end)
+        pos = start + tail
+        if pos > size:
+            need(pos)
         try:
-            ids.append(str(view[pos + 4:start], "utf-8"))
+            ids.append(data[start - id_len:start].decode("utf-8"))
         except UnicodeDecodeError as err:
             raise FileFormatError(f"record {k}: id is not valid utf-8") from err
-        codes[2 * k:2 * k + 2] = view[start:start + 2]
-        text[k * text_bytes:(k + 1) * text_bytes] = view[start + 2:start + 2 + text_bytes]
-        image[k * image_bytes:(k + 1) * image_bytes] = view[end - image_bytes:end]
-        pos = end
-    if pos != len(view):
-        raise FileFormatError(f"{len(view) - pos} trailing bytes after last record")
+        starts.append(start)
+    if pos != size:
+        raise FileFormatError(f"{size - pos} trailing bytes after last record")
 
-    codes = np.frombuffer(codes, dtype=np.uint8).reshape(n, 2)
+    # with no records a wide header's tail can be longer than the whole file
+    window = np.ndarray((max(size - tail + 1, 0), tail), np.uint8, data, strides=(1, 1))
+    starts = np.frombuffer(starts, np.int64)
+    codes = window[starts, :2]
     try:
         return Dataset(tuple(ids), codes[:, 0], codes[:, 1],
-                       np.frombuffer(text, dtype="<f8").reshape(n, l_t, d_t),
-                       np.frombuffer(image, dtype="<f8").reshape(n, l_i, d_i))
+                       window[starts, 2:2 + text_bytes].view("<f8").reshape(n, l_t, d_t),
+                       window[starts, 2 + text_bytes:].view("<f8").reshape(n, l_i, d_i))
     except InputError as err:
         raise FileFormatError(str(err)) from err
 

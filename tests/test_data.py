@@ -188,11 +188,21 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
 
 def test_round_trip_preserves_multirow_sequences(tmp_path):
     ds = generate_synthetic(SyntheticSpec(n_samples=20, l_t=3, l_i=2, seed=2))
+    # ids of 0 to 18 utf-8 bytes, so every record starts at an irregular offset
+    mixed_ids = Dataset(("", "a", "é", "syn-000003", "記録-四", "🙂" * 4 + "-5") + ds.ids[6:],
+                        ds.labels, ds.provenance, ds.text, ds.image)
+    # no records, dims kept; features wider than a numpy dtype's size cap
+    wide_empty = Dataset((), [], [], np.empty((0, 1, 2**31 - 1)), np.empty((0, 1, 2**29)))
     path = tmp_path / "seq.mmfn"
-    save(ds, path)
-    assert datasets_equal(ds, load(path))
-    save(ds.take([]), path)  # no records, dims kept
-    assert datasets_equal(ds.take([]), load(path))
+    for case in (ds, mixed_ids, ds.take([]), wide_empty):
+        save(case, path)
+        loaded = load(path)
+        assert datasets_equal(case, loaded)
+        assert (loaded.d_t, loaded.d_i, loaded.l_t, loaded.l_i) == (case.d_t, case.d_i, case.l_t, case.l_i)
+        for stack in (loaded.text, loaded.image):
+            assert stack.flags.c_contiguous and stack.flags.writeable
+            stack[...] = 7.0
+        assert datasets_equal(case, load(path))  # the stacks share no memory with the file
 
 
 def test_load_hand_built_file(tmp_path):
@@ -282,9 +292,11 @@ def _small_file(tmp_path, n=5):
 def test_load_errors_name_the_offending_record(tmp_path, k):
     ds, good = _small_file(tmp_path)
     record_bytes = 4 + len(ds.ids[0]) + 2 + 8 * (2 * 3 + 1 * 2)  # every id has one length
-    label_at = struct.calcsize("<4sIQIIII") + k * record_bytes + 4 + len(ds.ids[0])
+    id_at = struct.calcsize("<4sIQIIII") + k * record_bytes + 4
+    label_at = id_at + len(ds.ids[0])
     feature_at = label_at + 2 + 8 * 4
     cases = {
+        "id": good[:id_at] + b"\xff" + good[id_at + 1:],
         "label": good[:label_at] + bytes([2]) + good[label_at + 1:],
         "provenance": good[:label_at + 1] + bytes([9]) + good[label_at + 2:],
         "non-finite": good[:feature_at] + struct.pack("<d", float("nan")) + good[feature_at + 8:],
