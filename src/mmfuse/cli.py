@@ -6,9 +6,13 @@ overrides, writes its outputs plus a ``resolved-config.ini`` echo into
 written atomically and reruns with identical inputs produce byte-identical
 files.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data-file error,
-3 checkpoint error. Failures print a single ``mmfuse: error: ...`` line to
-standard error.
+Exit codes name the input at fault: 0 success, 1 a flag or the config,
+2 the data file or an output, 3 a checkpoint. The helpers that read the data
+file or a checkpoint, or write an output, know which path failed and set the
+code themselves; every other error reaches ``main``, which maps it by class:
+a width or variant mismatch between a checkpoint and its input is 3, an
+``OSError`` 2, and any other package error or ``MemoryError`` 1. A failure
+prints a single ``mmfuse: error: ...`` line to standard error.
 """
 
 from __future__ import annotations
@@ -19,20 +23,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, apply_master_seed, default_config, load_config, render_config
 from .data import Dataset, atomic_write_bytes, generate_synthetic, load, save, split
-from .errors import (
-    DimensionError,
-    FileFormatError,
-    InputError,
-    MMFuseError,
-    UsageError,
-)
+from .errors import MMFuseError, UsageError, VariantMismatchError, WidthMismatchError
 from .evaluation import evaluate, gate_stats
 from .experiments import default_scenarios, run_ablation, run_perturbation_suite
 from .model import Variant
 from .reports import gate_stats_row, metrics_row, report_line, write_report
-from .training import PRESETS, apply_preset, load_checkpoint, save_checkpoint, train
+from .training import PRESETS, Checkpoint, apply_preset, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,31 +49,24 @@ class CommandError(Exception):
         self.message = message
 
 
-def _usage(message: str) -> CommandError:
-    return CommandError(EXIT_USAGE, message)
-
-
 class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through CommandError
-    # instead so usage problems report exit code 1 with a single-line message.
+    # argparse exits with status 2 on bad usage; raise instead so usage
+    # problems exit 1 with a single-line message, like every bad flag.
     def error(self, message):
-        raise _usage(message)
+        raise UsageError(message)
 
 
 # -- shared plumbing ---------------------------------------------------------------
 
 
 def _resolve_config(args) -> RunConfig:
-    try:
-        config = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
-            config = apply_master_seed(config, args.seed)
-        return config
-    except InputError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from exc
+    config = load_config(args.config) if args.config else default_config()
+    return config if args.seed is None else apply_master_seed(config, args.seed)
 
 
 def _prepare_out(args) -> Path:
+    if not args.out:  # Path("") is the working directory
+        raise UsageError("--out must name a directory")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -84,27 +77,39 @@ def _prepare_out(args) -> Path:
     return out_dir
 
 
-def _echo_config(config: RunConfig, out_dir: Path) -> None:
+def _write(path: Path, payload) -> None:
+    """Write one output atomically: a dataset, a checkpoint, the resolved
+    config or report rows."""
     try:
-        atomic_write_bytes(out_dir / "resolved-config.ini", render_config(config).encode("utf-8"))
+        if isinstance(payload, Dataset):
+            save(payload, path)
+        elif isinstance(payload, Checkpoint):
+            save_checkpoint(payload, path)
+        elif isinstance(payload, RunConfig):
+            atomic_write_bytes(path, render_config(payload).encode("utf-8"))
+        else:
+            write_report(path, payload)
     except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write config echo: {exc.strerror or exc}") from exc
+        raise CommandError(EXIT_DATA, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _data_path(args, config: RunConfig) -> str:
     path = getattr(args, "data", None) or config.feature_file
     if not path:
-        raise _usage("no data file: pass --data or set data.feature_file in the config")
+        raise UsageError("no data file: pass --data or set data.feature_file in the config")
     return str(path)
 
 
 def _load_dataset(path: str) -> Dataset:
     try:
-        return load(path)
-    except (FileFormatError, InputError) as exc:
+        dataset = load(path)
+    except MMFuseError as exc:
         raise CommandError(EXIT_DATA, f"data file {path}: {exc}") from exc
     except OSError as exc:
         raise CommandError(EXIT_DATA, f"cannot read data file {path}: {exc.strerror or exc}") from exc
+    if len(dataset) == 0:
+        raise CommandError(EXIT_DATA, f"data file {path} has no records")
+    return dataset
 
 
 def _load_checkpoint(path: str, expected_variant: Variant | None = None):
@@ -118,20 +123,6 @@ def _load_checkpoint(path: str, expected_variant: Variant | None = None):
         ) from exc
 
 
-def _split_dataset(dataset: Dataset, config: RunConfig):
-    try:
-        return split(dataset, config.fractions, seed=config.split_seed)
-    except InputError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from exc
-
-
-def _write_outputs(out_dir: Path, name: str, rows) -> None:
-    try:
-        write_report(out_dir / name, rows)
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write {name}: {exc.strerror or exc}") from exc
-
-
 def _print_rows(rows) -> None:
     for row in rows:
         print(report_line(row))
@@ -143,18 +134,12 @@ def _print_rows(rows) -> None:
 def cmd_gen_data(args) -> int:
     config = _resolve_config(args)
     if config.feature_file:
-        raise _usage("gen-data builds synthetic data; remove data.feature_file from the config")
+        raise UsageError("gen-data builds synthetic data; remove data.feature_file from the config")
     out_dir = _prepare_out(args)
-    _echo_config(config, out_dir)
-    try:
-        dataset = generate_synthetic(config.synthetic)
-    except InputError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from exc
+    _write(out_dir / "resolved-config.ini", config)
+    dataset = generate_synthetic(config.synthetic)
     path = out_dir / "data.mmfn"
-    try:
-        save(dataset, path)
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write {path}: {exc.strerror or exc}") from exc
+    _write(path, dataset)
     print(
         f"wrote {len(dataset)} records "
         f"(d_t={dataset.d_t}, d_i={dataset.d_i}, l_t={dataset.l_t}, l_i={dataset.l_i}) "
@@ -168,29 +153,20 @@ def cmd_train(args) -> int:
     if args.variant is not None:
         config = replace(config, model=replace(config.model, variant=Variant(args.variant)))
     if args.preset is not None:
-        try:
-            config = replace(config, train=apply_preset(config.train, args.preset))
-        except InputError as exc:
-            raise CommandError(EXIT_USAGE, str(exc)) from exc
+        config = replace(config, train=apply_preset(config.train, args.preset))
     data_path = _data_path(args, config)
     config = replace(config, feature_file=data_path)
     out_dir = _prepare_out(args)
-    _echo_config(config, out_dir)
+    _write(out_dir / "resolved-config.ini", config)
 
     dataset = _load_dataset(data_path)
-    train_ds, val_ds, _ = _split_dataset(dataset, config)
-    try:
-        hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
-        checkpoint, history = train(train_ds, val_ds, hyper, config.train)
-    except (InputError, DimensionError) as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from exc
+    train_ds, val_ds, _ = split(dataset, config.fractions, seed=config.split_seed)
+    hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
+    checkpoint, history = train(train_ds, val_ds, hyper, config.train)
 
     checkpoint_path = out_dir / "model.mmck"
-    try:
-        save_checkpoint(checkpoint, checkpoint_path)
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write {checkpoint_path}: {exc.strerror or exc}") from exc
-    _write_outputs(out_dir, "history.jsonl", history)
+    _write(checkpoint_path, checkpoint)
+    _write(out_dir / "history.jsonl", history)
     _print_rows(history)
     print(
         f"saved checkpoint to {checkpoint_path} "
@@ -204,16 +180,13 @@ def cmd_eval(args) -> int:
     data_path = _data_path(args, config)
     config = replace(config, feature_file=data_path)
     out_dir = _prepare_out(args)
-    _echo_config(config, out_dir)
+    _write(out_dir / "resolved-config.ini", config)
 
     checkpoint = _load_checkpoint(args.checkpoint)
     dataset = _load_dataset(data_path)
-    try:
-        report = evaluate(checkpoint.params, checkpoint.hyper, dataset)
-    except (DimensionError, InputError, UsageError) as exc:
-        raise CommandError(EXIT_CHECKPOINT, str(exc)) from exc
+    report = evaluate(checkpoint.params, checkpoint.hyper, dataset)
     rows = [metrics_row("dataset", data_path, report)]
-    _write_outputs(out_dir, "metrics.jsonl", rows)
+    _write(out_dir / "metrics.jsonl", rows)
     _print_rows(rows)
     return EXIT_OK
 
@@ -221,25 +194,17 @@ def cmd_eval(args) -> int:
 def cmd_gate_stats(args) -> int:
     config = _resolve_config(args)
     if args.threshold is not None:
-        try:
-            config = replace(config, eval=replace(config.eval, threshold=args.threshold))
-        except InputError as exc:
-            raise CommandError(EXIT_USAGE, str(exc)) from exc
+        config = replace(config, eval=replace(config.eval, threshold=args.threshold))
     data_path = _data_path(args, config)
     config = replace(config, feature_file=data_path)
     out_dir = _prepare_out(args)
-    _echo_config(config, out_dir)
+    _write(out_dir / "resolved-config.ini", config)
 
-    checkpoint = _load_checkpoint(args.checkpoint)
+    checkpoint = _load_checkpoint(args.checkpoint, expected_variant=Variant.FULL)
     dataset = _load_dataset(data_path)
-    try:
-        stats = gate_stats(
-            checkpoint.params, checkpoint.hyper, dataset, threshold=config.eval.threshold
-        )
-    except (DimensionError, InputError, UsageError) as exc:
-        raise CommandError(EXIT_CHECKPOINT, str(exc)) from exc
+    stats = gate_stats(checkpoint.params, checkpoint.hyper, dataset, threshold=config.eval.threshold)
     rows = [gate_stats_row(stats)]
-    _write_outputs(out_dir, "gate-stats.jsonl", rows)
+    _write(out_dir / "gate-stats.jsonl", rows)
     _print_rows(rows)
     return EXIT_OK
 
@@ -249,24 +214,17 @@ def cmd_ablate(args) -> int:
     data_path = _data_path(args, config)
     config = replace(config, feature_file=data_path)
     out_dir = _prepare_out(args)
-    _echo_config(config, out_dir)
+    _write(out_dir / "resolved-config.ini", config)
 
     dataset = _load_dataset(data_path)
-    splits = _split_dataset(dataset, config)
-    try:
-        hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
-        results, checkpoints = run_ablation(splits, hyper, config.train)
-    except (InputError, DimensionError) as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from exc
+    splits = split(dataset, config.fractions, seed=config.split_seed)
+    hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
+    results, checkpoints = run_ablation(splits, hyper, config.train)
 
     rows = [metrics_row("variant", variant.value, report) for variant, report in results]
-    _write_outputs(out_dir, "ablation.jsonl", rows)
+    _write(out_dir / "ablation.jsonl", rows)
     for variant, checkpoint in checkpoints.items():
-        path = out_dir / f"ablate-{variant.value}.mmck"
-        try:
-            save_checkpoint(checkpoint, path)
-        except OSError as exc:
-            raise CommandError(EXIT_DATA, f"cannot write {path}: {exc.strerror or exc}") from exc
+        _write(out_dir / f"ablate-{variant.value}.mmck", checkpoint)
     _print_rows(rows)
     return EXIT_OK
 
@@ -276,7 +234,7 @@ def cmd_perturb(args) -> int:
     data_path = _data_path(args, config)
     config = replace(config, feature_file=data_path)
     out_dir = _prepare_out(args)
-    _echo_config(config, out_dir)
+    _write(out_dir / "resolved-config.ini", config)
 
     full = _load_checkpoint(args.checkpoint, expected_variant=Variant.FULL)
     baselines = {}
@@ -290,15 +248,10 @@ def cmd_perturb(args) -> int:
         )
     dataset = _load_dataset(data_path)
     scenarios = default_scenarios(config.eval.sigmas, config.eval.noise_seed)
-    try:
-        results = run_perturbation_suite(full, dataset, scenarios, baselines=baselines or None)
-    except DimensionError as exc:
-        raise CommandError(EXIT_CHECKPOINT, str(exc)) from exc
-    except InputError as exc:
-        raise CommandError(EXIT_DATA, str(exc)) from exc
+    results = run_perturbation_suite(full, dataset, scenarios, baselines=baselines or None)
 
     rows = [metrics_row("scenario", label, report) for label, report in results]
-    _write_outputs(out_dir, "perturbation.jsonl", rows)
+    _write(out_dir / "perturbation.jsonl", rows)
     _print_rows(rows)
     return EXIT_OK
 
@@ -373,17 +326,22 @@ def _fail(message, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # non-finite values are refused where they matter (the loss, Dataset),
+        # so numpy's floating-point warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            args = build_parser().parse_args(argv)
+            return args.handler(args)
     except CommandError as err:
         return _fail(err.message, err.code)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else 0
-    except MMFuseError as err:
-        return _fail(err, EXIT_USAGE)
+    except (WidthMismatchError, VariantMismatchError) as err:  # the model does not fit its input
+        return _fail(err, EXIT_CHECKPOINT)
     except OSError as err:
         return _fail(err, EXIT_DATA)
+    except MMFuseError as err:
+        return _fail(err, EXIT_USAGE)
     except MemoryError as err:  # a size within every bound that this host cannot allocate
         return _fail(str(err).strip() or "out of memory", EXIT_USAGE)
 

@@ -139,6 +139,8 @@ def load_config(path) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"config file {path} is not utf-8 text") from None
     return parse_config(text)
 
 

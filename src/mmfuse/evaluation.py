@@ -193,4 +193,7 @@ def perturb_dataset(dataset: Dataset, scenario: PerturbationScenario) -> Dataset
         perturbed = x + (0.0 + scenario.sigma * z[:, :x.shape[1] * x.shape[2]].reshape(x.shape))
     else:
         perturbed = np.zeros_like(x)
-    return replace(dataset, **{side: perturbed})
+    try:
+        return replace(dataset, **{side: perturbed})
+    except InputError as err:  # a sigma large enough to overflow the features
+        raise InputError(f"{scenario.label()}: {err}") from None

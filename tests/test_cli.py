@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmfuse.cli import build_parser, main
 from mmfuse.config import apply_master_seed, load_config, render_config
+from mmfuse.data import Dataset, load, save
 from mmfuse.model import Variant, VARIANT_ORDER
 from mmfuse.training import load_checkpoint, save_checkpoint
 
@@ -255,7 +263,7 @@ def test_gate_stats_on_ungated_variant(workspace, tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "has no gate" in stderr
+    assert "variant" in stderr
 
 
 # -- ablate and perturb ---------------------------------------------------------------
@@ -470,3 +478,177 @@ def test_eval_on_checkpoint_with_bad_config_value(workspace, tmp_path, capsys):
                            "--out", str(tmp_path / "o")], capsys)
     assert code == 3
     assert stderr.count("\n") == 1 and "learning_rate" in stderr
+
+
+def test_non_utf8_config_exits_one(workspace, tmp_path, capsys):
+    code, _, stderr = run(["gen-data", "--config", str(workspace["data"]),
+                           "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and stderr.startswith("mmfuse: error:")
+    assert str(workspace["data"]) in stderr and "utf-8" in stderr
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "gate-stats", "perturb"])
+def test_empty_feature_file_is_data_error(command, workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.mmfn"
+    save(Dataset((), [], [], np.zeros((0, 1, 8)), np.zeros((0, 1, 6))), empty)
+    argv = [command, "--config", str(workspace["config"]), "--data", str(empty),
+            "--out", str(tmp_path / "o")]
+    if command in ("eval", "gate-stats", "perturb"):
+        argv += ["--checkpoint", str(workspace["full"])]
+    code, _, stderr = run(argv, capsys)
+    assert code == 2
+    assert stderr == f"mmfuse: error: data file {empty} has no records\n"
+
+
+@pytest.mark.parametrize("command,extra,message", [
+    ("perturb", "\n[eval]\nsigmas = 1e308\n", "text-noise(sigma=1e+308): record 0"),
+    ("train", "learning_rate = 1e308\n", "loss diverged at epoch 0"),
+])
+def test_overflow_exits_one_with_one_line_and_no_warning(command, extra, message, workspace,
+                                                         tmp_path, capsys):
+    config = tmp_path / "overflow.ini"
+    config.write_text(SMALL_INI + extra)
+    argv = [command, "--config", str(config), "--data", str(workspace["data"]),
+            "--out", str(tmp_path / "o")]
+    if command == "perturb":
+        argv += ["--checkpoint", str(workspace["full"])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, stderr = run(argv, capsys)
+    assert code == 1
+    assert stderr.count("\n") == 1 and message in stderr
+    assert caught == []
+
+
+# -- argv fuzz: the input at fault sets the exit code -------------------------------
+
+FUZZ_CONFIG = {
+    "data": {"n_samples": "40", "d_t": "3", "d_i": "2"},
+    "model": {"d_c": "2", "gate_hidden": "2", "cls_hidden": "2"},
+    "train": {"max_epochs": "1"},
+    "eval": {"sigmas": "0.5"},
+}
+EDGE = ("nan", "inf", "-1", str(2**64), "", "9" * 5000)
+FLOAT_EDGE = tuple(v for v in EDGE if v != str(2**64))  # 2**64 is a fine float
+BAD_CONFIG_VALUES = {
+    ("data", "n_samples"): EDGE,
+    ("data", "seed"): EDGE,
+    ("model", "d_c"): EDGE,
+    ("model", "variant"): EDGE,
+    ("model", "init_scale"): FLOAT_EDGE,
+    ("train", "batch_size"): EDGE,
+    ("train", "learning_rate"): FLOAT_EDGE,
+    ("eval", "threshold"): FLOAT_EDGE,
+    ("eval", "noise_seed"): EDGE,
+}
+BAD_FLAG_VALUES = {
+    "--seed": FLOAT_EDGE,  # any integer >= 0 is a master seed, 2**64 too
+    "--threshold": FLOAT_EDGE,
+    "--variant": EDGE,
+    "--preset": EDGE,
+}
+EXIT_BY_FAULT = {None: 0, "flag": 1, "config": 1, "data": 2, "output": 2, "checkpoint": 3}
+
+
+def render_ini(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A tiny data file, its checkpoints and a broken copy of each kind of file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "tiny.ini").write_text(render_ini(FUZZ_CONFIG))
+    assert main(["gen-data", "--config", str(root / "tiny.ini"), "--out", str(root)]) == 0
+    assert main(["ablate", "--config", str(root / "tiny.ini"), "--data", str(root / "data.mmfn"),
+                 "--out", str(root)]) == 0
+    (root / "empty").write_bytes(b"")
+    (root / "dir").mkdir()
+    (root / "cut.mmfn").write_bytes((root / "data.mmfn").read_bytes()[:100])
+    (root / "cut.mmck").write_bytes((root / "ablate-full.mmck").read_bytes()[:100])
+    save(load(root / "data.mmfn").take([]), root / "none.mmfn")
+    return root
+
+
+def fuzz_case(draw, root, command, out):
+    """The command's argv with at most one fault, and the exit code for its class."""
+    files = {path.name: str(path) for path in root.iterdir()} | {"absent": str(root / "absent")}
+    args = {"--config": files["tiny.ini"], "--out": out}
+    if command != "gen-data":
+        args["--data"] = files["data.mmfn"]
+    if command in ("eval", "gate-stats", "perturb"):
+        args["--checkpoint"] = files["ablate-full.mmck"]
+    if command == "perturb":
+        args["--baseline-text"] = files["ablate-text-only.mmck"]
+        args["--baseline-image"] = files["ablate-image-only.mmck"]
+    flags = ["--seed", *{"train": ["--variant", "--preset"],
+                         "gate-stats": ["--threshold"]}.get(command, [])]
+    faults = [None, "flag", "config", "output"]
+    faults += ["data"] * ("--data" in args) + ["checkpoint"] * ("--checkpoint" in args)
+    fault = draw(st.sampled_from(faults))
+    tail = []
+    if fault is None:
+        if draw(st.booleans()):
+            tail = ["--seed", str(draw(st.integers(0, 2**70)))]
+    elif fault == "flag":
+        how = draw(st.sampled_from([*flags, "empty-out", "unknown", "missing-out"]))
+        if how == "empty-out":
+            args["--out"] = ""
+        elif how == "unknown":
+            tail = ["--no-such-flag"]
+        elif how == "missing-out":
+            del args["--out"]
+        else:
+            tail = [how, draw(st.sampled_from(BAD_FLAG_VALUES[how]))]
+    elif fault == "config":
+        how = draw(st.sampled_from([*BAD_CONFIG_VALUES, "data.mmfn", "dir", "absent"]))
+        if isinstance(how, str):  # a config file that is binary, a directory or missing
+            args["--config"] = files[how]
+        else:
+            section, key = how
+            sections = {name: dict(keys) for name, keys in FUZZ_CONFIG.items()}
+            sections.setdefault(section, {})[key] = draw(st.sampled_from(BAD_CONFIG_VALUES[how]))
+            args["--config"] = out + ".ini"
+            Path(args["--config"]).write_text(render_ini(sections))
+    elif fault == "output":
+        args["--out"] = draw(st.sampled_from([files["data.mmfn"], files["data.mmfn"] + "/sub"]))
+    elif fault == "data":
+        args["--data"] = files[draw(st.sampled_from(
+            ["absent", "cut.mmfn", "ablate-full.mmck", "dir", "empty", "none.mmfn"]))]
+    else:
+        slots = ["--checkpoint"] + ["--baseline-text", "--baseline-image"] * (command == "perturb")
+        slot = draw(st.sampled_from(slots))
+        wrong = ["absent", "cut.mmck", "data.mmfn", "dir", "empty"]
+        if command != "eval":  # gate-stats and perturb read only gated checkpoints here
+            wrong.append("ablate-concat.mmck" if slot == "--checkpoint" else "ablate-full.mmck")
+        args[slot] = files[draw(st.sampled_from(wrong))]
+    argv = [command] + [item for pair in args.items() for item in pair] + tail
+    return argv, EXIT_BY_FAULT[fault]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_fuzz_exit_code_names_the_faulty_input(fuzz_root, tmp_path, monkeypatch, data):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir(exist_ok=True)
+    monkeypatch.chdir(cwd)
+    command = data.draw(st.sampled_from(["gen-data", "train", "eval", "gate-stats", "ablate",
+                                         "perturb"]))
+    argv, expected = fuzz_case(data.draw, fuzz_root, command, str(tmp_path / "out"))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code == expected, err
+    if expected:
+        assert err.count("\n") == 1 and err.startswith("mmfuse: error:")
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+    assert caught == []
+    assert list(cwd.iterdir()) == []  # nothing lands in the working directory

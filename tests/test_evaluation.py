@@ -205,6 +205,14 @@ def test_noise_perturbation_moments_and_determinism():
     assert not np.array_equal(noisy.text, different.text)
 
 
+def test_overflowing_noise_names_the_scenario():
+    ds = one_record(np.zeros((1, 8)), np.zeros((1, 64)))  # some |z| > 1.8 overflows
+    scenario = PerturbationScenario(PerturbationKind.IMAGE_NOISE, sigma=1e308, noise_seed=7)
+    with np.errstate(over="ignore"), pytest.raises(
+            InputError, match=r"^image-noise\(sigma=1e\+308\): record 0: non-finite feature values$"):
+        perturb_dataset(ds, scenario)
+
+
 def test_noise_scales_with_sigma():
     ds = one_record(np.zeros((1, 4000)), np.zeros((1, 1)))
     small = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=0.5, noise_seed=7))
