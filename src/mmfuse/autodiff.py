@@ -4,8 +4,10 @@ Values are matrices or ``(B, L, d)`` stacks of them: B sequences of L
 rows each. Stack-by-matrix products run as one ``(B*L, d)`` gemm,
 stack-by-stack products multiply matching sequences, softmax normalises
 over the last axis, and ``mean_rows`` pools a stack over its sequence
-axis. Softmax and cross-entropy are stabilized (max subtraction,
-log-sum-exp), which keeps every output finite for finite inputs.
+axis. The elementwise ``add`` and ``mul`` broadcast an operand's length-1
+axes, and sum its gradient back over them. Softmax and cross-entropy are
+stabilized (max subtraction, log-sum-exp), which keeps every output
+finite for finite inputs.
 
 Each operation is one record: an output buffer and a forward function
 that fills it, run once when the op is called. A tape that records
@@ -40,6 +42,33 @@ def as_matrix(values, *, name: str = "matrix", stack: bool = False) -> Array:
     return arr
 
 
+def _broadcast(op: str, a: "Node", b: "Node") -> tuple[tuple, tuple, tuple]:
+    """The one shape rule of the elementwise ops: equal ranks and, on each
+    axis, equal sizes or a size of 1. Returns the output shape and, for each
+    operand, the axes it is broadcast over, which its gradient sums over."""
+    a_shape, b_shape = a.value.shape, b.value.shape
+    if a_shape == b_shape:
+        return a_shape, (), ()
+    # one plain loop: eager forward passes run this for every add and mul
+    shape, a_axes, b_axes = list(a_shape), [], []
+    if len(a_shape) == len(b_shape):
+        for k, (m, n) in enumerate(zip(a_shape, b_shape)):
+            if m == 1 != n:
+                shape[k] = n
+                a_axes.append(k)
+            elif n == 1 != m:
+                b_axes.append(k)
+            elif m != n:
+                break
+        else:
+            return tuple(shape), tuple(a_axes), tuple(b_axes)
+    raise DimensionError(f"{op}: shapes do not broadcast, {a_shape} vs {b_shape}")
+
+
+def _unbroadcast(g: Array, axes: tuple) -> Array:
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
 def _accum(node: "Node", contribution: Array) -> None:
     if node.grad is None:
         # ops produce C-ordered values, so this matches zeros_like at a
@@ -52,13 +81,12 @@ class Node:
     """One value in a computation graph, plus its accumulated gradient; an
     op's node also keeps the functions that refill it and push gradients on."""
 
-    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "tape", "_forward", "_backward")
+    __slots__ = ("value", "grad", "op", "requires_grad", "tape", "_forward", "_backward")
 
-    def __init__(self, value: Array, op: str, parents: tuple, requires_grad: bool, tape: "Tape"):
+    def __init__(self, value: Array, op: str, requires_grad: bool, tape: "Tape"):
         self.value = value
         self.grad: Array | None = None
         self.op = op
-        self.parents = parents
         self.requires_grad = requires_grad
         self.tape = tape
         self._forward: Callable[[Array], None] | None = None
@@ -75,10 +103,10 @@ class Node:
 class Tape:
     """Ordered record of graph nodes; owns the backward traversal and replay.
 
-    ``Tape(grad=False)`` builds a value-only graph with no backward
-    closures, which is cheaper for pure evaluation (e.g. finite-difference
-    probes and inference). It keeps no node list and its nodes keep no
-    parents or forward functions, so intermediates are freed as soon as
+    ``Tape(grad=False)`` builds a value-only graph for pure evaluation
+    (e.g. finite-difference probes and inference). Each op still makes its
+    forward and backward functions, but the tape keeps no node list and
+    its nodes keep neither function, so intermediates are freed as soon as
     nothing refers to them.
     """
 
@@ -121,7 +149,7 @@ class Tape:
     # -- internals ---------------------------------------------------------
 
     def _leaf(self, value: Array, op: str, requires_grad: bool = False) -> Node:
-        node = Node(value, op, (), requires_grad and self.grad_enabled, self)
+        node = Node(value, op, requires_grad and self.grad_enabled, self)
         if self.grad_enabled and value.dtype.kind == "f":  # integer labels index values
             self._nodes.append(node)
         return node
@@ -134,8 +162,8 @@ class Tape:
         out = np.empty(shape)
         forward(out)
         if not self.grad_enabled:
-            return Node(out, op, (), False, self)
-        node = Node(out, op, parents, any(p.requires_grad for p in parents), self)
+            return Node(out, op, False, self)
+        node = Node(out, op, any(p.requires_grad for p in parents), self)
         node._forward = forward
         if node.requires_grad:
             node._backward = backward
@@ -181,38 +209,30 @@ class Tape:
             a.value.reshape(a_rows), b.value, out=out.reshape(out_rows)), backward)
 
     def add(self, a: Node, b: Node) -> Node:
-        """Elementwise sum. Between two stacks, an operand whose sequence
-        axis has length 1 is broadcast over the other's sequence."""
+        """Elementwise sum, broadcasting length-1 axes (see ``_broadcast``)."""
         self._own(a, b)
-        a_shape, b_shape = a.value.shape, b.value.shape
-        seq_broadcast = (len(a_shape) == len(b_shape) == 3 and a_shape[::2] == b_shape[::2]
-                         and 1 in (a_shape[1], b_shape[1]))
-        if a_shape != b_shape and not seq_broadcast:
-            raise DimensionError(f"add: shapes disagree, {a_shape} vs {b_shape}")
+        shape, a_axes, b_axes = _broadcast("add", a, b)
 
         def backward(g: Array, out: Array) -> None:
             if a.requires_grad:
-                _accum(a, g if g.shape == a_shape else g.sum(axis=1, keepdims=True))
+                _accum(a, _unbroadcast(g, a_axes))
             if b.requires_grad:
-                _accum(b, g if g.shape == b_shape else g.sum(axis=1, keepdims=True))
-        return self._record(np.broadcast_shapes(a_shape, b_shape), "add", (a, b),
+                _accum(b, _unbroadcast(g, b_axes))
+        return self._record(shape, "add", (a, b),
                             lambda out: np.add(a.value, b.value, out=out), backward)
 
-    def add_row_bias(self, a: Node, bias: Node) -> Node:
-        """Add a 1 x n bias row to every row of an m x n matrix."""
-        self._own(a, bias)
-        if bias.value.shape != (1, a.value.shape[1]):
-            raise DimensionError(
-                f"add_row_bias: bias must be 1x{a.value.shape[1]}, got {bias.value.shape}"
-            )
+    def mul(self, a: Node, b: Node) -> Node:
+        """Elementwise product, broadcasting length-1 axes (see ``_broadcast``)."""
+        self._own(a, b)
+        shape, a_axes, b_axes = _broadcast("mul", a, b)
 
         def backward(g: Array, out: Array) -> None:
             if a.requires_grad:
-                _accum(a, g)
-            if bias.requires_grad:
-                _accum(bias, g.sum(axis=0, keepdims=True))
-        return self._record(a.value.shape, "add_row_bias", (a, bias),
-                            lambda out: np.add(a.value, bias.value, out=out), backward)
+                _accum(a, _unbroadcast(g * b.value, a_axes))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g * a.value, b_axes))
+        return self._record(shape, "mul", (a, b),
+                            lambda out: np.multiply(a.value, b.value, out=out), backward)
 
     def softmax_rows(self, a: Node) -> Node:
         """Softmax over the last axis."""
@@ -240,36 +260,6 @@ class Tape:
         return self._record(a.value.shape, "relu", (a,),
                             lambda out: np.maximum(a.value, 0.0, out=out),
                             lambda g, out: _accum(a, g * (a.value > 0.0)))
-
-    def scale_by_scalar(self, a: Node, s: Node) -> Node:
-        """Multiply every entry of a by the single entry of a 1x1 node."""
-        self._own(a, s)
-        if s.value.shape != (1, 1):
-            raise DimensionError(f"scale_by_scalar: scale must be 1x1, got {s.value.shape}")
-
-        def backward(g: Array, out: Array) -> None:
-            if a.requires_grad:
-                _accum(a, g * s.value[0, 0])
-            if s.requires_grad:
-                _accum(s, np.array([[np.vdot(a.value, g)]]))
-        return self._record(a.value.shape, "scale_by_scalar", (a, s),
-                            lambda out: np.multiply(a.value, s.value[0, 0], out=out), backward)
-
-    def scale_rows(self, a: Node, s: Node) -> Node:
-        """Multiply row i of an m x n matrix by entry i of an m x 1 column."""
-        self._own(a, s)
-        if s.value.shape != (a.value.shape[0], 1):
-            raise DimensionError(
-                f"scale_rows: scale must be {a.value.shape[0]}x1, got {s.value.shape}"
-            )
-
-        def backward(g: Array, out: Array) -> None:
-            if a.requires_grad:
-                _accum(a, g * s.value)
-            if s.requires_grad:
-                _accum(s, (a.value * g).sum(axis=1, keepdims=True))
-        return self._record(a.value.shape, "scale_rows", (a, s),
-                            lambda out: np.multiply(a.value, s.value, out=out), backward)
 
     def concat_cols(self, a: Node, b: Node) -> Node:
         self._own(a, b)
@@ -320,7 +310,7 @@ class Tape:
             )
         m = logits.value.shape[0]
         if not isinstance(labels, Node):
-            labels = Node(np.asarray(labels), "input", (), False, self)
+            labels = Node(np.asarray(labels), "input", False, self)
         lab = labels.value
         if lab.shape != (m,):
             raise InputError(f"labels must be a length-{m} sequence, got shape {lab.shape}")

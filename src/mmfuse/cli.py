@@ -60,7 +60,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else default_config()
+    if args.config == "":  # a bad flag, not an absent one
+        raise UsageError("--config must name a file")
+    config = default_config() if args.config is None else load_config(args.config)
     return config if args.seed is None else apply_master_seed(config, args.seed)
 
 
@@ -94,7 +96,10 @@ def _write(path: Path, payload) -> None:
 
 
 def _data_path(args, config: RunConfig) -> str:
-    path = getattr(args, "data", None) or config.feature_file
+    path = getattr(args, "data", None)
+    if path == "":  # a bad flag, not an absent one
+        raise UsageError("--data must name a file")
+    path = config.feature_file if path is None else path
     if not path:
         raise UsageError("no data file: pass --data or set data.feature_file in the config")
     return str(path)

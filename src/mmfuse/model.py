@@ -198,7 +198,7 @@ def _attend(tape, pn, h_t, h_i, d_k):
     exactly 1.0, so it is the value projection plus the residual, the value
     broadcast over the query positions.
     """
-    inv = tape.constant([[1.0 / sqrt(d_k)]]) if max(h_t.shape[1], h_i.shape[1]) > 1 else None
+    inv = tape.constant([[[1.0 / sqrt(d_k)]]]) if max(h_t.shape[1], h_i.shape[1]) > 1 else None
 
     def direction(h_q, h_kv, w_q, w_k, w_v):
         values = tape.matmul(h_kv, pn[w_v])
@@ -206,7 +206,7 @@ def _attend(tape, pn, h_t, h_i, d_k):
             return tape.add(values, h_q)
         scores = tape.matmul(tape.matmul(h_q, pn[w_q]),
                              tape.transpose(tape.matmul(h_kv, pn[w_k])))
-        weights = tape.softmax_rows(tape.scale_by_scalar(scores, inv))
+        weights = tape.softmax_rows(tape.mul(scores, inv))
         return tape.add(tape.matmul(weights, values), h_q)
 
     att_t = direction(h_t, h_i, "attn_q_text", "attn_k_image", "attn_v_image")
@@ -216,15 +216,15 @@ def _attend(tape, pn, h_t, h_i, d_k):
 
 def _gate_alphas(tape, pn, pooled_t, pooled_i):
     joint = tape.concat_cols(pooled_t, pooled_i)
-    hidden = tape.relu(tape.add_row_bias(tape.matmul(joint, pn["gate_w1"]), pn["gate_b1"]))
-    alpha_t = tape.sigmoid(tape.add_row_bias(tape.matmul(hidden, pn["gate_w_text"]), pn["gate_b_text"]))
-    alpha_i = tape.sigmoid(tape.add_row_bias(tape.matmul(hidden, pn["gate_w_image"]), pn["gate_b_image"]))
+    hidden = tape.relu(tape.add(tape.matmul(joint, pn["gate_w1"]), pn["gate_b1"]))
+    alpha_t = tape.sigmoid(tape.add(tape.matmul(hidden, pn["gate_w_text"]), pn["gate_b_text"]))
+    alpha_i = tape.sigmoid(tape.add(tape.matmul(hidden, pn["gate_w_image"]), pn["gate_b_image"]))
     return alpha_t, alpha_i
 
 
 def _classify(tape, pn, features):
-    hidden = tape.relu(tape.add_row_bias(tape.matmul(features, pn["cls_w1"]), pn["cls_b1"]))
-    return tape.add_row_bias(tape.matmul(hidden, pn["cls_w2"]), pn["cls_b2"])
+    hidden = tape.relu(tape.add(tape.matmul(features, pn["cls_w1"]), pn["cls_b1"]))
+    return tape.add(tape.matmul(hidden, pn["cls_w2"]), pn["cls_b2"])
 
 
 def build_logits(tape, pn, config, x_text, x_image):
@@ -259,8 +259,8 @@ def build_logits(tape, pn, config, x_text, x_image):
                 alpha_t, alpha_i = _gate_alphas(tape, pn, pooled_t, pooled_i)
                 nodes["alpha_text"] = alpha_t
                 nodes["alpha_image"] = alpha_i
-                nodes["fused"] = tape.concat_cols(tape.scale_rows(pooled_t, alpha_t),
-                                                  tape.scale_rows(pooled_i, alpha_i))
+                nodes["fused"] = tape.concat_cols(tape.mul(pooled_t, alpha_t),
+                                                  tape.mul(pooled_i, alpha_i))
             else:
                 nodes["fused"] = tape.concat_cols(pooled_t, pooled_i)
     nodes["logits"] = _classify(tape, pn, nodes["fused"])

@@ -59,7 +59,7 @@ def test_add_and_row_bias_values():
     b = t.constant([[10.0, 20.0], [30.0, 40.0]])
     assert np.array_equal(t.add(a, b).value, [[11.0, 22.0], [33.0, 44.0]])
     bias = t.constant([[1.0, -1.0]])
-    assert np.array_equal(t.add_row_bias(a, bias).value, [[2.0, 1.0], [4.0, 3.0]])
+    assert np.array_equal(t.add(a, bias).value, [[2.0, 1.0], [4.0, 3.0]])
 
 
 def test_softmax_rows_value_and_stability():
@@ -96,8 +96,8 @@ def test_sigmoid_relu_values():
 def test_scale_concat_mean_transpose_sum_values():
     t = Tape()
     a = t.constant([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(t.scale_by_scalar(a, t.constant([[2.0]])).value, [[2.0, 4.0], [6.0, 8.0]])
-    assert np.array_equal(t.scale_rows(a, t.constant([[2.0], [10.0]])).value, [[2.0, 4.0], [30.0, 40.0]])
+    assert np.array_equal(t.mul(a, t.constant([[2.0]])).value, [[2.0, 4.0], [6.0, 8.0]])
+    assert np.array_equal(t.mul(a, t.constant([[2.0], [10.0]])).value, [[2.0, 4.0], [30.0, 40.0]])
     b = t.constant([[5.0], [6.0]])
     assert np.array_equal(t.concat_cols(a, b).value, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
     assert np.array_equal(t.mean_rows(a).value, [[2.0, 3.0]])
@@ -156,18 +156,16 @@ def test_cross_entropy_values():
 # -- gradients against finite differences ------------------------------------
 
 
+def elementwise(op, a, b):
+    """An OPS row for add or mul over operands of shapes a and b."""
+    return ({"a": a, "b": b},
+            lambda t, n: sum_all(t, t.matmul(getattr(t, op)(n["a"], n["b"]), n["w"])))
+
+
 OPS = {
     "matmul": (
         {"a": (3, 4), "b": (4, 2)},
         lambda t, n: sum_all(t, t.matmul(n["a"], n["b"])),
-    ),
-    "add": (
-        {"a": (3, 4), "b": (3, 4)},
-        lambda t, n: sum_all(t, t.matmul(t.add(n["a"], n["b"]), n["w"])),
-    ),
-    "add_row_bias": (
-        {"a": (3, 4), "bias": (1, 4)},
-        lambda t, n: sum_all(t, t.matmul(t.add_row_bias(n["a"], n["bias"]), n["w"])),
     ),
     "softmax_rows": (
         {"a": (3, 4)},
@@ -180,14 +178,6 @@ OPS = {
     "relu": (
         {"a": (3, 4)},
         lambda t, n: sum_all(t, t.matmul(t.relu(n["a"]), n["w"])),
-    ),
-    "scale_by_scalar": (
-        {"a": (3, 4), "s": (1, 1)},
-        lambda t, n: sum_all(t, t.matmul(t.scale_by_scalar(n["a"], n["s"]), n["w"])),
-    ),
-    "scale_rows": (
-        {"a": (3, 4), "s": (3, 1)},
-        lambda t, n: sum_all(t, t.matmul(t.scale_rows(n["a"], n["s"]), n["w"])),
     ),
     "concat_cols": (
         {"a": (3, 2), "b": (3, 2)},
@@ -210,10 +200,6 @@ OPS = {
         {"a": (2, 3, 4), "b": (2, 4, 2)},
         lambda t, n: sum_all(t, t.matmul(n["a"], n["b"])),
     ),
-    "add_broadcast_sequence": (
-        {"a": (2, 3, 4), "b": (2, 1, 4)},
-        lambda t, n: sum_all(t, t.matmul(t.add(n["a"], n["b"]), n["w"])),
-    ),
     "softmax_stack": (
         {"a": (2, 3, 4)},
         lambda t, n: sum_all(t, t.matmul(t.softmax_rows(n["a"]), n["w"])),
@@ -227,15 +213,19 @@ OPS = {
         lambda t, n: sum_all(t, t.matmul(t.transpose(n["a"]), n["w"])),
     ),
 }
-
+# add and mul at equal shapes and at each broadcast the model uses: a bias
+# row, a gate column, a sequence of length 1 and the attention scale; in the
+# last row both operands broadcast
+for op in ("add", "mul"):
+    OPS[op] = elementwise(op, (3, 4), (3, 4))
+    OPS[f"{op}_broadcast_row"] = elementwise(op, (3, 4), (1, 4))
+    OPS[f"{op}_broadcast_column"] = elementwise(op, (3, 4), (3, 1))
+    OPS[f"{op}_broadcast_sequence"] = elementwise(op, (2, 3, 4), (2, 1, 4))
+    OPS[f"{op}_broadcast_scale"] = elementwise(op, (2, 3, 4), (1, 1, 1))
+    OPS[f"{op}_broadcast_both"] = elementwise(op, (3, 1), (1, 4))
 
 # rows of the reducing weight appended so per-entry gradients are informative
-REDUCER_ROWS = {
-    "add": 4, "add_row_bias": 4, "softmax_rows": 4, "sigmoid": 4, "relu": 4,
-    "scale_by_scalar": 4, "scale_rows": 4, "concat_cols": 4, "mean_rows": 4,
-    "transpose": 4, "add_broadcast_sequence": 4, "softmax_stack": 4,
-    "mean_rows_stack": 4, "transpose_stack": 4,
-}
+REDUCER_ROWS = {op: 4 for op in OPS if not op.startswith("matmul")}
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
@@ -261,10 +251,10 @@ def test_cross_entropy_gradient_matches_finite_differences():
 def test_composite_graph_gradient():
     # chain exercising most ops together
     def build(t, n):
-        h = t.relu(t.add_row_bias(t.matmul(n["x"], n["w1"]), n["b1"]))
+        h = t.relu(t.add(t.matmul(n["x"], n["w1"]), n["b1"]))
         s = t.softmax_rows(h)
         g = t.sigmoid(t.matmul(t.mean_rows(s), n["w2"]))
-        scaled = t.scale_rows(t.concat_cols(g, g), n["alpha"])
+        scaled = t.mul(t.concat_cols(g, g), n["alpha"])
         return sum_all(t, t.matmul(scaled, n["w3"]))
 
     for seed in range(10):
@@ -335,14 +325,11 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(DimensionError) as err:
         t.matmul(a, b)
     assert "(2, 3)" in str(err.value)
-    with pytest.raises(DimensionError):
-        t.add(a, t.constant(np.zeros((3, 2))))
-    with pytest.raises(DimensionError):
-        t.add_row_bias(a, t.constant(np.zeros((1, 2))))
-    with pytest.raises(DimensionError):
-        t.scale_by_scalar(a, t.constant(np.zeros((2, 1))))
-    with pytest.raises(DimensionError):
-        t.scale_rows(a, t.constant(np.zeros((3, 1))))
+    for op in (t.add, t.mul):
+        for other in ((3, 2), (1, 2), (3, 1), (2, 1, 3)):  # a size that is not 1 differs, or the rank
+            with pytest.raises(DimensionError) as err:
+                op(a, t.constant(np.zeros(other)))
+            assert "(2, 3)" in str(err.value) and str(other) in str(err.value)
     with pytest.raises(DimensionError):
         t.concat_cols(a, t.constant(np.zeros((3, 3))))
     with pytest.raises(DimensionError):

@@ -488,6 +488,20 @@ def test_non_utf8_config_exits_one(workspace, tmp_path, capsys):
     assert str(workspace["data"]) in stderr and "utf-8" in stderr
 
 
+@pytest.mark.parametrize("command, flag", [("gen-data", "--config"), ("train", "--config"),
+                                           ("train", "--data")])
+def test_empty_path_flag_exits_one(command, flag, workspace, tmp_path, capsys):
+    # an empty value is a bad flag, never the default config or data.feature_file
+    args = {"--config": str(workspace["config"]), "--out": str(tmp_path / "o")}
+    if command == "train":
+        args["--data"] = str(workspace["data"])
+    args[flag] = ""
+    code, stdout, stderr = run([command, *(item for pair in args.items() for item in pair)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"mmfuse: error: {flag} must name a file\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "gate-stats", "perturb"])
 def test_empty_feature_file_is_data_error(command, workspace, tmp_path, capsys):
     empty = tmp_path / "empty.mmfn"
@@ -593,9 +607,10 @@ def fuzz_case(draw, root, command, out):
         if draw(st.booleans()):
             tail = ["--seed", str(draw(st.integers(0, 2**70)))]
     elif fault == "flag":
-        how = draw(st.sampled_from([*flags, "empty-out", "unknown", "missing-out"]))
-        if how == "empty-out":
-            args["--out"] = ""
+        empty = ["--out", "--config"] + ["--data"] * ("--data" in args)
+        how = draw(st.sampled_from([*flags, *empty, "unknown", "missing-out"]))
+        if how in empty:
+            args[how] = ""
         elif how == "unknown":
             tail = ["--no-such-flag"]
         elif how == "missing-out":

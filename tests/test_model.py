@@ -287,7 +287,7 @@ def fuse_classify(params, alpha_text, alpha_image, pooled_text, pooled_image):
     """Pooled features scaled by their gates, concatenated and classified."""
     tape = Tape(grad=False)
     pn = register_parameters(tape, params)
-    scaled = [tape.scale_rows(tape.constant(pooled), tape.constant([[alpha]]))
+    scaled = [tape.mul(tape.constant(pooled), tape.constant([[alpha]]))
               for pooled, alpha in ((pooled_text, alpha_text), (pooled_image, alpha_image))]
     return _classify(tape, pn, tape.concat_cols(*scaled)).value
 
