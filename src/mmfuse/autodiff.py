@@ -299,18 +299,16 @@ class Tape:
                             lambda out: np.copyto(out, a.value.swapaxes(-1, -2)),
                             lambda g, out: _accum(a, g.swapaxes(-1, -2)))
 
-    def cross_entropy_logits(self, logits: Node, labels) -> Node:
+    def cross_entropy_logits(self, logits: Node, labels: Node) -> Node:
         """Mean negative log-likelihood of two-class logits: m x 2 -> 1 x 1.
-        ``labels`` holds a 0/1 class per row: a sequence, or an ``input``
-        leaf that replay can point at other labels."""
-        self._own(logits)
+        ``labels`` is an ``input`` leaf holding a 0/1 class per row, which
+        replay can point at other labels."""
+        self._own(logits, labels)
         if logits.value.shape[1] != 2:
             raise DimensionError(
                 f"cross_entropy_logits: logits must be m x 2, got {logits.value.shape}"
             )
         m = logits.value.shape[0]
-        if not isinstance(labels, Node):
-            labels = Node(np.asarray(labels), "input", False, self)
         lab = labels.value
         if lab.shape != (m,):
             raise InputError(f"labels must be a length-{m} sequence, got shape {lab.shape}")

@@ -31,7 +31,7 @@ from .errors import MMFuseError, UsageError, VariantMismatchError, WidthMismatch
 from .evaluation import evaluate, gate_stats
 from .experiments import default_scenarios, run_ablation, run_perturbation_suite
 from .model import Variant
-from .reports import gate_stats_row, metrics_row, report_line, write_report
+from .reports import gate_stats_row, metrics_row, render_report, write_report
 from .training import PRESETS, Checkpoint, apply_preset, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
@@ -58,15 +58,36 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # -- shared plumbing ---------------------------------------------------------------
 
+_PATH_FLAGS = ("config", "data", "checkpoint", "baseline_text", "baseline_image")
+
 
 def _resolve_config(args) -> RunConfig:
-    if args.config == "":  # a bad flag, not an absent one
-        raise UsageError("--config must name a file")
+    """The config file, or the defaults, with every override flag of the
+    subcommand applied. An empty path value is a bad flag, not an absent one."""
+    for name in _PATH_FLAGS:
+        if getattr(args, name, None) == "":
+            raise UsageError(f"--{name.replace('_', '-')} must name a file")
     config = default_config() if args.config is None else load_config(args.config)
-    return config if args.seed is None else apply_master_seed(config, args.seed)
+    if args.seed is not None:
+        config = apply_master_seed(config, args.seed)
+    if getattr(args, "variant", None) is not None:
+        config = replace(config, model=replace(config.model, variant=Variant(args.variant)))
+    if getattr(args, "preset", None) is not None:
+        config = replace(config, train=apply_preset(config.train, args.preset))
+    if getattr(args, "threshold", None) is not None:
+        config = replace(config, eval=replace(config.eval, threshold=args.threshold))
+    return config
 
 
-def _prepare_out(args) -> Path:
+def _start(args, config: RunConfig) -> tuple[RunConfig, Path]:
+    """Settle the data file, create ``--out`` and echo the config into it."""
+    if hasattr(args, "data"):
+        path = config.feature_file if args.data is None else args.data
+        if not path:
+            raise UsageError("no data file: pass --data or set data.feature_file in the config")
+        config = replace(config, feature_file=path)
+    elif config.feature_file:  # gen-data, whose data file is its output
+        raise UsageError("gen-data builds synthetic data; remove data.feature_file from the config")
     if not args.out:  # Path("") is the working directory
         raise UsageError("--out must name a directory")
     out_dir = Path(args.out)
@@ -76,12 +97,13 @@ def _prepare_out(args) -> Path:
         raise CommandError(
             EXIT_DATA, f"cannot create output directory {out_dir}: {exc.strerror or exc}"
         ) from exc
-    return out_dir
+    _write(out_dir / "resolved-config.ini", config)
+    return config, out_dir
 
 
 def _write(path: Path, payload) -> None:
     """Write one output atomically: a dataset, a checkpoint, the resolved
-    config or report rows."""
+    config or report rows. Report rows are then printed as written."""
     try:
         if isinstance(payload, Dataset):
             save(payload, path)
@@ -93,55 +115,36 @@ def _write(path: Path, payload) -> None:
             write_report(path, payload)
     except OSError as exc:
         raise CommandError(EXIT_DATA, f"cannot write {path}: {exc.strerror or exc}") from exc
+    if isinstance(payload, list):  # outside the mapping: stdout failing is not the file's fault
+        sys.stdout.write(render_report(payload))
 
 
-def _data_path(args, config: RunConfig) -> str:
-    path = getattr(args, "data", None)
-    if path == "":  # a bad flag, not an absent one
-        raise UsageError("--data must name a file")
-    path = config.feature_file if path is None else path
-    if not path:
-        raise UsageError("no data file: pass --data or set data.feature_file in the config")
-    return str(path)
+def _read(load, path: str, code: int, what: str):
+    """``load(path)``, with any failure blamed on ``path`` under exit ``code``."""
+    try:
+        return load(path)
+    except MMFuseError as exc:
+        raise CommandError(code, f"{what} {path}: {exc}") from exc
+    except OSError as exc:
+        raise CommandError(code, f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
 def _load_dataset(path: str) -> Dataset:
-    try:
-        dataset = load(path)
-    except MMFuseError as exc:
-        raise CommandError(EXIT_DATA, f"data file {path}: {exc}") from exc
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot read data file {path}: {exc.strerror or exc}") from exc
+    dataset = _read(load, path, EXIT_DATA, "data file")
     if len(dataset) == 0:
         raise CommandError(EXIT_DATA, f"data file {path} has no records")
     return dataset
 
 
-def _load_checkpoint(path: str, expected_variant: Variant | None = None):
-    try:
-        return load_checkpoint(path, expected_variant=expected_variant)
-    except MMFuseError as exc:
-        raise CommandError(EXIT_CHECKPOINT, f"checkpoint {path}: {exc}") from exc
-    except OSError as exc:
-        raise CommandError(
-            EXIT_CHECKPOINT, f"cannot read checkpoint {path}: {exc.strerror or exc}"
-        ) from exc
+def _load_checkpoint(path: str, variant: Variant | None = None) -> Checkpoint:
+    return _read(functools.partial(load_checkpoint, expected_variant=variant), path,
+                 EXIT_CHECKPOINT, "checkpoint")
 
 
-def _print_rows(rows) -> None:
-    for row in rows:
-        print(report_line(row))
+# -- commands: each gets the resolved config and the created --out ---------------
 
 
-# -- commands -------------------------------------------------------------------
-
-
-def cmd_gen_data(args) -> int:
-    config = _resolve_config(args)
-    if config.feature_file:
-        raise UsageError("gen-data builds synthetic data; remove data.feature_file from the config")
-    out_dir = _prepare_out(args)
-    _write(out_dir / "resolved-config.ini", config)
+def cmd_gen_data(args, config: RunConfig, out_dir: Path) -> None:
     dataset = generate_synthetic(config.synthetic)
     path = out_dir / "data.mmfn"
     _write(path, dataset)
@@ -150,21 +153,10 @@ def cmd_gen_data(args) -> int:
         f"(d_t={dataset.d_t}, d_i={dataset.d_i}, l_t={dataset.l_t}, l_i={dataset.l_i}) "
         f"to {path}"
     )
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = _resolve_config(args)
-    if args.variant is not None:
-        config = replace(config, model=replace(config.model, variant=Variant(args.variant)))
-    if args.preset is not None:
-        config = replace(config, train=apply_preset(config.train, args.preset))
-    data_path = _data_path(args, config)
-    config = replace(config, feature_file=data_path)
-    out_dir = _prepare_out(args)
-    _write(out_dir / "resolved-config.ini", config)
-
-    dataset = _load_dataset(data_path)
+def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
+    dataset = _load_dataset(config.feature_file)
     train_ds, val_ds, _ = split(dataset, config.fractions, seed=config.split_seed)
     hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
     checkpoint, history = train(train_ds, val_ds, hyper, config.train)
@@ -172,93 +164,49 @@ def cmd_train(args) -> int:
     checkpoint_path = out_dir / "model.mmck"
     _write(checkpoint_path, checkpoint)
     _write(out_dir / "history.jsonl", history)
-    _print_rows(history)
     print(
         f"saved checkpoint to {checkpoint_path} "
         f"(best val_f1={checkpoint.best_val_f1!r} at epoch {checkpoint.best_epoch})"
     )
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    config = _resolve_config(args)
-    data_path = _data_path(args, config)
-    config = replace(config, feature_file=data_path)
-    out_dir = _prepare_out(args)
-    _write(out_dir / "resolved-config.ini", config)
-
+def cmd_eval(args, config: RunConfig, out_dir: Path) -> None:
     checkpoint = _load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(data_path)
+    dataset = _load_dataset(config.feature_file)
     report = evaluate(checkpoint.params, checkpoint.hyper, dataset)
-    rows = [metrics_row("dataset", data_path, report)]
-    _write(out_dir / "metrics.jsonl", rows)
-    _print_rows(rows)
-    return EXIT_OK
+    _write(out_dir / "metrics.jsonl", [metrics_row("dataset", config.feature_file, report)])
 
 
-def cmd_gate_stats(args) -> int:
-    config = _resolve_config(args)
-    if args.threshold is not None:
-        config = replace(config, eval=replace(config.eval, threshold=args.threshold))
-    data_path = _data_path(args, config)
-    config = replace(config, feature_file=data_path)
-    out_dir = _prepare_out(args)
-    _write(out_dir / "resolved-config.ini", config)
-
-    checkpoint = _load_checkpoint(args.checkpoint, expected_variant=Variant.FULL)
-    dataset = _load_dataset(data_path)
-    stats = gate_stats(checkpoint.params, checkpoint.hyper, dataset, threshold=config.eval.threshold)
-    rows = [gate_stats_row(stats)]
-    _write(out_dir / "gate-stats.jsonl", rows)
-    _print_rows(rows)
-    return EXIT_OK
+def cmd_gate_stats(args, config: RunConfig, out_dir: Path) -> None:
+    checkpoint = _load_checkpoint(args.checkpoint, Variant.FULL)
+    dataset = _load_dataset(config.feature_file)
+    stats = gate_stats(checkpoint.params, checkpoint.hyper, dataset,
+                       threshold=config.eval.threshold)
+    _write(out_dir / "gate-stats.jsonl", [gate_stats_row(stats)])
 
 
-def cmd_ablate(args) -> int:
-    config = _resolve_config(args)
-    data_path = _data_path(args, config)
-    config = replace(config, feature_file=data_path)
-    out_dir = _prepare_out(args)
-    _write(out_dir / "resolved-config.ini", config)
-
-    dataset = _load_dataset(data_path)
+def cmd_ablate(args, config: RunConfig, out_dir: Path) -> None:
+    dataset = _load_dataset(config.feature_file)
     splits = split(dataset, config.fractions, seed=config.split_seed)
     hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
     results, checkpoints = run_ablation(splits, hyper, config.train)
 
-    rows = [metrics_row("variant", variant.value, report) for variant, report in results]
-    _write(out_dir / "ablation.jsonl", rows)
     for variant, checkpoint in checkpoints.items():
         _write(out_dir / f"ablate-{variant.value}.mmck", checkpoint)
-    _print_rows(rows)
-    return EXIT_OK
+    _write(out_dir / "ablation.jsonl",
+           [metrics_row("variant", variant.value, report) for variant, report in results])
 
 
-def cmd_perturb(args) -> int:
-    config = _resolve_config(args)
-    data_path = _data_path(args, config)
-    config = replace(config, feature_file=data_path)
-    out_dir = _prepare_out(args)
-    _write(out_dir / "resolved-config.ini", config)
-
-    full = _load_checkpoint(args.checkpoint, expected_variant=Variant.FULL)
-    baselines = {}
-    if args.baseline_text:
-        baselines[Variant.TEXT_ONLY] = _load_checkpoint(
-            args.baseline_text, expected_variant=Variant.TEXT_ONLY
-        )
-    if args.baseline_image:
-        baselines[Variant.IMAGE_ONLY] = _load_checkpoint(
-            args.baseline_image, expected_variant=Variant.IMAGE_ONLY
-        )
-    dataset = _load_dataset(data_path)
+def cmd_perturb(args, config: RunConfig, out_dir: Path) -> None:
+    full = _load_checkpoint(args.checkpoint, Variant.FULL)
+    baselines = {variant: _load_checkpoint(path, variant)
+                 for variant, path in ((Variant.TEXT_ONLY, args.baseline_text),
+                                       (Variant.IMAGE_ONLY, args.baseline_image)) if path}
+    dataset = _load_dataset(config.feature_file)
     scenarios = default_scenarios(config.eval.sigmas, config.eval.noise_seed)
-    results = run_perturbation_suite(full, dataset, scenarios, baselines=baselines or None)
-
-    rows = [metrics_row("scenario", label, report) for label, report in results]
-    _write(out_dir / "perturbation.jsonl", rows)
-    _print_rows(rows)
-    return EXIT_OK
+    results = run_perturbation_suite(full, dataset, scenarios, baselines)
+    _write(out_dir / "perturbation.jsonl",
+           [metrics_row("scenario", label, report) for label, report in results])
 
 
 # -- parser -----------------------------------------------------------------------
@@ -335,7 +283,8 @@ def main(argv=None) -> int:
         # so numpy's floating-point warnings would only add stderr lines
         with np.errstate(all="ignore"):
             args = build_parser().parse_args(argv)
-            return args.handler(args)
+            args.handler(args, *_start(args, _resolve_config(args)))
+        return EXIT_OK
     except CommandError as err:
         return _fail(err.message, err.code)
     except SystemExit as exc:  # argparse --help

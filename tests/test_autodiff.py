@@ -141,15 +141,18 @@ def test_value_only_tape_frees_intermediates():
 
 
 def test_cross_entropy_values():
-    t = Tape()
-    even = t.cross_entropy_logits(t.constant([[0.0, 0.0]]), [1])
+    def loss(logits, labels):
+        t = Tape()
+        return t.cross_entropy_logits(t.constant(logits), t.input("labels", np.array(labels)))
+
+    even = loss([[0.0, 0.0]], [1])
     assert abs(even.value[0, 0] - math.log(2.0)) <= 1e-15
-    confident = t.cross_entropy_logits(t.constant([[100.0, -100.0]]), [0])
+    confident = loss([[100.0, -100.0]], [0])
     assert confident.value[0, 0] == 0.0
-    wrong = t.cross_entropy_logits(t.constant([[100.0, -100.0]]), [1])
+    wrong = loss([[100.0, -100.0]], [1])
     assert wrong.value[0, 0] == 200.0
     # mean over rows
-    pair = t.cross_entropy_logits(t.constant([[0.0, 0.0], [0.0, 0.0]]), [0, 1])
+    pair = loss([[0.0, 0.0], [0.0, 0.0]], [0, 1])
     assert abs(pair.value[0, 0] - math.log(2.0)) <= 1e-15
 
 
@@ -244,7 +247,8 @@ def test_cross_entropy_gradient_matches_finite_differences():
         rng = np.random.default_rng(100 + seed)
         labels = rng.integers(0, 2, 5)
         arrays = {"a": uniform(rng, 5, 3), "w": uniform(rng, 3, 2)}
-        build = lambda t, n: t.cross_entropy_logits(t.matmul(n["a"], n["w"]), labels)
+        build = lambda t, n: t.cross_entropy_logits(t.matmul(n["a"], n["w"]),
+                                                    t.input("labels", labels))
         assert fd_worst_error(build, arrays) <= 1e-4
 
 
@@ -296,7 +300,8 @@ def test_backward_is_bitwise_deterministic():
         t = Tape()
         a = t.parameter(rng.normal(size=(4, 5)))
         b = t.parameter(rng.normal(size=(5, 3)))
-        out = t.cross_entropy_logits(t.matmul(t.softmax_rows(t.matmul(a, b)), t.constant(rng.normal(size=(3, 2)))), [0, 1, 1, 0])
+        logits = t.matmul(t.softmax_rows(t.matmul(a, b)), t.constant(rng.normal(size=(3, 2))))
+        out = t.cross_entropy_logits(logits, t.input("labels", np.array([0, 1, 1, 0])))
         t.backward(out)
         return a.grad.copy(), b.grad.copy(), out.value.copy()
 
@@ -333,7 +338,7 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(DimensionError):
         t.concat_cols(a, t.constant(np.zeros((3, 3))))
     with pytest.raises(DimensionError):
-        t.cross_entropy_logits(a, [0, 1])
+        t.cross_entropy_logits(a, t.input("labels", np.array([0, 1])))
     stack = t.constant(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionError):
         t.matmul(stack, t.constant(np.zeros((3, 4, 2))))  # batch sizes differ
@@ -347,9 +352,9 @@ def test_cross_entropy_rejects_bad_labels():
     t = Tape()
     logits = t.constant(np.zeros((2, 2)))
     with pytest.raises(InputError):
-        t.cross_entropy_logits(logits, [0, 2])
+        t.cross_entropy_logits(logits, t.input("bad", np.array([0, 2])))
     with pytest.raises(InputError):
-        t.cross_entropy_logits(logits, [0])
+        t.cross_entropy_logits(logits, t.input("short", np.array([0])))
 
 
 def test_backward_requires_scalar_root():

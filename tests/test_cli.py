@@ -488,18 +488,43 @@ def test_non_utf8_config_exits_one(workspace, tmp_path, capsys):
     assert str(workspace["data"]) in stderr and "utf-8" in stderr
 
 
-@pytest.mark.parametrize("command, flag", [("gen-data", "--config"), ("train", "--config"),
-                                           ("train", "--data")])
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--config"), ("train", "--config"), ("train", "--data"), ("eval", "--data"),
+    ("eval", "--checkpoint"), ("gate-stats", "--checkpoint"), ("perturb", "--checkpoint"),
+    ("perturb", "--baseline-text"), ("perturb", "--baseline-image"),
+])
 def test_empty_path_flag_exits_one(command, flag, workspace, tmp_path, capsys):
-    # an empty value is a bad flag, never the default config or data.feature_file
+    # an empty value is a bad flag, never the default config, data.feature_file or no baseline
     args = {"--config": str(workspace["config"]), "--out": str(tmp_path / "o")}
-    if command == "train":
+    if command != "gen-data":
         args["--data"] = str(workspace["data"])
+    if command in ("eval", "gate-stats", "perturb"):
+        args["--checkpoint"] = str(workspace["full"])
     args[flag] = ""
     code, stdout, stderr = run([command, *(item for pair in args.items() for item in pair)], capsys)
     assert (code, stdout) == (1, "")
     assert stderr == f"mmfuse: error: {flag} must name a file\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, report", [
+    ("train", "history.jsonl"), ("eval", "metrics.jsonl"), ("gate-stats", "gate-stats.jsonl"),
+    ("ablate", "ablation.jsonl"), ("perturb", "perturbation.jsonl"),
+])
+def test_stdout_rows_are_the_report_bytes(command, report, workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [command, "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+            "--out", str(out)]
+    if command in ("eval", "gate-stats", "perturb"):
+        argv += ["--checkpoint", str(workspace["full"])]
+    if command == "perturb":
+        argv += ["--baseline-text", str(workspace["text"]),
+                 "--baseline-image", str(workspace["image"])]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stderr) == (0, "")
+    rows = [line for line in stdout.splitlines(keepends=True) if line.startswith("{")]
+    assert rows == (out / report).read_bytes().decode("utf-8").splitlines(keepends=True)
+    assert rows
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "gate-stats", "perturb"])
@@ -607,7 +632,7 @@ def fuzz_case(draw, root, command, out):
         if draw(st.booleans()):
             tail = ["--seed", str(draw(st.integers(0, 2**70)))]
     elif fault == "flag":
-        empty = ["--out", "--config"] + ["--data"] * ("--data" in args)
+        empty = list(args)  # every flag set so far names a path
         how = draw(st.sampled_from([*flags, *empty, "unknown", "missing-out"]))
         if how in empty:
             args[how] = ""
