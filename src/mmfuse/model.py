@@ -12,7 +12,8 @@ Every forward pass runs on ``(B, L, d)`` stacks of B records at any
 sequence length; a single record is a batch of one. Where a key sequence
 has length 1, the attention softmax runs over one element and is exactly
 1, so that direction reduces to a closed form (value-projected other
-modality plus residual) and computes no scores.
+modality plus residual) and computes no scores. Scoring a file walks
+it in near-equal chunks of at most ``CHUNK`` records, one graph each.
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def build_logits(tape, pn, config, x_text, x_image):
 
 # -- forward passes ------------------------------------------------------------
 
+# most records per scoring graph: its intermediates stay in cache, its set-up amortises
+CHUNK = 2048
+
 
 @dataclass
 class BatchOutputs:
@@ -277,30 +281,41 @@ class BatchOutputs:
     alpha_image: Array | None = None
 
 
-def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset) -> tuple[Node, Node]:
-    """A batch's two feature stacks as the tape's input leaves (not scanned
-    again: a Dataset's features are finite); the batch must hold at least
-    one record, with the model's feature widths."""
+def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset,
+                   rows: slice = slice(None)) -> tuple[Node, Node]:
+    """A batch's two feature stacks, or views of their ``rows``, as the tape's
+    input leaves (not scanned again: a Dataset's features are finite); the
+    batch must hold at least one record, with the model's feature widths."""
     if len(batch) == 0:
         raise InputError("a batch needs at least one record")
     if (batch.d_t, batch.d_i) != (config.d_t, config.d_i):
         raise WidthMismatchError(
             f"record widths (d_t={batch.d_t}, d_i={batch.d_i}) do not match the model "
             f"(d_t={config.d_t}, d_i={config.d_i})")
-    return tape.input("text_features", batch.text), tape.input("image_features", batch.image)
+    return (tape.input("text_features", batch.text[rows]),
+            tape.input("image_features", batch.image[rows]))
 
 
-def _forward_nodes(params, config, batch) -> dict[str, Node]:
+def _forward_nodes(params, config, batch, rows=slice(None)) -> dict[str, Node]:
     tape = Tape(grad=False)
     pn = register_parameters(tape, params)
-    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch))
+    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch, rows))
+
+
+def _outputs(nodes) -> tuple:
+    alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
+    return nodes["logits"].value, *alphas
 
 
 def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset) -> BatchOutputs:
-    """Forward every record of a dataset as one graph."""
-    nodes = _forward_nodes(params, config, batch)
-    alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
-    return BatchOutputs(nodes["logits"].value, *alphas)
+    """Forward a dataset in order, in ceil(n / CHUNK) near-equal chunks of row
+    views: one value-only graph each, of which only the _outputs arrays live
+    on into the next chunk. The first chunk's feature_stacks checks them all."""
+    n = len(batch)
+    k = max(1, -(-n // CHUNK))  # an empty batch is one chunk, which feature_stacks refuses
+    parts = [_outputs(_forward_nodes(params, config, batch, slice(n * j // k, n * (j + 1) // k)))
+             for j in range(k)]
+    return BatchOutputs(*(None if p[0] is None else np.concatenate(p) for p in zip(*parts)))
 
 
 def predict_labels(outputs: BatchOutputs) -> np.ndarray:

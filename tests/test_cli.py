@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mmfuse.cli import build_parser, main
 from mmfuse.config import apply_master_seed, load_config, render_config
 from mmfuse.data import Dataset, load, save
-from mmfuse.model import Variant, VARIANT_ORDER
+from mmfuse.model import CHUNK, Variant, VARIANT_ORDER
 from mmfuse.training import load_checkpoint, save_checkpoint
 
 SMALL_INI = """\
@@ -207,10 +207,10 @@ def test_eval_writes_metrics_row(workspace, tmp_path, capsys):
     assert on_disk == rows
 
 
-@pytest.mark.parametrize("command", ["eval", "gate-stats", "perturb"])
-def test_dim_mismatch_is_checkpoint_error(command, workspace, tmp_path, capsys):
+def assert_width_mismatch_exits_three(command, n_samples, workspace, tmp_path, capsys):
+    """The module's narrow full checkpoint on a file of wider records."""
     other = tmp_path / "wide.ini"
-    other.write_text("[data]\nn_samples = 40\nd_t = 16\nd_i = 12\n")
+    other.write_text(f"[data]\nn_samples = {n_samples}\nd_t = 16\nd_i = 12\n")
     assert main(["gen-data", "--config", str(other), "--out", str(tmp_path / "wide")]) == 0
     capsys.readouterr()
     code, _, stderr = run(
@@ -221,6 +221,15 @@ def test_dim_mismatch_is_checkpoint_error(command, workspace, tmp_path, capsys):
     assert code == 3
     assert stderr.startswith("mmfuse: error:") and "do not match the model" in stderr
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "gate-stats", "perturb"])
+def test_dim_mismatch_is_checkpoint_error(command, workspace, tmp_path, capsys):
+    assert_width_mismatch_exits_three(command, 40, workspace, tmp_path, capsys)
+
+
+def test_dim_mismatch_over_one_scoring_chunk_exits_three(workspace, tmp_path, capsys):
+    assert_width_mismatch_exits_three("eval", 2 * CHUNK + 1, workspace, tmp_path, capsys)
 
 
 def test_eval_missing_checkpoint(workspace, tmp_path, capsys):

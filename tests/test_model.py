@@ -11,10 +11,13 @@ import math
 import numpy as np
 import pytest
 
+from mmfuse import model
 from mmfuse.autodiff import Tape
 from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic
-from mmfuse.errors import InputError, UsageError
+from mmfuse.errors import InputError, UsageError, WidthMismatchError
+from mmfuse.evaluation import evaluate, gate_stats
 from mmfuse.model import (
+    CHUNK,
     HyperConfig,
     ModelParams,
     Variant,
@@ -438,6 +441,64 @@ def test_forward_batch_rejects_mismatched_or_empty_batches():
         forward_batch(params, config, ds.take([]))
     narrow = config_for(Variant.FULL, d_i=5)
     with pytest.raises(InputError):
+        forward_batch(init_params(narrow), narrow, ds)
+
+
+def random_dataset(n, l_t=1, l_i=1, seed=0):
+    """n random records at the SMALL widths, built straight from arrays."""
+    rng = np.random.default_rng(seed)
+    return Dataset([f"r{i}" for i in range(n)], rng.integers(0, 2, n), rng.integers(0, 4, n),
+                   rng.normal(size=(n, l_t, SMALL["d_t"])), rng.normal(size=(n, l_i, SMALL["d_i"])))
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL, Variant.CONCAT])
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
+@pytest.mark.parametrize("n", [CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_forward_batch_walks_near_equal_chunks_bitwise(n, lengths, variant):
+    config = config_for(variant)
+    params = random_params(config, seed=3)
+    ds = random_dataset(n, *lengths, seed=n)
+    k = -(-n // CHUNK)
+    bounds = [(n * j // k, n * (j + 1) // k) for j in range(k)]
+    sizes = [hi - lo for lo, hi in bounds]
+    assert sum(sizes) == n and max(sizes) - min(sizes) <= 1 and min(sizes) >= CHUNK // 2
+
+    seen = []  # per graph built: its record count, and whether its inputs view the file's stacks
+    build = model.build_logits
+
+    def spy(tape, pn, config, x_text, x_image):
+        views = np.shares_memory(x_text.value, ds.text) and np.shares_memory(x_image.value, ds.image)
+        seen.append((len(x_text.value), views))
+        return build(tape, pn, config, x_text, x_image)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "build_logits", spy)
+        out = forward_batch(params, config, ds)
+    assert seen == [(size, True) for size in sizes]
+
+    def assert_matches(graphs):
+        assert np.array_equal(out.logits, np.concatenate([g["logits"].value for g in graphs]))
+        for key in ("alpha_text", "alpha_image"):
+            if variant is Variant.FULL:
+                expected = np.concatenate([g[key].value[:, 0] for g in graphs])
+                assert np.array_equal(getattr(out, key), expected)
+            else:
+                assert getattr(out, key) is None
+
+    assert_matches([model._forward_nodes(params, config, ds.take(range(lo, hi))) for lo, hi in bounds])
+    if n <= CHUNK:  # one whole-file graph, as before chunking
+        assert_matches([model._forward_nodes(params, config, ds)])
+
+
+def test_scoring_a_file_over_one_chunk_counts_every_record():
+    config = config_for(Variant.FULL)
+    params = random_params(config, seed=4)
+    ds = random_dataset(2 * CHUNK + 1, seed=5)
+    report = evaluate(params, config, ds)
+    assert report.tp + report.fp + report.tn + report.fn == len(ds)
+    assert gate_stats(params, config, ds).n_records == len(ds)
+    narrow = config_for(Variant.FULL, d_i=5)
+    with pytest.raises(WidthMismatchError):
         forward_batch(init_params(narrow), narrow, ds)
 
 
