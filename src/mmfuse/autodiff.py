@@ -11,15 +11,18 @@ finite for finite inputs.
 
 Each operation is one record: an output buffer and a forward function
 that fills it, run once when the op is called. A tape that records
-gradients keeps its nodes in creation order; ``Tape.backward`` walks them
-in reverse, so gradient accumulation follows one fixed order and repeated
-runs produce bitwise identical results. ``Tape.replay`` reruns the same
-forward functions, in the same order and into the same buffers, on what
-the named ``input`` leaves hold now, without rebuilding the graph.
+gradients keeps its nodes in creation order and counts each op's
+consumers; ``Tape.backward`` walks them in reverse, so gradients follow
+one fixed order and repeated runs produce bitwise identical results. An
+op's only consumer hands it its gradient; parameters and other ops add up
+theirs in a buffer. ``Tape.replay`` reruns the same forward functions, in
+the same order and into the same buffers, on what the named ``input``
+leaves hold now, without rebuilding the graph.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -66,22 +69,25 @@ def _broadcast(op: str, a: "Node", b: "Node") -> tuple[tuple, tuple, tuple]:
 
 
 def _unbroadcast(g: Array, axes: tuple) -> Array:
-    return g.sum(axis=axes, keepdims=True) if axes else g
+    return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
 
 
-def _accum(node: "Node", contribution: Array) -> None:
+def _give(node: "Node", contribution: Array) -> None:
+    """Pass ``node`` a consumer's contribution, of its full shape; the only
+    consumer's becomes its gradient, unwritten until replay drops it."""
     if node.grad is None:
-        # ops produce C-ordered values, so this matches zeros_like at a
-        # third of its call overhead
-        node.grad = np.zeros(node.value.shape)
+        if node.consumers == 1:
+            node.grad = contribution
+            return
+        node.grad = np.zeros(node.value.shape)  # C-ordered like zeros_like, at a third of its cost
+        node.tape._zero.append(node.grad.fill)
     node.grad += contribution  # in place: a preset grad may be a view into a caller's buffer
 
 
 class Node:
-    """One value in a computation graph, plus its accumulated gradient; an
-    op's node also keeps the functions that refill it and push gradients on."""
+    """One value in a computation graph, plus its gradient."""
 
-    __slots__ = ("value", "grad", "op", "requires_grad", "tape", "_forward", "_backward")
+    __slots__ = ("value", "grad", "op", "requires_grad", "tape", "consumers")
 
     def __init__(self, value: Array, op: str, requires_grad: bool, tape: "Tape"):
         self.value = value
@@ -89,8 +95,7 @@ class Node:
         self.op = op
         self.requires_grad = requires_grad
         self.tape = tape
-        self._forward: Callable[[Array], None] | None = None
-        self._backward: Callable[[Array, Array], None] | None = None
+        self.consumers = 0  # ops recorded on it that pass it a gradient; leaves count none
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,16 +110,17 @@ class Tape:
 
     ``Tape(grad=False)`` builds a value-only graph for pure evaluation
     (e.g. finite-difference probes and inference). Each op still makes its
-    forward and backward functions, but the tape keeps no node list and
-    its nodes keep neither function, so intermediates are freed as soon as
-    nothing refers to them.
+    forward and backward functions, but the tape keeps neither them nor a
+    node list and counts no consumers, so intermediates are freed as soon
+    as nothing refers to them.
     """
 
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
         self._nodes: list[Node] = []
         self._inputs: dict[str, Node] = {}
-        self.root: Node | None = None  # of the last backward; what replay recomputes
+        self.root: Node | None = None  # of the first backward; what replay recomputes
+        self._forwards, self._handed, self._zero, self._steps = [], [], [], []
 
     def __len__(self) -> int:  # perfbench reads it as the nodes per training step
         return len(self._nodes)
@@ -164,9 +170,12 @@ class Tape:
         if not self.grad_enabled:
             return Node(out, op, False, self)
         node = Node(out, op, any(p.requires_grad for p in parents), self)
-        node._forward = forward
+        self._forwards.append(partial(forward, out))
         if node.requires_grad:
-            node._backward = backward
+            self._steps.append((backward, node, out))
+            for p in parents:
+                if p.requires_grad and p.op != "parameter":
+                    p.consumers += 1
         self._nodes.append(node)
         return node
 
@@ -197,14 +206,14 @@ class Tape:
             if stacked:
                 g2 = g.reshape(-1, c)
                 if a.requires_grad:
-                    _accum(a, (g2 @ bv.T).reshape(av.shape))
+                    _give(a, (g2 @ bv.T).reshape(av.shape))
                 if b.requires_grad:
-                    _accum(b, av.reshape(-1, d).T @ g2)
+                    _give(b, av.reshape(-1, d).T @ g2)
                 return
             if a.requires_grad:
-                _accum(a, g @ bv.swapaxes(-1, -2))
+                _give(a, g @ bv.swapaxes(-1, -2))
             if b.requires_grad:
-                _accum(b, av.swapaxes(-1, -2) @ g)
+                _give(b, av.swapaxes(-1, -2) @ g)
         return self._record(shape, "matmul", (a, b), lambda out: np.matmul(
             a.value.reshape(a_rows), b.value, out=out.reshape(out_rows)), backward)
 
@@ -215,9 +224,9 @@ class Tape:
 
         def backward(g: Array, out: Array) -> None:
             if a.requires_grad:
-                _accum(a, _unbroadcast(g, a_axes))
+                _give(a, _unbroadcast(g, a_axes))
             if b.requires_grad:
-                _accum(b, _unbroadcast(g, b_axes))
+                _give(b, _unbroadcast(g, b_axes))
         return self._record(shape, "add", (a, b),
                             lambda out: np.add(a.value, b.value, out=out), backward)
 
@@ -228,9 +237,9 @@ class Tape:
 
         def backward(g: Array, out: Array) -> None:
             if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.value, a_axes))
+                _give(a, _unbroadcast(g * b.value, a_axes))
             if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.value, b_axes))
+                _give(b, _unbroadcast(g * a.value, b_axes))
         return self._record(shape, "mul", (a, b),
                             lambda out: np.multiply(a.value, b.value, out=out), backward)
 
@@ -239,13 +248,13 @@ class Tape:
         self._own(a)
 
         def forward(out: Array) -> None:
-            e = np.exp(a.value - a.value.max(axis=-1, keepdims=True))
-            np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
+            e = np.exp(a.value - np.maximum.reduce(a.value, axis=-1, keepdims=True))
+            np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
         def backward(g: Array, out: Array) -> None:
             # ds/dx through a row softmax: s * (g - <g, s>)
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            _accum(a, out * (g - inner))
+            inner = np.add.reduce(g * out, axis=-1, keepdims=True)
+            _give(a, out * (g - inner))
         return self._record(a.value.shape, "softmax_rows", (a,), forward, backward)
 
     def sigmoid(self, a: Node) -> Node:
@@ -253,13 +262,13 @@ class Tape:
         # tanh form is stable for large |x| and exact at 0
         return self._record(a.value.shape, "sigmoid", (a,),
                             lambda out: np.multiply(0.5, 1.0 + np.tanh(0.5 * a.value), out=out),
-                            lambda g, out: _accum(a, g * out * (1.0 - out)))
+                            lambda g, out: _give(a, g * out * (1.0 - out)))
 
     def relu(self, a: Node) -> Node:
         self._own(a)
         return self._record(a.value.shape, "relu", (a,),
                             lambda out: np.maximum(a.value, 0.0, out=out),
-                            lambda g, out: _accum(a, g * (a.value > 0.0)))
+                            lambda g, out: _give(a, g * (a.value > 0.0)))
 
     def concat_cols(self, a: Node, b: Node) -> Node:
         self._own(a, b)
@@ -271,9 +280,9 @@ class Tape:
 
         def backward(g: Array, out: Array) -> None:
             if a.requires_grad:
-                _accum(a, g[:, :p])
+                _give(a, g[:, :p])
             if b.requires_grad:
-                _accum(b, g[:, p:])
+                _give(b, g[:, p:])
         return self._record((a.value.shape[0], p + b.value.shape[1]), "concat_cols", (a, b),
                             lambda out: np.concatenate((a.value, b.value), axis=1, out=out),
                             backward)
@@ -286,18 +295,19 @@ class Tape:
         m = shape[-2]
         pooled = shape[:-2] + shape[-1:]
         # sum then divide by the count, as ndarray.mean does, without its overhead;
-        # the grad buffer broadcasts the pooled gradient over the sequence
+        # the pooled gradient is repeated over the sequence to the input's full shape
         return self._record((shape[0] if len(shape) == 3 else 1, shape[-1]), "mean_rows", (a,),
                             lambda out: np.divide(np.add.reduce(a.value, axis=-2), m,
                                                   out=out.reshape(pooled)),
-                            lambda g, out: _accum(a, (g / m).reshape(shape[:-2] + (1, shape[-1]))))
+                            lambda g, out: _give(a, (g / m).reshape(
+                                shape[:-2] + (1, shape[-1])).repeat(m, axis=-2)))
 
     def transpose(self, a: Node) -> Node:
         """Swap the last two axes."""
         self._own(a)
         return self._record(a.value.swapaxes(-1, -2).shape, "transpose", (a,),
                             lambda out: np.copyto(out, a.value.swapaxes(-1, -2)),
-                            lambda g, out: _accum(a, g.swapaxes(-1, -2)))
+                            lambda g, out: _give(a, g.swapaxes(-1, -2)))
 
     def cross_entropy_logits(self, logits: Node, labels: Node) -> Node:
         """Mean negative log-likelihood of two-class logits: m x 2 -> 1 x 1.
@@ -319,11 +329,11 @@ class Tape:
         probs = np.empty((m, 2)) if logits.requires_grad and self.grad_enabled else None
 
         def forward(out: Array) -> None:
-            z = logits.value - logits.value.max(axis=1, keepdims=True)
+            z = logits.value - np.maximum.reduce(logits.value, axis=1, keepdims=True)
             e = np.exp(z)
-            sum_e = e.sum(axis=1, keepdims=True)
+            sum_e = np.add.reduce(e, axis=1, keepdims=True)
             log_probs = z - np.log(sum_e)
-            out[0, 0] = -log_probs[rows, labels.value].mean()
+            out[0, 0] = -(np.add.reduce(log_probs[rows, labels.value]) / m)  # as ndarray.mean
             if probs is not None:
                 np.divide(e, sum_e, out=probs)
 
@@ -332,34 +342,40 @@ class Tape:
             scale = g[0, 0] / m
             d = probs * scale
             d[rows, labels.value] -= scale
-            _accum(logits, d)
+            _give(logits, d)
         return self._record((1, 1), "cross_entropy_logits", (logits,), forward, backward)
 
     # -- traversal -------------------------------------------------------
 
     def backward(self, root: Node) -> None:
-        """Seed the root with gradient 1 and propagate through the tape. Grads
-        accumulate: run one backward per tape or per ``replay``, which zeroes them."""
+        """Seed the root with gradient 1 and propagate through the tape: once
+        per tape, then once per ``replay`` from the same root. A gradient
+        buffer set before the first backward is the caller's to zero."""
         self._own(root)
         if not self.grad_enabled:
             raise UsageError("backward on a tape created with grad=False")
         if root.value.shape != (1, 1):
             raise UsageError(f"backward root must be 1x1, got shape {root.value.shape}")
-        self.root = root
-        _accum(root, np.ones((1, 1)))
-        for node in reversed(self._nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad, node.value)
+        if root.grad is not None or self.root not in (None, root):
+            raise UsageError("backward runs once per tape, then once per replay from its root")
+        if self.root is None:
+            self.root = root
+            self._handed = [n for n in self._nodes if n.consumers == 1 or n is root]
+        root.grad = np.ones((1, 1))
+        for backward, node, out in reversed(self._steps):
+            if node.grad is not None:
+                backward(node.grad, out)
 
     def replay(self) -> Node:
-        """Rerun every recorded op in order into its own buffer, zero the
-        gradient buffers so the next backward fills them as the last one
-        did, and return that backward's root."""
+        """Rerun every recorded op in order into its own buffer, drop the
+        handed-over gradients and zero the buffers this tape allocated, so
+        the next backward fills them as the last one did; return its root."""
         if self.root is None:
             raise UsageError("replay needs a tape that has run backward")
-        for node in self._nodes:
-            if node._forward is not None:
-                node._forward(node.value)
-            if node.grad is not None:
-                node.grad.fill(0.0)
+        for forward in self._forwards:
+            forward()
+        for node in self._handed:
+            node.grad = None
+        for fill in self._zero:
+            fill(0.0)
         return self.root

@@ -110,8 +110,8 @@ class Dataset:
     def take(self, index) -> "Dataset":
         """The records at the given positions, in that order, as a new dataset.
 
-        Rows of a valid dataset are valid, so the checks are not rerun: a
-        training step takes one batch this way.
+        Rows of a valid dataset are valid, so the checks are not rerun:
+        training takes its first batch of each size this way.
         """
         index = np.asarray(index, dtype=np.intp)
         rows = object.__new__(Dataset)

@@ -139,8 +139,12 @@ class OptimizerState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    # train_step's StepRecording per batch shape
+    # train_step's StepRecording per batch shape; adamw_step's two scratch vectors
     recordings: dict = field(default_factory=dict, repr=False, compare=False)
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
 def init_optimizer_state(params: ModelParams) -> OptimizerState:
@@ -150,7 +154,8 @@ def init_optimizer_state(params: ModelParams) -> OptimizerState:
 def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
                config: TrainConfig) -> None:
     """One AdamW update of ``params.flat`` in place, with decoupled weight
-    decay; ``grad`` and both moments are vectors laid out like it.
+    decay; ``grad``, both moments and the two scratch vectors that take the
+    place of temporaries are laid out like it.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * theta
     """
@@ -160,21 +165,23 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
     state.step_count += 1
     bc1 = 1.0 - config.beta1 ** state.step_count
     bc2 = 1.0 - config.beta2 ** state.step_count
-    m, v = state.first_moment, state.second_moment
+    m, v, (a, b) = state.first_moment, state.second_moment, state.scratch
+    lr, wd = config.learning_rate, config.weight_decay
     m *= config.beta1
-    m += (1.0 - config.beta1) * grad
+    m += np.multiply(1.0 - config.beta1, grad, out=a)
     v *= config.beta2
-    v += (1.0 - config.beta2) * (grad * grad)
-    update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
-    theta -= config.learning_rate * update + config.learning_rate * config.weight_decay * theta
+    v += np.multiply(1.0 - config.beta2, np.multiply(grad, grad, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), config.epsilon, out=a)
+    update = np.divide(np.divide(m, bc1, out=b), a, out=b)
+    theta -= np.add(np.multiply(lr, update, out=b), np.multiply(lr * wd, theta, out=a), out=b)
 
 
 def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
                state: OptimizerState, config: TrainConfig) -> float:
     """One AdamW step on a batch, in place; returns the batch loss.
 
-    Gradients accumulate into views of one zeroed vector, so a parameter
-    the loss does not reach gets zeros. A non-finite loss is returned
+    Gradients accumulate into views of one vector, zeroed by each step, so a
+    parameter the loss does not reach gets zeros. A non-finite loss is returned
     without updating anything, so the caller decides how to report it.
 
     The first step at a batch shape records its tape in ``state``; later
@@ -191,6 +198,7 @@ def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     loss = batch_loss(params, hyper, batch, tape=recording.tape, param_nodes=param_nodes)
     value = float(loss.value[0, 0])
     if math.isfinite(value):
+        recording.grad.fill(0.0)
         recording.tape.backward(loss)
         state.recordings[key] = recording
         adamw_step(params, recording.grad, state, config)
@@ -238,10 +246,16 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
     bad_streak = 0
     history: list[dict] = []
 
+    sized: dict[int, Dataset] = {}  # per batch size, the batch its recorded tape reads
     for epoch in range(config.max_epochs):
         epoch_losses = []
         for step, idx in enumerate(batches(train_ds, config.batch_size, int(epoch_seeds[epoch]))):
-            value = train_step(params, hyper, train_ds.take(idx), state, config)
+            if len(idx) not in sized:
+                sized[len(idx)] = train_ds.take(idx)
+            batch = sized[len(idx)]
+            for name in ("labels", "text", "image"):  # ids and provenance stay the first batch's
+                getattr(train_ds, name).take(idx, axis=0, out=getattr(batch, name))
+            value = train_step(params, hyper, batch, state, config)
             if not math.isfinite(value):
                 raise NumericsError(f"loss diverged at epoch {epoch}, step {step}")
             epoch_losses.append(value)

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from mmfuse import model
-from mmfuse.autodiff import Node, Tape, _accum, as_matrix
+from mmfuse.autodiff import Node, Tape, _give, as_matrix
 from mmfuse.data import Dataset
 from mmfuse.errors import InputError, UsageError
 from mmfuse.model import HyperConfig, ModelParams, register_parameters
@@ -59,7 +59,7 @@ def sum_all(tape: Tape, a: Node) -> Node:
     """Sum of all entries: m x n -> 1 x 1."""
     tape._own(a)
     return tape._record((1, 1), "sum_all", (a,), lambda out: np.copyto(out, a.value.sum()),
-                        lambda g, out: _accum(a, np.full_like(a.value, g[0, 0])))
+                        lambda g, out: _give(a, np.full_like(a.value, g[0, 0])))
 
 
 def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):

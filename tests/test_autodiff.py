@@ -320,6 +320,68 @@ def test_unused_branches_get_no_gradient():
     assert unused.grad is None
 
 
+def handoff_graph(t, x, labels, w, bias, v):
+    """One graph of each gradient path: ``h`` has one consumer, ``hb`` two
+    (``add(hb, hb)``), ``bias`` broadcasts over batch and sequence, and
+    ``mean_rows`` pools a sequence of 3; returns every node by name."""
+    n = {"x": t.input("x", x), "w": t.parameter(w), "bias": t.parameter(bias), "v": t.parameter(v)}
+    n["h"] = t.matmul(n["x"], n["w"])
+    n["hb"] = t.add(n["h"], n["bias"])
+    n["s"] = t.add(n["hb"], n["hb"])
+    n["pooled"] = t.mean_rows(n["s"])
+    n["logits"] = t.matmul(n["pooled"], n["v"])
+    n["loss"] = t.cross_entropy_logits(n["logits"], t.input("labels", labels))
+    return n
+
+
+def test_replayed_gradients_match_a_fresh_tape_bytewise():
+    """A tape replayed on new inputs and updated parameters gives every node
+    the gradient a fresh tape gives it, byte for byte and of the node's own
+    shape: a handed-over gradient is never a broadcastable stand-in, and no
+    node's gradient is added into another's."""
+    rng = np.random.default_rng(11)
+    w, bias, v = rng.normal(size=(5, 3)), rng.normal(size=(1, 1, 3)), rng.normal(size=(3, 2))
+    tape, replayed = Tape(), None
+    for step in range(4):
+        x, labels = rng.normal(size=(4, 3, 5)), rng.integers(0, 2, 4)
+        if replayed is None:
+            replayed = handoff_graph(tape, x, labels, w, bias, v)
+        else:
+            tape.input("x", x)
+            tape.input("labels", labels)
+            tape.replay()
+        tape.backward(replayed["loss"])
+        fresh_tape = Tape()
+        fresh = handoff_graph(fresh_tape, x, labels, w, bias, v)
+        fresh_tape.backward(fresh["loss"])
+        assert replayed["loss"].value.tobytes() == fresh["loss"].value.tobytes()
+        for name, node in replayed.items():
+            if fresh[name].grad is None:
+                assert node.grad is None, name
+                continue
+            assert node.grad.shape == node.value.shape, name
+            assert node.grad.tobytes() == fresh[name].grad.tobytes(), (step, name)
+        for name in ("w", "bias", "v"):  # step the parameters in place, as training does
+            replayed[name].value -= 0.1 * replayed[name].grad
+
+
+def test_backward_runs_once_per_replay():
+    t = Tape()
+    x = t.parameter(as_matrix([[2.0, 3.0]]))
+    y, other = sum_all(t, t.sigmoid(x)), sum_all(t, x)
+    with pytest.raises(UsageError):
+        t.replay()  # nothing to replay before a backward
+    t.backward(y)
+    with pytest.raises(UsageError):
+        t.backward(y)  # a second pass would add into gradients already handed over
+    assert t.replay() is y
+    with pytest.raises(UsageError):
+        t.backward(other)  # only the recorded root replays
+    t.backward(y)
+    s = 0.5 * (1.0 + np.tanh(0.5 * np.array([[2.0, 3.0]])))
+    assert np.array_equal(x.grad, s * (1.0 - s))
+
+
 # -- error handling ----------------------------------------------------------
 
 

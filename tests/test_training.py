@@ -230,20 +230,32 @@ def per_parameter_adamw(arrays, grads, moments, step, config):
 
 
 def test_flat_adamw_matches_per_parameter_loop_bitwise():
+    """Byte for byte, signed zeros included: after 10 steps a third of the
+    gradient entries stay 0.0 or -0.0, and with beta1 = 0.01 their first
+    moments underflow to signed zeros well before the last step."""
     params = init_params(HyperConfig(d_t=SyntheticSpec.d_t, d_i=SyntheticSpec.d_i,
                                      variant=Variant.FULL, init_seed=30))
     reference = {name: arr.copy() for name, arr in params.items()}
     moments = {name: (np.zeros_like(arr), np.zeros_like(arr)) for name, arr in reference.items()}
     state = init_optimizer_state(params)
-    config = TrainConfig(learning_rate=0.01, weight_decay=0.05)
+    config = TrainConfig(learning_rate=0.01, weight_decay=0.05, beta1=0.01)
     rng = np.random.default_rng(30)
-    for step in range(1, 6):
+    zeroed = rng.random(params.flat.shape) < 1 / 3
+    zeros = np.where(rng.random(zeroed.sum()) < 0.5, 0.0, -0.0)
+    for step in range(1, 301):
         grad = rng.normal(size=params.flat.shape)
+        if step > 10:
+            grad[zeroed] = zeros
         adamw_step(params, grad, state, config)
         per_parameter_adamw(reference, params.views(grad), moments, step, config)
-    assert all(np.array_equal(params[name], reference[name]) for name in params.names)
-    for moment, index in ((state.first_moment, 0), (state.second_moment, 1)):
-        assert np.array_equal(moment, np.concatenate([mv[index].ravel() for mv in moments.values()]))
+
+    def flat(index):
+        return np.concatenate([mv[index].ravel() for mv in moments.values()])
+    assert params.flat.tobytes() == np.concatenate([a.ravel() for a in reference.values()]).tobytes()
+    assert state.first_moment.tobytes() == flat(0).tobytes()
+    assert state.second_moment.tobytes() == flat(1).tobytes()
+    m = state.first_moment[zeroed]
+    assert (m == 0.0).all() and np.signbit(m).any() and not np.signbit(m).all()
 
 
 def test_train_config_validation_and_preset():
@@ -389,10 +401,11 @@ def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
             ref_value, grads = loss_and_grads(reference, hyper, batch)
             adamw_step(reference, np.concatenate([grads[n].ravel() for n in reference.names]),
                        ref_state, config)
-            assert np.array_equal(value, ref_value)
-            assert np.array_equal(params.flat, reference.flat)
-            assert np.array_equal(state.first_moment, ref_state.first_moment)
-            assert np.array_equal(state.second_moment, ref_state.second_moment)
+            # bytes, not np.array_equal, which takes -0.0 for +0.0
+            assert np.float64(value).tobytes() == ref_value.tobytes()
+            assert params.flat.tobytes() == reference.flat.tobytes()
+            assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
+            assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
             tape = state.recordings[batch.text.shape, batch.image.shape].tape
             assert recorded.setdefault(len(batch), tape) is tape
     assert sorted(recorded) == [8, 16] and len(state.recordings) == 2
