@@ -5,9 +5,10 @@ A ``Dataset`` holds its n records as columns: ``ids`` (n strings),
 which modality carries class signal, and the per-modality feature
 sequences as two float64 stacks, ``text`` (n, L_t, d_t) and ``image``
 (n, L_i, d_i). Loading, splitting, batching, perturbing and the forward
-passes all work on these arrays rather than on one object per record;
-``load`` walks the records only for their ids and gathers each column
-from the file's bytes at once.
+passes all work on these arrays rather than on one object per record.
+``load`` proves a file's fixed record stride with one comparison, decodes
+the ids as one block and gathers each column at once; it walks the records
+one by one only when the ids differ in byte length or the block fails.
 
 File format (little-endian), magic ``MMFN``, version 1, unchanged by the
 columnar layout::
@@ -75,11 +76,11 @@ class Dataset:
             shape = getattr(self, name).shape
             if len(shape) != 3 or shape[0] != n or min(shape[1:]) < 1:
                 raise InputError(f"{name} must be an ({n}, L, d) stack with L, d >= 1, got shape {shape}")
-        labels, provenance = self.labels, self.provenance
-        finite = np.isfinite(self.text).all(axis=(1, 2)) & np.isfinite(self.image).all(axis=(1, 2))
-        bad = (labels < 0) | (labels > 1) | (provenance < 0) | (provenance > 3) | ~finite
-        if bad.any():  # name the first offending record
-            i = int(bad.argmax())
+        labels, provenance, text, image = self.labels, self.provenance, self.text, self.image
+        bad_code = (labels < 0) | (labels > 1) | (provenance < 0) | (provenance > 3)
+        if bad_code.any() or not (np.isfinite(text).all() and np.isfinite(image).all()):
+            finite = np.isfinite(text).all(axis=(1, 2)) & np.isfinite(image).all(axis=(1, 2))
+            i = int((bad_code | ~finite).argmax())  # the first bad record, for any reason
             if labels[i] not in (0, 1):
                 reason = f"label must be 0 or 1, got {labels[i]}"
             elif not 0 <= provenance[i] <= 3:
@@ -276,13 +277,57 @@ def save(dataset: Dataset, path) -> None:
     atomic_write_bytes(path, b"".join(chunks))
 
 
+def _fixed_stride_ids(data: bytes, pos: int, n: int, tail: int):
+    """The ids and tail offsets of n >= 1 records from ``pos``, or None. The
+    first id's length and the file size fix a stride; an id length equal to
+    the first at every predicted record start proves each start by induction.
+    The ids decode as one newline-joined block unless one is not utf-8 or
+    holds a newline, and then the walk reads the file."""
+    id_len = int.from_bytes(data[pos:pos + 4], "little")
+    stride = 4 + id_len + tail
+    if pos + n * stride != len(data) or (np.ndarray(n, "<u4", data, pos, (stride,)) != id_len).any():
+        return None
+    lines = np.full((n, id_len + 1), ord("\n"), np.uint8)
+    lines[:, :id_len] = np.ndarray((n, id_len), np.uint8, data, pos + 4, (stride, 1))
+    try:
+        ids = lines.tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    # n ids and the empty string after the last newline, unless an id holds one
+    return (ids[:-1], np.arange(pos + 4 + id_len, len(data), stride)) if len(ids) == n + 1 else None
+
+
+def _walk_ids(data: bytes, pos: int, n: int, tail: int, need):
+    """The ids and tail offsets of n records from ``pos``, one record at a
+    time; every error names its record or byte count."""
+    size, id_len_at = len(data), struct.Struct("<I").unpack_from
+    ids, starts = [], array("q")  # packed int64 offsets, not one int object per record
+    for k in range(n):
+        if pos + 4 > size:
+            need(pos + 4)
+        (id_len,) = id_len_at(data, pos)
+        start = pos + 4 + id_len
+        pos = start + tail
+        if pos > size:
+            need(pos)
+        try:
+            ids.append(data[start - id_len:start].decode("utf-8"))
+        except UnicodeDecodeError as err:
+            raise FileFormatError(f"record {k}: id is not valid utf-8") from err
+        starts.append(start)
+    if pos != size:
+        raise FileFormatError(f"{size - pos} trailing bytes after last record")
+    return ids, np.frombuffer(starts, np.int64)
+
+
 def load(path) -> Dataset:
     """Read a feature file in two phases. Every record ends in a tail of one
-    size: label, provenance, features. Phase 1 walks the records, decoding
-    the ids and noting where each tail starts. Phase 2 views the file as one
-    tail-sized ``uint8`` row at every byte offset and gathers the codes and
-    the two feature stacks with one fancy index each, so every column is one
-    fresh copy. Labels, provenance and finiteness are checked once after."""
+    size: label, provenance, features. Phase 1 finds the ids and where each
+    tail starts, from strided views when every id has one byte length
+    (``_fixed_stride_ids``), else by walking the records, which raises every
+    format error. Phase 2 views the file as one tail-sized ``uint8`` row at
+    every byte offset and gathers the codes and the two feature stacks with
+    one fancy index each, so every column is one fresh copy."""
     with open(path, "rb") as fh:
         data = fh.read()
     reader = ByteReader(data, "file")
@@ -300,30 +345,13 @@ def load(path) -> Dataset:
         )
     # every record holds at least its fixed fields and its features, so a
     # count the file cannot hold is refused before anything is allocated
-    tail, size, need, pos = 2 + text_bytes + image_bytes, len(data), reader.need, reader.pos
-    need(pos + n * (4 + tail))
-
-    id_len_at = struct.Struct("<I").unpack_from
-    ids, starts = [], array("q")  # packed int64 offsets, not one int object per record
-    for k in range(n):
-        if pos + 4 > size:
-            need(pos + 4)
-        (id_len,) = id_len_at(data, pos)
-        start = pos + 4 + id_len
-        pos = start + tail
-        if pos > size:
-            need(pos)
-        try:
-            ids.append(data[start - id_len:start].decode("utf-8"))
-        except UnicodeDecodeError as err:
-            raise FileFormatError(f"record {k}: id is not valid utf-8") from err
-        starts.append(start)
-    if pos != size:
-        raise FileFormatError(f"{size - pos} trailing bytes after last record")
+    tail, size, pos = 2 + text_bytes + image_bytes, len(data), reader.pos
+    reader.need(pos + n * (4 + tail))
+    ids, starts = ((n and _fixed_stride_ids(data, pos, n, tail))
+                   or _walk_ids(data, pos, n, tail, reader.need))
 
     # with no records a wide header's tail can be longer than the whole file
     window = np.ndarray((max(size - tail + 1, 0), tail), np.uint8, data, strides=(1, 1))
-    starts = np.frombuffer(starts, np.int64)
     codes = window[starts, :2]
     try:
         return Dataset(tuple(ids), codes[:, 0], codes[:, 1],

@@ -40,7 +40,7 @@ def compute_metrics(labels, predictions) -> MetricsReport:
     if lab.size == 0:
         raise InputError("metrics need at least one (label, prediction) pair")
     for name, arr in (("labels", lab), ("predictions", pred)):
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise InputError(f"{name} must contain only 0 and 1")
 
     tp = int(np.sum((lab == 1) & (pred == 1)))

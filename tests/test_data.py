@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mmfuse.data
 from mmfuse.data import (
     Dataset,
     Provenance,
@@ -162,6 +163,28 @@ def test_record_and_dataset_validation():
         Dataset(**bad["non-finite"])
 
 
+def test_dataset_names_the_first_bad_record_in_file_order():
+    def columns(bad_text=None, bad_image=None, **changes):
+        text, image = np.zeros((3, 2, 2)), np.zeros((3, 1, 3))
+        if bad_text is not None:
+            text[bad_text, 1, 0] = np.nan
+        if bad_image is not None:
+            image[bad_image, 0, 2] = -np.inf
+        return {**dict(ids=("x", "y", "z"), labels=[0, 1, 0], provenance=[1, 2, 3],
+                       text=text, image=image), **changes}
+
+    cases = {
+        "record 0: non-finite": columns(bad_text=0, labels=[0, 2, 0]),
+        "record 0: label": columns(bad_image=1, labels=[-1, 1, 0], provenance=[1, 9, 3]),
+        "record 1: provenance": columns(bad_text=2, bad_image=2, provenance=[1, 4, 3], labels=[0, 1, 3]),
+        "record 1: non-finite": columns(bad_image=1, labels=[0, 1, 2]),
+        "record 2: label": columns(labels=[0, 1, 7], provenance=[1, 2, -1]),
+    }
+    for first, kwargs in cases.items():
+        with pytest.raises(InputError, match=first):
+            Dataset(**kwargs)
+
+
 @pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
 def test_take_keeps_rows_in_order(l_t, l_i):
     ds = generate_synthetic(SyntheticSpec(n_samples=6, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=1))
@@ -203,6 +226,31 @@ def test_round_trip_preserves_multirow_sequences(tmp_path):
             assert stack.flags.c_contiguous and stack.flags.writeable
             stack[...] = 7.0
         assert datasets_equal(case, load(path))  # the stacks share no memory with the file
+
+
+@pytest.mark.parametrize("ids,walked", [
+    (tuple(f"r-{i:03d}" for i in range(7)), False),
+    (tuple("é" * 3 + "記" + str(i) for i in range(7)), False),  # 11 utf-8 bytes each
+    (tuple(f"a\n{i}" for i in range(7)), True),  # uniform, but a newline splits the block
+    (tuple(f"n{i}\x00" for i in range(7)), False),  # a trailing NUL stays in the id
+    (("",) * 7, False),
+    (("ab", "cd", "ef", "gh", "ijk", "lm", "no"), True),  # one id a byte longer
+    (("ab", "", "abcd", "ab", "ab", "ab", "ab"), True),  # the lengths still fill the file exactly
+    (("é", "é", "é", "é", "é", "é", "\n\n"), True),  # a newline that makes the count wrong
+], ids=["ascii", "non-ascii", "newline", "trailing-nul", "empty", "one-longer",
+        "same-total", "newline-count"])
+def test_load_paths_read_the_same_records(tmp_path, monkeypatch, ids, walked):
+    ds = generate_synthetic(SyntheticSpec(n_samples=len(ids), d_t=3, d_i=2, l_t=2, l_i=1, seed=4))
+    case = Dataset(ids, ds.labels, ds.provenance, ds.text, ds.image)
+    path = tmp_path / "ids.mmfn"
+    save(case, path)
+    walk, walks = mmfuse.data._walk_ids, []
+    monkeypatch.setattr(mmfuse.data, "_walk_ids", lambda *args: walks.append(1) or walk(*args))
+    assert datasets_equal(case, load(path))
+    assert walks == ([1] if walked else [])
+    # the walk alone reads every file the same way
+    monkeypatch.setattr(mmfuse.data, "_fixed_stride_ids", lambda *args: None)
+    assert datasets_equal(case, load(path))
 
 
 def test_load_hand_built_file(tmp_path):
@@ -295,13 +343,16 @@ def test_load_errors_name_the_offending_record(tmp_path, k):
     id_at = struct.calcsize("<4sIQIIII") + k * record_bytes + 4
     label_at = id_at + len(ds.ids[0])
     feature_at = label_at + 2 + 8 * 4
-    cases = {
-        "id": good[:id_at] + b"\xff" + good[id_at + 1:],
-        "label": good[:label_at] + bytes([2]) + good[label_at + 1:],
-        "provenance": good[:label_at + 1] + bytes([9]) + good[label_at + 2:],
-        "non-finite": good[:feature_at] + struct.pack("<d", float("nan")) + good[feature_at + 8:],
-    }
-    for what, payload in cases.items():
+    cases = [
+        ("id", good[:id_at] + b"\xff" + good[id_at + 1:]),
+        # a utf-8 lead byte with nothing after it: the ids stay uniform, the
+        # joined block does not decode, and the walk names the record
+        ("id", good[:label_at - 1] + b"\xc3" + good[label_at:]),
+        ("label", good[:label_at] + bytes([2]) + good[label_at + 1:]),
+        ("provenance", good[:label_at + 1] + bytes([9]) + good[label_at + 2:]),
+        ("non-finite", good[:feature_at] + struct.pack("<d", float("nan")) + good[feature_at + 8:]),
+    ]
+    for what, payload in cases:
         path = tmp_path / f"{what}.mmfn"
         path.write_bytes(payload)
         with pytest.raises(FileFormatError, match=f"record {k}: {what}"):
