@@ -10,18 +10,21 @@ stabilized (max subtraction, log-sum-exp), which keeps every output
 finite for finite inputs.
 
 Each operation is one record: an output buffer and a forward function
-that fills it, run once when the op is called. A tape that records
-gradients keeps its nodes in creation order and counts each op's
-consumers; ``Tape.backward`` walks them in reverse, so gradients follow
-one fixed order and repeated runs produce bitwise identical results. An
-op's only consumer hands it its gradient; parameters and other ops add up
-theirs in a buffer. ``Tape.replay`` reruns the same forward functions, in
-the same order and into the same buffers, on what the named ``input``
-leaves hold now, without rebuilding the graph.
+that fills it, run once when the op is called. As in PyTorch autograd,
+the tape keeps an op only when a gradient flows through it, that is when
+a parent needs one; an op on ``input`` and ``constant`` leaves alone
+keeps nothing, and its value is freed once nothing refers to it. The tape
+counts each kept op's consumers; ``Tape.backward`` walks the kept ops in
+reverse, so gradients follow one fixed order and repeated runs produce
+bitwise identical results. An op's only consumer hands it its gradient;
+parameters and other ops add up theirs in a buffer. ``Tape.replay``
+reruns the kept forwards, in order and into the same buffers, on what the
+named ``input`` leaves hold now; it refuses a tape that dropped an op.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from typing import Callable
 
@@ -87,7 +90,7 @@ def _give(node: "Node", contribution: Array) -> None:
 class Node:
     """One value in a computation graph, plus its gradient."""
 
-    __slots__ = ("value", "grad", "op", "requires_grad", "tape", "consumers")
+    __slots__ = ("value", "grad", "op", "requires_grad", "tape", "consumers", "__weakref__")
 
     def __init__(self, value: Array, op: str, requires_grad: bool, tape: "Tape"):
         self.value = value
@@ -108,22 +111,21 @@ class Node:
 class Tape:
     """Ordered record of graph nodes; owns the backward traversal and replay.
 
-    ``Tape(grad=False)`` builds a value-only graph for pure evaluation
-    (e.g. finite-difference probes and inference). Each op still makes its
-    forward and backward functions, but the tape keeps neither them nor a
-    node list and counts no consumers, so intermediates are freed as soon
-    as nothing refers to them.
+    Pure evaluation (finite-difference probes, inference) enters its arrays
+    as ``input`` or ``constant`` leaves, so the tape keeps no op. The tape
+    counts its leaves but holds none (the kept ops that read them do), so a
+    tape without kept ops is freed, with the arrays it read, when it goes.
     """
 
-    def __init__(self, grad: bool = True):
-        self.grad_enabled = grad
-        self._nodes: list[Node] = []
-        self._inputs: dict[str, Node] = {}
+    def __init__(self):
+        self._leaves = 0
+        self._inputs: dict[str, weakref.ref] = {}  # name -> a weak reference to its leaf
         self.root: Node | None = None  # of the first backward; what replay recomputes
+        self._dropped = False  # an op was computed but not kept, so replay would skip it
         self._forwards, self._handed, self._zero, self._steps = [], [], [], []
 
     def __len__(self) -> int:  # perfbench reads it as the nodes per training step
-        return len(self._nodes)
+        return self._leaves + len(self._steps)
 
     # -- leaf construction ------------------------------------------------
 
@@ -132,19 +134,19 @@ class Tape:
         return self._leaf(as_matrix(values, name=name, stack=np.ndim(values) == 3), "constant")
 
     def parameter(self, value: Array) -> Node:
-        """A leaf that receives gradients (when the tape records them); the
-        float64 array is taken as it is, without checks or a copy."""
+        """A leaf that receives gradients; the float64 array is taken as it
+        is, without checks or a copy."""
         return self._leaf(value, "parameter", requires_grad=True)
 
     def input(self, name: str, values: Array) -> Node:
         """A named leaf without gradient for data the caller has checked,
         taken as it is (no copy, no finite scan). Called again with that
         name, it points the leaf at new values of the recorded shape."""
-        node = self._inputs.get(name)
-        if node is None:
-            node = self._leaf(values, "input")
-            if self.grad_enabled:  # only these replay; a value-only tape holds no inputs
-                self._inputs[name] = node
+        ref = self._inputs.get(name)
+        node = ref() if ref else None
+        if node is None:  # a new name, or a leaf nothing held on to: counted once per name
+            node = Node(values, "input", False, self) if ref else self._leaf(values, "input")
+            self._inputs[name] = weakref.ref(node)
         elif node.value.shape != values.shape:
             raise UsageError(f"input {name!r} was recorded with shape {node.value.shape}, "
                              f"got {values.shape}")
@@ -155,28 +157,27 @@ class Tape:
     # -- internals ---------------------------------------------------------
 
     def _leaf(self, value: Array, op: str, requires_grad: bool = False) -> Node:
-        node = Node(value, op, requires_grad and self.grad_enabled, self)
-        if self.grad_enabled and value.dtype.kind == "f":  # integer labels index values
-            self._nodes.append(node)
+        node = Node(value, op, requires_grad, self)
+        if value.dtype.kind == "f":  # integer labels index values
+            self._leaves += 1
         return node
 
     def _record(self, shape: tuple, op: str, parents: tuple, forward: Callable[[Array], None],
                 backward: Callable[[Array, Array], None]) -> Node:
         """One op: allocate its output buffer and run ``forward(out)`` into it
-        once. A tape that records gradients keeps the node, its forward for
-        replay and, if it needs a gradient, ``backward(g, out)``."""
+        once. If a parent needs a gradient, keep the node, its forward for
+        replay and ``backward(g, out)``; otherwise keep nothing."""
         out = np.empty(shape)
         forward(out)
-        if not self.grad_enabled:
-            return Node(out, op, False, self)
         node = Node(out, op, any(p.requires_grad for p in parents), self)
+        if not node.requires_grad:
+            self._dropped = True
+            return node
         self._forwards.append(partial(forward, out))
-        if node.requires_grad:
-            self._steps.append((backward, node, out))
-            for p in parents:
-                if p.requires_grad and p.op != "parameter":
-                    p.consumers += 1
-        self._nodes.append(node)
+        self._steps.append((backward, node, out))
+        for p in parents:
+            if p.requires_grad and p.op != "parameter":
+                p.consumers += 1
         return node
 
     def _own(self, *nodes: Node) -> None:
@@ -326,7 +327,7 @@ class Tape:
             raise InputError("labels must be 0 or 1")
         labels.value = lab.astype(np.intp, copy=False)
         rows = np.arange(m)
-        probs = np.empty((m, 2)) if logits.requires_grad and self.grad_enabled else None
+        probs = np.empty((m, 2)) if logits.requires_grad else None
 
         def forward(out: Array) -> None:
             z = logits.value - np.maximum.reduce(logits.value, axis=1, keepdims=True)
@@ -352,15 +353,13 @@ class Tape:
         per tape, then once per ``replay`` from the same root. A gradient
         buffer set before the first backward is the caller's to zero."""
         self._own(root)
-        if not self.grad_enabled:
-            raise UsageError("backward on a tape created with grad=False")
         if root.value.shape != (1, 1):
             raise UsageError(f"backward root must be 1x1, got shape {root.value.shape}")
         if root.grad is not None or self.root not in (None, root):
             raise UsageError("backward runs once per tape, then once per replay from its root")
         if self.root is None:
             self.root = root
-            self._handed = [n for n in self._nodes if n.consumers == 1 or n is root]
+            self._handed = [root, *(node for _, node, _ in self._steps if node.consumers == 1)]
         root.grad = np.ones((1, 1))
         for backward, node, out in reversed(self._steps):
             if node.grad is not None:
@@ -372,6 +371,9 @@ class Tape:
         the next backward fills them as the last one did; return its root."""
         if self.root is None:
             raise UsageError("replay needs a tape that has run backward")
+        if self._dropped:
+            raise UsageError("replay needs a tape that kept every op; "
+                             "an op that needed no gradient was not kept")
         for forward in self._forwards:
             forward()
         for node in self._handed:

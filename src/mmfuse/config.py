@@ -61,7 +61,6 @@ class RunConfig:
     eval: EvalSettings = EvalSettings()
 
     def __post_init__(self):
-        self.synthetic.validate()
         d_t, d_i = self.synthetic.d_t, self.synthetic.d_i
         if (self.model.d_t, self.model.d_i) != (d_t, d_i):
             object.__setattr__(self, "model", replace(self.model, d_t=d_t, d_i=d_i))
@@ -118,8 +117,7 @@ def parse_config(text: str) -> RunConfig:
             values[owner][key] = parse_value(f"{section}.{key}", kind, raw)
 
     try:
-        synthetic = SyntheticSpec(**values["synthetic"])
-        synthetic.validate()  # its widths size the model
+        synthetic = SyntheticSpec(**values["synthetic"])  # checked first: its widths size the model
         return RunConfig(
             synthetic=synthetic,
             model=HyperConfig(d_t=synthetic.d_t, d_i=synthetic.d_i, **values["model"]),

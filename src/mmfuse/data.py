@@ -145,7 +145,7 @@ class SyntheticSpec:
     conflict_rate: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_samples < 1:
             raise InputError(f"n_samples must be at least 1, got {self.n_samples}")
         if min(self.d_t, self.d_i, self.l_t, self.l_i) < 1:
@@ -172,7 +172,6 @@ def _signal_columns(d: int) -> int:
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministically generate a balanced labelled dataset from a spec."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     n_fake = n // 2

@@ -297,8 +297,8 @@ def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset,
 
 
 def _forward_nodes(params, config, batch, rows=slice(None)) -> dict[str, Node]:
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
+    tape = Tape()  # parameters as input leaves: no op needs a gradient, so none is kept
+    pn = {name: tape.input(name, arr) for name, arr in params.items()}
     return build_logits(tape, pn, config, *feature_stacks(tape, config, batch, rows))
 
 
@@ -309,8 +309,8 @@ def _outputs(nodes) -> tuple:
 
 def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset) -> BatchOutputs:
     """Forward a dataset in order, in ceil(n / CHUNK) near-equal chunks of row
-    views: one value-only graph each, of which only the _outputs arrays live
-    on into the next chunk. The first chunk's feature_stacks checks them all."""
+    views: one graph each, whose tape keeps no op, and of which only the
+    _outputs arrays live on. The first chunk's feature_stacks checks them all."""
     n = len(batch)
     k = max(1, -(-n // CHUNK))  # an empty batch is one chunk, which feature_stacks refuses
     parts = [_outputs(_forward_nodes(params, config, batch, slice(n * j // k, n * (j + 1) // k)))

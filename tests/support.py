@@ -72,6 +72,12 @@ def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):
                               for name, node in nodes.items()}
 
 
+def input_leaves(tape: Tape, params: ModelParams) -> dict[str, Node]:
+    """Every parameter on a tape as an input leaf, for probes that need only values:
+    no op on them needs a gradient, so the tape keeps none."""
+    return {name: tape.input(name, arr) for name, arr in params.items()}
+
+
 def set_param(params: ModelParams, name: str, values) -> None:
     """Overwrite an existing parameter with same-shape values."""
     current = params[name]
@@ -131,8 +137,8 @@ def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array,
     missing = [n for n in model._ATTENTION_NAMES if n not in params.names]
     if missing:
         raise UsageError(f"params are missing {missing}; wrong variant for this operation")
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
+    tape = Tape()
+    pn = input_leaves(tape, params)
     att_t, att_i = model._attend(tape, pn,
                                  tape.constant(as_matrix(h_text, name="h_text")[None], name="h_text"),
                                  tape.constant(as_matrix(h_image, name="h_image")[None], name="h_image"),

@@ -152,7 +152,7 @@ def test_attention_closed_form_and_gate_pinning(acceptance_log):
     worst_rowsum = 0.0
     for trial, scale in ((0, 1.0), (1, 1.0), (2, 50.0), (3, 50.0)):
         rng = np.random.default_rng(300 + trial)
-        tape = Tape(grad=False)
+        tape = Tape()
         rows = tape.softmax_rows(tape.constant(scale * rng.normal(size=(4, 5))))
         worst_rowsum = max(worst_rowsum, float(np.abs(rows.value.sum(axis=1) - 1.0).max()))
 

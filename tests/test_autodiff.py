@@ -20,8 +20,8 @@ from support import finite_difference_check, sum_all
 def fd_worst_error(build, arrays, step=1e-5):
     """Backprop through build(tape, nodes) and compare against central differences."""
     def f(params):
-        t = Tape(grad=False)
-        nodes = {k: t.parameter(v) for k, v in params.items()}
+        t = Tape()
+        nodes = {k: t.input(k, v) for k, v in params.items()}
         return float(build(t, nodes).value[0, 0])
 
     tape = Tape()
@@ -126,18 +126,20 @@ def test_stack_values():
 
 
 def test_value_only_tape_frees_intermediates():
-    t = Tape(grad=False)
+    t = Tape()
     hidden = t.sigmoid(t.constant(np.ones((2, 3, 4))))
     value = weakref.ref(hidden.value)
     out = t.relu(hidden)
     del hidden
-    assert value() is None
-    assert len(t) == 0 and out.value.shape == (2, 3, 4)
+    assert value() is None  # no gradient flows through either op, so neither is kept
+    assert len(t) == 1 and out.value.shape == (2, 3, 4)  # the constant leaf alone
     features = np.ones((2, 1, 3))
     held = weakref.ref(features)
     t.input("features", features)
     del features
-    assert held() is None  # the tape holds no reference to its inputs
+    assert held() is None  # the tape counts its leaves but holds none
+    t.input("features", np.ones((2, 1, 3)))  # the name gets a new leaf, not a second count
+    assert len(t) == 2
 
 
 def test_cross_entropy_values():
@@ -382,6 +384,21 @@ def test_backward_runs_once_per_replay():
     assert np.array_equal(x.grad, s * (1.0 - s))
 
 
+def test_replay_refuses_a_tape_that_dropped_an_op():
+    t = Tape()
+    x = t.input("x", np.array([[0.5, -1.0]]))
+    w = t.parameter(as_matrix([[2.0], [3.0]]))
+    squashed = t.sigmoid(x)  # no gradient flows through it: computed, not kept
+    y = sum_all(t, t.matmul(squashed, w))
+    assert len(t) == 4  # x, w, matmul, sum_all
+    t.backward(y)
+    assert np.array_equal(w.grad, squashed.value.T)
+    assert x.grad is None and squashed.grad is None
+    t.input("x", np.array([[1.0, 2.0]]))
+    with pytest.raises(UsageError):
+        t.replay()  # it would rerun the matmul on the old sigmoid of x
+
+
 # -- error handling ----------------------------------------------------------
 
 
@@ -424,13 +441,6 @@ def test_backward_requires_scalar_root():
     x = t.parameter(np.ones((2, 2)))
     with pytest.raises(UsageError):
         t.backward(t.add(x, x))
-
-
-def test_backward_rejected_on_no_grad_tape():
-    t = Tape(grad=False)
-    x = t.parameter(np.ones((1, 1)))
-    with pytest.raises(UsageError):
-        t.backward(x)
 
 
 def test_nodes_cannot_cross_tapes():

@@ -122,15 +122,15 @@ def test_nearest_class_mean_oracle_separates_classes():
 
 def test_spec_validation_errors():
     with pytest.raises(InputError):
-        SyntheticSpec(n_samples=0).validate()
+        SyntheticSpec(n_samples=0)
     with pytest.raises(InputError):
-        SyntheticSpec(p_text_signal=1.5).validate()
+        SyntheticSpec(p_text_signal=1.5)
     with pytest.raises(InputError):
-        SyntheticSpec(signal_strength=0.0).validate()
+        SyntheticSpec(signal_strength=0.0)
     with pytest.raises(InputError):
-        SyntheticSpec(noise_std=-0.1).validate()
+        SyntheticSpec(noise_std=-0.1)
     with pytest.raises(InputError):
-        SyntheticSpec(d_t=0).validate()
+        SyntheticSpec(d_t=0)
 
 
 def test_record_and_dataset_validation():

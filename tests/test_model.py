@@ -6,6 +6,7 @@ explicit-loop oracles written independently of the graph builders.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -31,7 +32,8 @@ from mmfuse.model import (
     predict_labels,
     register_parameters,
 )
-from support import cross_attend, finite_difference_check, forward, pin_gates, set_param
+from support import (cross_attend, finite_difference_check, forward, input_leaves, pin_gates,
+                     set_param)
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
 
@@ -239,8 +241,8 @@ def test_cross_attend_zero_values_passes_residual():
 
 def gate(params, pooled_text, pooled_image):
     """The two gate values of one record's pooled features."""
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
+    tape = Tape()
+    pn = input_leaves(tape, params)
     alpha_t, alpha_i = _gate_alphas(tape, pn, tape.constant(pooled_text), tape.constant(pooled_image))
     return float(alpha_t.value[0, 0]), float(alpha_i.value[0, 0])
 
@@ -288,8 +290,8 @@ def test_gate_gradient_matches_finite_differences():
 
 def fuse_classify(params, alpha_text, alpha_image, pooled_text, pooled_image):
     """Pooled features scaled by their gates, concatenated and classified."""
-    tape = Tape(grad=False)
-    pn = register_parameters(tape, params)
+    tape = Tape()
+    pn = input_leaves(tape, params)
     scaled = [tape.mul(tape.constant(pooled), tape.constant([[alpha]]))
               for pooled, alpha in ((pooled_text, alpha_text), (pooled_image, alpha_image))]
     return _classify(tape, pn, tape.concat_cols(*scaled)).value
@@ -488,6 +490,43 @@ def test_forward_batch_walks_near_equal_chunks_bitwise(n, lengths, variant):
     assert_matches([model._forward_nodes(params, config, ds.take(range(lo, hi))) for lo, hi in bounds])
     if n <= CHUNK:  # one whole-file graph, as before chunking
         assert_matches([model._forward_nodes(params, config, ds)])
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
+def test_scoring_tape_keeps_only_leaves_and_matches_a_parameter_graph(lengths, variant):
+    config = config_for(variant)
+    params = random_params(config, seed=6)
+    ds = random_dataset(40, *lengths, seed=7)
+    nodes = model._forward_nodes(params, config, ds)
+    tape = nodes["logits"].tape
+    attention_scale = variant in (Variant.FIXED_ATTENTION, Variant.FULL) and lengths != (1, 1)
+    assert len(tape) == len(params) + 2 + attention_scale  # parameters, features, a constant
+    assert not tape._forwards and not tape._steps
+
+    recorded = Tape()  # the training graph: parameter leaves, every op kept
+    pn = register_parameters(recorded, params)
+    graph = model.build_logits(recorded, pn, config, *model.feature_stacks(recorded, config, ds))
+    assert all(node.requires_grad for node in graph.values())
+    assert nodes.keys() == graph.keys()
+    for key in ("logits", "alpha_text", "alpha_image"):
+        if key in graph:
+            assert nodes[key].value.tobytes() == graph[key].value.tobytes(), key
+
+
+def test_scoring_leaves_no_cyclic_garbage():
+    """Every scoring tape, and the feature views it read, is freed by reference
+    counting as its chunk ends; a cycle would keep perturbed stacks alive."""
+    config = config_for(Variant.FULL)
+    params = random_params(config, seed=8)
+    ds = random_dataset(CHUNK + 1, 3, 2, seed=9)
+    gc.collect()
+    gc.disable()
+    try:
+        forward_batch(params, config, ds)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_scoring_a_file_over_one_chunk_counts_every_record():
