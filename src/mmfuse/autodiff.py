@@ -11,15 +11,15 @@ finite for finite inputs.
 
 Each operation is one record: an output buffer and a forward function
 that fills it, run once when the op is called. As in PyTorch autograd,
-the tape keeps an op only when a gradient flows through it, that is when
-a parent needs one; an op on ``input`` and ``constant`` leaves alone
-keeps nothing, and its value is freed once nothing refers to it. The tape
-counts each kept op's consumers; ``Tape.backward`` walks the kept ops in
-reverse, so gradients follow one fixed order and repeated runs produce
-bitwise identical results. An op's only consumer hands it its gradient;
-parameters and other ops add up theirs in a buffer. ``Tape.replay``
-reruns the kept forwards, in order and into the same buffers, on what the
-named ``input`` leaves hold now; it refuses a tape that dropped an op.
+the tape keeps an op only when a parent needs a gradient; an op on
+``input`` and ``constant`` leaves alone keeps nothing. Ownership runs one
+way: a tape holds its kept ops and named ``input`` leaves, and a node
+holds its tape only weakly, so reference counting frees each value and
+tape once nothing refers to it. ``Tape.backward`` walks the kept ops in
+reverse, so gradients follow one fixed order and repeated runs are
+bitwise identical; an op's only consumer hands it its gradient, and other
+gradients add up in a buffer. ``Tape.replay`` reruns the kept forwards,
+in their buffers, on new inputs; it refuses a tape that dropped an op.
 """
 
 from __future__ import annotations
@@ -83,22 +83,26 @@ def _give(node: "Node", contribution: Array) -> None:
             node.grad = contribution
             return
         node.grad = np.zeros(node.value.shape)  # C-ordered like zeros_like, at a third of its cost
-        node.tape._zero.append(node.grad.fill)
+        node.owner()._zero.append(node.grad.fill)
     node.grad += contribution  # in place: a preset grad may be a view into a caller's buffer
 
 
 class Node:
     """One value in a computation graph, plus its gradient."""
 
-    __slots__ = ("value", "grad", "op", "requires_grad", "tape", "consumers", "__weakref__")
+    __slots__ = ("value", "grad", "op", "requires_grad", "owner", "consumers")
 
     def __init__(self, value: Array, op: str, requires_grad: bool, tape: "Tape"):
         self.value = value
         self.grad: Array | None = None
         self.op = op
         self.requires_grad = requires_grad
-        self.tape = tape
+        self.owner = tape._ref  # weak: a tape holds what it records, never the other way
         self.consumers = 0  # ops recorded on it that pass it a gradient; leaves count none
+
+    @property
+    def tape(self) -> "Tape | None":  # None once the tape is freed
+        return self.owner()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,13 +117,14 @@ class Tape:
 
     Pure evaluation (finite-difference probes, inference) enters its arrays
     as ``input`` or ``constant`` leaves, so the tape keeps no op. The tape
-    counts its leaves but holds none (the kept ops that read them do), so a
-    tape without kept ops is freed, with the arrays it read, when it goes.
+    holds its kept ops and its named inputs; their nodes point back at it
+    weakly, so it is freed, with the arrays it read, when it goes.
     """
 
     def __init__(self):
+        self._ref = weakref.ref(self)  # the one reference its nodes hold
         self._leaves = 0
-        self._inputs: dict[str, weakref.ref] = {}  # name -> a weak reference to its leaf
+        self._inputs: dict[str, Node] = {}
         self.root: Node | None = None  # of the first backward; what replay recomputes
         self._dropped = False  # an op was computed but not kept, so replay would skip it
         self._forwards, self._handed, self._zero, self._steps = [], [], [], []
@@ -142,11 +147,9 @@ class Tape:
         """A named leaf without gradient for data the caller has checked,
         taken as it is (no copy, no finite scan). Called again with that
         name, it points the leaf at new values of the recorded shape."""
-        ref = self._inputs.get(name)
-        node = ref() if ref else None
-        if node is None:  # a new name, or a leaf nothing held on to: counted once per name
-            node = Node(values, "input", False, self) if ref else self._leaf(values, "input")
-            self._inputs[name] = weakref.ref(node)
+        node = self._inputs.get(name)
+        if node is None:
+            node = self._inputs[name] = self._leaf(values, "input")
         elif node.value.shape != values.shape:
             raise UsageError(f"input {name!r} was recorded with shape {node.value.shape}, "
                              f"got {values.shape}")
@@ -182,7 +185,7 @@ class Tape:
 
     def _own(self, *nodes: Node) -> None:
         for n in nodes:
-            if n.tape is not self:
+            if n.owner is not self._ref:
                 raise UsageError(f"node from a different tape passed to {type(self).__name__} op")
 
     # -- operations ----------------------------------------------------------

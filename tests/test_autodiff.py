@@ -137,9 +137,9 @@ def test_value_only_tape_frees_intermediates():
     held = weakref.ref(features)
     t.input("features", features)
     del features
-    assert held() is None  # the tape counts its leaves but holds none
-    t.input("features", np.ones((2, 1, 3)))  # the name gets a new leaf, not a second count
-    assert len(t) == 2
+    assert held() is not None and len(t) == 2  # a live tape holds its named input
+    del t
+    assert held() is None  # and the input goes with the tape
 
 
 def test_cross_entropy_values():
@@ -448,6 +448,10 @@ def test_nodes_cannot_cross_tapes():
     a = t1.constant([[1.0]])
     with pytest.raises(UsageError):
         t2.sigmoid(a)
+    orphan = Tape().constant([[1.0]])  # its tape is freed with the statement
+    assert orphan.tape is None
+    with pytest.raises(UsageError):
+        t2.sigmoid(orphan)
 
 
 def test_as_matrix_validation():

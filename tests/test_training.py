@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import struct
 
@@ -436,6 +437,30 @@ def test_train_step_records_again_for_other_params_or_hyper():
         train_step(second, other_hyper, batch, state, config)
         tapes.append(state.recordings[key].tape)
     assert tapes[0] is not recording.tape and tapes[1] is tapes[0]
+
+
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_training_leaves_no_cyclic_garbage(variant, lengths):
+    """Every step tape, with the buffers it recorded, is freed by reference
+    counting when training ends or a step records again; a cycle would keep
+    it until a full collection, once per model of an ablation or screen."""
+    hyper = HyperConfig(variant=variant, **SMALL)
+    ds = small_dataset(n=60, seed=43, l_t=lengths[0], l_i=lengths[1])
+    train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=43)
+    config = TrainConfig(max_epochs=2, batch_size=16, seed=43)
+    first, second = init_params(hyper), init_params(replace(hyper, init_seed=44))
+    gc.collect()
+    gc.disable()
+    try:
+        train(train_ds, val_ds, hyper, config)
+        assert gc.collect() == 0
+        state = init_optimizer_state(first)
+        train_step(first, hyper, train_ds, state, config)
+        train_step(second, hyper, train_ds, state, config)  # records again: the first tape goes
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_train_validates_inputs():
