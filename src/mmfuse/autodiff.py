@@ -17,15 +17,16 @@ way: a tape holds its kept ops and named ``input`` leaves, and a node
 holds its tape only weakly, so reference counting frees each value and
 tape once nothing refers to it. ``Tape.backward`` walks the kept ops in
 reverse, so gradients follow one fixed order and repeated runs are
-bitwise identical; an op's only consumer hands it its gradient, and other
-gradients add up in a buffer. ``Tape.replay`` reruns the kept forwards,
-in their buffers, on new inputs; it refuses a tape that dropped an op.
+bitwise identical. As in PyTorch, a parameter adds each contribution into
+its caller's buffer, and any other node keeps its first contribution as it
+is and sums later ones into a new array, so no handed-over array is
+written. ``Tape.replay`` reruns the kept forwards, in their buffers, on new
+inputs and drops their gradients; it refuses a tape that dropped an op.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -76,21 +77,21 @@ def _unbroadcast(g: Array, axes: tuple) -> Array:
 
 
 def _give(node: "Node", contribution: Array) -> None:
-    """Pass ``node`` a consumer's contribution, of its full shape; the only
-    consumer's becomes its gradient, unwritten until replay drops it."""
-    if node.grad is None:
-        if node.consumers == 1:
-            node.grad = contribution
-            return
-        node.grad = np.zeros(node.value.shape)  # C-ordered like zeros_like, at a third of its cost
-        node.owner()._zero.append(node.grad.fill)
-    node.grad += contribution  # in place: a preset grad may be a view into a caller's buffer
+    """Pass ``node`` a consumer's contribution, of its full shape. A
+    parameter adds it into its caller's buffer; any other node keeps the
+    first as it is and sums later ones into a new array, never writing one."""
+    if node.op == "parameter":
+        node.grad += contribution
+    elif node.grad is None:
+        node.grad = contribution
+    else:
+        node.grad = node.grad + contribution
 
 
 class Node:
     """One value in a computation graph, plus its gradient."""
 
-    __slots__ = ("value", "grad", "op", "requires_grad", "owner", "consumers")
+    __slots__ = ("value", "grad", "op", "requires_grad", "owner")
 
     def __init__(self, value: Array, op: str, requires_grad: bool, tape: "Tape"):
         self.value = value
@@ -98,7 +99,6 @@ class Node:
         self.op = op
         self.requires_grad = requires_grad
         self.owner = tape._ref  # weak: a tape holds what it records, never the other way
-        self.consumers = 0  # ops recorded on it that pass it a gradient; leaves count none
 
     @property
     def tape(self) -> "Tape | None":  # None once the tape is freed
@@ -127,7 +127,7 @@ class Tape:
         self._inputs: dict[str, Node] = {}
         self.root: Node | None = None  # of the first backward; what replay recomputes
         self._dropped = False  # an op was computed but not kept, so replay would skip it
-        self._forwards, self._handed, self._zero, self._steps = [], [], [], []
+        self._steps: list[tuple] = []  # (forward, backward, node, out) per kept op
 
     def __len__(self) -> int:  # perfbench reads it as the nodes per training step
         return self._leaves + len(self._steps)
@@ -138,10 +138,13 @@ class Tape:
         """A leaf without gradient: a matrix or a (B, L, d) stack."""
         return self._leaf(as_matrix(values, name=name, stack=np.ndim(values) == 3), "constant")
 
-    def parameter(self, value: Array) -> Node:
-        """A leaf that receives gradients; the float64 array is taken as it
-        is, without checks or a copy."""
-        return self._leaf(value, "parameter", requires_grad=True)
+    def parameter(self, value: Array, grad: Array) -> Node:
+        """A leaf that receives gradients: backward adds them in place into
+        ``grad``, a float64 buffer of its shape that the caller owns and
+        zeroes. Both arrays are taken as they are, without checks or a copy."""
+        node = self._leaf(value, "parameter", requires_grad=True)
+        node.grad = grad
+        return node
 
     def input(self, name: str, values: Array) -> Node:
         """A named leaf without gradient for data the caller has checked,
@@ -176,11 +179,7 @@ class Tape:
         if not node.requires_grad:
             self._dropped = True
             return node
-        self._forwards.append(partial(forward, out))
-        self._steps.append((backward, node, out))
-        for p in parents:
-            if p.requires_grad and p.op != "parameter":
-                p.consumers += 1
+        self._steps.append((forward, backward, node, out))
         return node
 
     def _own(self, *nodes: Node) -> None:
@@ -353,34 +352,29 @@ class Tape:
 
     def backward(self, root: Node) -> None:
         """Seed the root with gradient 1 and propagate through the tape: once
-        per tape, then once per ``replay`` from the same root. A gradient
-        buffer set before the first backward is the caller's to zero."""
+        per tape, then once per ``replay`` from the same root. Parameters add
+        into their buffers, which the caller zeroes between passes."""
         self._own(root)
         if root.value.shape != (1, 1):
             raise UsageError(f"backward root must be 1x1, got shape {root.value.shape}")
         if root.grad is not None or self.root not in (None, root):
             raise UsageError("backward runs once per tape, then once per replay from its root")
-        if self.root is None:
-            self.root = root
-            self._handed = [root, *(node for _, node, _ in self._steps if node.consumers == 1)]
+        self.root = root
         root.grad = np.ones((1, 1))
-        for backward, node, out in reversed(self._steps):
+        for _, backward, node, out in reversed(self._steps):
             if node.grad is not None:
                 backward(node.grad, out)
 
     def replay(self) -> Node:
-        """Rerun every recorded op in order into its own buffer, drop the
-        handed-over gradients and zero the buffers this tape allocated, so
-        the next backward fills them as the last one did; return its root."""
+        """Rerun every recorded op in order into its own buffer and drop its
+        gradient, so the next backward fills them as the last one did;
+        return its root. Parameter buffers are left to the caller."""
         if self.root is None:
             raise UsageError("replay needs a tape that has run backward")
         if self._dropped:
             raise UsageError("replay needs a tape that kept every op; "
                              "an op that needed no gradient was not kept")
-        for forward in self._forwards:
-            forward()
-        for node in self._handed:
+        for forward, _, node, out in self._steps:
+            forward(out)
             node.grad = None
-        for fill in self._zero:
-            fill(0.0)
         return self.root

@@ -66,9 +66,9 @@ class RunConfig:
             object.__setattr__(self, "model", replace(self.model, d_t=d_t, d_i=d_i))
         total = self.train_frac + self.val_frac + self.test_frac
         for name in ("train_frac", "val_frac", "test_frac"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"data.{name} must be non-negative")
-        if abs(total - 1.0) > 1e-9:
+            if not getattr(self, name) >= 0.0:  # NaN fails both checks, as it must
+                raise InputError(f"data.{name} must be non-negative, got {getattr(self, name)}")
+        if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"data split fractions must sum to 1, got {total}")
 
     @property

@@ -372,9 +372,9 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) ->
     """
     if len(fractions) != 3:
         raise InputError("fractions must be a (train, val, test) triple")
-    if any(f < 0.0 for f in fractions):
+    if not all(f >= 0.0 for f in fractions):  # NaN fails both checks, as it must
         raise InputError(f"fractions must be non-negative, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise InputError(f"fractions must sum to 1, got {fractions}")
     if len(dataset) == 0:
         raise InputError("cannot split an empty dataset")

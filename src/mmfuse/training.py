@@ -102,13 +102,14 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
 
 
 def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
-               *, tape: Tape | None = None, param_nodes=None) -> Node:
+               *, tape: Tape | None = None, grad: np.ndarray | None = None) -> Node:
     """Mean cross-entropy of a batch of records as a 1x1 graph node.
 
-    Pass a tape plus the nodes from register_parameters to read gradients
-    back out after Tape.backward; otherwise a private tape is used. A tape
-    that has run backward on this loss, from these params and hyper-config,
-    is replayed on the batch.
+    Pass a tape, and a vector laid out like ``params.flat`` that
+    Tape.backward adds the parameter gradients into; otherwise a private
+    tape and a zero vector are used. ``grad`` is read only when the tape
+    records: a tape that has run backward on this loss, from these params
+    and hyper-config, is replayed on the batch into the vector it was given.
     """
     if tape is None:
         tape = Tape()
@@ -116,9 +117,9 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     labels = tape.input("labels", batch.labels)
     if tape.root is not None:
         return tape.replay()
-    if param_nodes is None:
-        param_nodes = register_parameters(tape, params)
-    nodes = build_logits(tape, param_nodes, hyper, x_text, x_image)
+    if grad is None:
+        grad = np.zeros_like(params.flat)
+    nodes = build_logits(tape, register_parameters(tape, params, grad), hyper, x_text, x_image)
     return tape.cross_entropy_logits(nodes["logits"], labels)
 
 
@@ -180,22 +181,19 @@ def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
                state: OptimizerState, config: TrainConfig) -> float:
     """One AdamW step on a batch, in place; returns the batch loss.
 
-    Gradients accumulate into views of one vector, zeroed by each step, so a
-    parameter the loss does not reach gets zeros. A non-finite loss is returned
-    without updating anything, so the caller decides how to report it.
+    Gradients add into one vector laid out like ``params.flat``, zeroed by each
+    step, so a parameter the loss does not reach gets zeros. A non-finite loss
+    is returned without updating anything, so the caller decides how to report it.
 
-    The first step at a batch shape records its tape in ``state``; later
-    ones replay it while given the same ``params.flat`` and an equal hyper.
+    The first step at a batch shape records its tape and that vector in
+    ``state``; later ones replay both while given the same ``params.flat``
+    and an equal hyper.
     """
     key = (batch.text.shape, batch.image.shape)
     recording = state.recordings.get(key)
-    param_nodes = None
     if recording is None or recording.flat is not params.flat or recording.hyper != hyper:
         recording = StepRecording(params.flat, hyper, Tape(), np.zeros_like(params.flat))
-        param_nodes = register_parameters(recording.tape, params)
-        for name, view in params.views(recording.grad).items():
-            param_nodes[name].grad = view
-    loss = batch_loss(params, hyper, batch, tape=recording.tape, param_nodes=param_nodes)
+    loss = batch_loss(params, hyper, batch, tape=recording.tape, grad=recording.grad)
     value = float(loss.value[0, 0])
     if math.isfinite(value):
         recording.grad.fill(0.0)

@@ -17,7 +17,7 @@ from mmfuse import model
 from mmfuse.autodiff import Node, Tape, _give, as_matrix
 from mmfuse.data import Dataset
 from mmfuse.errors import InputError, UsageError
-from mmfuse.model import HyperConfig, ModelParams, register_parameters
+from mmfuse.model import HyperConfig, ModelParams
 from mmfuse.training import batch_loss
 
 Array = np.ndarray
@@ -64,12 +64,10 @@ def sum_all(tape: Tape, a: Node) -> Node:
 
 def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):
     """The batch loss and every parameter's gradient, zeros where the loss does not reach."""
-    tape = Tape()
-    nodes = register_parameters(tape, params)
-    loss = batch_loss(params, hyper, batch, tape=tape, param_nodes=nodes)
+    tape, grad = Tape(), np.zeros_like(params.flat)
+    loss = batch_loss(params, hyper, batch, tape=tape, grad=grad)
     tape.backward(loss)
-    return loss.value[0, 0], {name: node.grad if node.grad is not None else np.zeros_like(params[name])
-                              for name, node in nodes.items()}
+    return loss.value[0, 0], params.views(grad)
 
 
 def input_leaves(tape: Tape, params: ModelParams) -> dict[str, Node]:

@@ -17,6 +17,11 @@ from mmfuse.errors import DimensionError, InputError, UsageError
 from support import finite_difference_check, sum_all
 
 
+def param(t, value):
+    """A parameter leaf whose gradient adds into a fresh zero buffer."""
+    return t.parameter(value, np.zeros_like(value))
+
+
 def fd_worst_error(build, arrays, step=1e-5):
     """Backprop through build(tape, nodes) and compare against central differences."""
     def f(params):
@@ -25,14 +30,10 @@ def fd_worst_error(build, arrays, step=1e-5):
         return float(build(t, nodes).value[0, 0])
 
     tape = Tape()
-    nodes = {k: tape.parameter(v) for k, v in arrays.items()}
+    nodes = {k: param(tape, v) for k, v in arrays.items()}
     out = build(tape, nodes)
     tape.backward(out)
-    grads = {
-        k: (nodes[k].grad if nodes[k].grad is not None else np.zeros_like(v))
-        for k, v in arrays.items()
-    }
-    return finite_difference_check(f, arrays, grads, step=step)
+    return finite_difference_check(f, arrays, {k: n.grad for k, n in nodes.items()}, step=step)
 
 
 def uniform(rng, *shape, avoid_zero=False):
@@ -281,7 +282,7 @@ def test_composite_graph_gradient():
 
 def test_backward_seeds_root_with_one():
     t = Tape()
-    x = t.parameter(as_matrix([[2.0, 3.0]]))
+    x = param(t, as_matrix([[2.0, 3.0]]))
     y = sum_all(t, x)
     t.backward(y)
     assert np.array_equal(y.grad, [[1.0]])
@@ -290,18 +291,40 @@ def test_backward_seeds_root_with_one():
 
 def test_gradients_accumulate_for_repeated_parent():
     t = Tape()
-    x = t.parameter(as_matrix([[1.5]]))
+    x = param(t, as_matrix([[1.5]]))
     y = sum_all(t, t.add(x, x))
     t.backward(y)
     assert np.array_equal(x.grad, [[2.0]])
+    # an op's repeated parent: both operands are handed the same array, which
+    # the second contribution must not write into
+    t = Tape()
+    h = t.sigmoid(param(t, as_matrix([[1.5]])))
+    s = t.add(h, h)
+    t.backward(s)
+    assert np.array_equal(s.grad, [[1.0]])
+    assert np.array_equal(h.grad, [[2.0]])
+
+
+def test_parameter_gradient_adds_into_the_callers_buffer():
+    t = Tape()
+    buffer = np.array([[10.0, -20.0]])
+    x = t.parameter(as_matrix([[2.0, 3.0]]), buffer)
+    y = sum_all(t, t.mul(x, x))
+    t.backward(y)
+    assert x.grad is buffer
+    assert np.array_equal(buffer, [[14.0, -14.0]])
+    assert t.replay() is y
+    assert x.grad is buffer  # replay leaves a parameter's buffer to its caller
+    t.backward(y)
+    assert x.grad is buffer and np.array_equal(buffer, [[18.0, -8.0]])
 
 
 def test_backward_is_bitwise_deterministic():
     def run():
         rng = np.random.default_rng(7)
         t = Tape()
-        a = t.parameter(rng.normal(size=(4, 5)))
-        b = t.parameter(rng.normal(size=(5, 3)))
+        a = param(t, rng.normal(size=(4, 5)))
+        b = param(t, rng.normal(size=(5, 3)))
         logits = t.matmul(t.softmax_rows(t.matmul(a, b)), t.constant(rng.normal(size=(3, 2))))
         out = t.cross_entropy_logits(logits, t.input("labels", np.array([0, 1, 1, 0])))
         t.backward(out)
@@ -314,19 +337,19 @@ def test_backward_is_bitwise_deterministic():
 
 def test_unused_branches_get_no_gradient():
     t = Tape()
-    x = t.parameter(as_matrix([[1.0]]))
-    unused = t.parameter(as_matrix([[5.0]]))
-    t.sigmoid(unused)  # on the tape, off the path
+    x = param(t, as_matrix([[1.0]]))
+    unused = param(t, as_matrix([[5.0]]))
+    off_path = t.sigmoid(unused)  # on the tape, off the path
     y = sum_all(t, x)
     t.backward(y)
-    assert unused.grad is None
+    assert np.array_equal(unused.grad, [[0.0]]) and off_path.grad is None
 
 
 def handoff_graph(t, x, labels, w, bias, v):
     """One graph of each gradient path: ``h`` has one consumer, ``hb`` two
     (``add(hb, hb)``), ``bias`` broadcasts over batch and sequence, and
     ``mean_rows`` pools a sequence of 3; returns every node by name."""
-    n = {"x": t.input("x", x), "w": t.parameter(w), "bias": t.parameter(bias), "v": t.parameter(v)}
+    n = {"x": t.input("x", x), "w": param(t, w), "bias": param(t, bias), "v": param(t, v)}
     n["h"] = t.matmul(n["x"], n["w"])
     n["hb"] = t.add(n["h"], n["bias"])
     n["s"] = t.add(n["hb"], n["hb"])
@@ -352,6 +375,8 @@ def test_replayed_gradients_match_a_fresh_tape_bytewise():
             tape.input("x", x)
             tape.input("labels", labels)
             tape.replay()
+            for name in ("w", "bias", "v"):  # the caller zeroes its buffers, as training does
+                replayed[name].grad.fill(0.0)
         tape.backward(replayed["loss"])
         fresh_tape = Tape()
         fresh = handoff_graph(fresh_tape, x, labels, w, bias, v)
@@ -369,7 +394,7 @@ def test_replayed_gradients_match_a_fresh_tape_bytewise():
 
 def test_backward_runs_once_per_replay():
     t = Tape()
-    x = t.parameter(as_matrix([[2.0, 3.0]]))
+    x = param(t, as_matrix([[2.0, 3.0]]))
     y, other = sum_all(t, t.sigmoid(x)), sum_all(t, x)
     with pytest.raises(UsageError):
         t.replay()  # nothing to replay before a backward
@@ -379,6 +404,7 @@ def test_backward_runs_once_per_replay():
     assert t.replay() is y
     with pytest.raises(UsageError):
         t.backward(other)  # only the recorded root replays
+    x.grad.fill(0.0)  # the parameter's buffer is the caller's to zero
     t.backward(y)
     s = 0.5 * (1.0 + np.tanh(0.5 * np.array([[2.0, 3.0]])))
     assert np.array_equal(x.grad, s * (1.0 - s))
@@ -387,7 +413,7 @@ def test_backward_runs_once_per_replay():
 def test_replay_refuses_a_tape_that_dropped_an_op():
     t = Tape()
     x = t.input("x", np.array([[0.5, -1.0]]))
-    w = t.parameter(as_matrix([[2.0], [3.0]]))
+    w = param(t, as_matrix([[2.0], [3.0]]))
     squashed = t.sigmoid(x)  # no gradient flows through it: computed, not kept
     y = sum_all(t, t.matmul(squashed, w))
     assert len(t) == 4  # x, w, matmul, sum_all
@@ -438,7 +464,7 @@ def test_cross_entropy_rejects_bad_labels():
 
 def test_backward_requires_scalar_root():
     t = Tape()
-    x = t.parameter(np.ones((2, 2)))
+    x = param(t, np.ones((2, 2)))
     with pytest.raises(UsageError):
         t.backward(t.add(x, x))
 

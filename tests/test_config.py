@@ -190,6 +190,9 @@ def test_eval_settings_validation():
 def test_run_config_fractions_property():
     config = RunConfig(train_frac=0.6, val_frac=0.2, test_frac=0.2)
     assert config.fractions == (0.6, 0.2, 0.2)
+    for name in ("train_frac", "val_frac", "test_frac"):
+        with pytest.raises(InputError, match=name):  # NaN passes a plain < 0 test
+            RunConfig(**{name: float("nan")})
 
 
 def test_master_seeds_in_resolved_config_reparse():

@@ -416,6 +416,9 @@ def test_split_errors():
         split(ds, (0.5, 0.5, 0.5), seed=0)
     with pytest.raises(InputError):
         split(ds, (-0.1, 0.6, 0.5), seed=0)
+    for fractions in ((np.nan, 0.5, 0.5), (0.5, 0.5, np.nan)):
+        with pytest.raises(InputError):
+            split(ds, fractions, seed=0)
 
 
 def test_batches_cover_all_indices_once():
