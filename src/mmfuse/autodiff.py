@@ -2,26 +2,28 @@
 
 Values are matrices or ``(B, L, d)`` stacks of them: B sequences of L
 rows each. Stack-by-matrix products run as one ``(B*L, d)`` gemm,
-stack-by-stack products multiply matching sequences, softmax normalises
+stack-by-stack products multiply matching sequences, ``dense`` is a
+layer (product, bias row, optional relu or sigmoid), softmax normalises
 over the last axis, and ``mean_rows`` pools a stack over its sequence
 axis. The elementwise ``add`` and ``mul`` broadcast an operand's length-1
 axes, and sum its gradient back over them. Softmax and cross-entropy are
 stabilized (max subtraction, log-sum-exp), which keeps every output
 finite for finite inputs.
 
-Each operation is one record: an output buffer and a forward function
-that fills it, run once when the op is called. As in PyTorch autograd,
-the tape keeps an op only when a parent needs a gradient; an op on
-``input`` and ``constant`` leaves alone keeps nothing. Ownership runs one
-way: a tape holds its kept ops and named ``input`` leaves, and a node
-holds its tape only weakly, so reference counting frees each value and
-tape once nothing refers to it. ``Tape.backward`` walks the kept ops in
-reverse, so gradients follow one fixed order and repeated runs are
-bitwise identical. As in PyTorch, a parameter adds each contribution into
-its caller's buffer, and any other node keeps its first contribution as it
-is and sums later ones into a new array, so no handed-over array is
-written. ``Tape.replay`` reruns the kept forwards, in their buffers, on new
-inputs and drops their gradients; it refuses a tape that dropped an op.
+Each operation is one record: an output buffer (for a length-1 mean, a
+view of the input) and a forward function that fills it, run once when
+the op is called. As in PyTorch autograd, the tape keeps an op only when
+a parent needs a gradient; an op on ``input`` and ``constant`` leaves
+alone keeps nothing. Ownership runs one way: a tape holds its kept ops
+and named ``input`` leaves, and a node holds its tape only weakly, so
+reference counting frees each value and tape once nothing refers to it.
+``Tape.backward`` walks the kept ops in reverse, so gradients follow one
+fixed order and repeated runs are bitwise identical. As in PyTorch, a
+parameter adds each contribution into its caller's buffer, and any other
+node keeps its first contribution as it is and sums later ones into a new
+array, so no handed-over array is written. ``Tape.replay`` reruns the kept
+forwards, in their buffers, on new inputs and drops their gradients; it
+refuses a tape that dropped an op.
 """
 
 from __future__ import annotations
@@ -175,11 +177,13 @@ class Tape:
         replay and ``backward(g, out)``; otherwise keep nothing."""
         out = np.empty(shape)
         forward(out)
-        node = Node(out, op, any(p.requires_grad for p in parents), self)
-        if not node.requires_grad:
-            self._dropped = True
-            return node
-        self._steps.append((forward, backward, node, out))
+        return self._keep(Node(out, op, any(p.requires_grad for p in parents), self),
+                          forward, backward, out)
+
+    def _keep(self, node: Node, forward: Callable, backward: Callable, out: Array | None) -> Node:
+        if node.requires_grad:
+            self._steps.append((forward, backward, node, out))
+        self._dropped |= not node.requires_grad
         return node
 
     def _own(self, *nodes: Node) -> None:
@@ -251,7 +255,9 @@ class Tape:
         self._own(a)
 
         def forward(out: Array) -> None:
-            e = np.exp(a.value - np.maximum.reduce(a.value, axis=-1, keepdims=True))
+            v = a.value  # row max from a sequence-major copy: fast, and exact in any order
+            top = np.maximum.reduce(v.reshape(-1, v.shape[-1]).T.copy(), axis=0)
+            e = np.exp(v - top.reshape(v.shape[:-1] + (1,)))
             np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
         def backward(g: Array, out: Array) -> None:
@@ -260,18 +266,37 @@ class Tape:
             _give(a, out * (g - inner))
         return self._record(a.value.shape, "softmax_rows", (a,), forward, backward)
 
-    def sigmoid(self, a: Node) -> Node:
-        self._own(a)
-        # tanh form is stable for large |x| and exact at 0
-        return self._record(a.value.shape, "sigmoid", (a,),
-                            lambda out: np.multiply(0.5, 1.0 + np.tanh(0.5 * a.value), out=out),
-                            lambda g, out: _give(a, g * out * (1.0 - out)))
+    def dense(self, x: Node, w: Node, b: Node, act: str | None = None) -> Node:
+        """One layer, ``act(x @ w + b)`` for a matrix x, a (1, c) bias row and act
+        None, "relu" or "sigmoid", as one record: the bias and the activation run
+        in place in the product's buffer, which gives the activation's derivative."""
+        self._own(x, w, b)
+        xs, ws, bs = x.value.shape, w.value.shape, b.value.shape
+        if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or bs != (1, ws[1]):
+            raise DimensionError(f"dense: shapes disagree, {xs} x {ws} + {bs}")
+        if act not in (None, "relu", "sigmoid"):
+            raise UsageError(f"dense: unknown activation {act!r}")
 
-    def relu(self, a: Node) -> Node:
-        self._own(a)
-        return self._record(a.value.shape, "relu", (a,),
-                            lambda out: np.maximum(a.value, 0.0, out=out),
-                            lambda g, out: _give(a, g * (a.value > 0.0)))
+        def forward(out: Array) -> None:
+            np.add(np.matmul(x.value, w.value, out=out), b.value, out=out)
+            if act == "relu":
+                np.maximum(out, 0.0, out=out)
+            elif act == "sigmoid":  # 0.5 * (1 + tanh(x / 2)): stable for large |x|, exact at 0
+                np.add(np.tanh(np.multiply(out, 0.5, out=out), out=out), 1.0, out=out)
+                np.multiply(out, 0.5, out=out)
+
+        def backward(g: Array, out: Array) -> None:
+            if act == "relu":  # out > 0 exactly where x @ w + b > 0
+                g = g * (out > 0.0)
+            elif act == "sigmoid":
+                g = g * out * (1.0 - out)
+            if b.requires_grad:  # bias, x, w: the order of separate matmul, add and act ops
+                _give(b, _unbroadcast(g, (0,) if len(g) > 1 else ()))
+            if x.requires_grad:
+                _give(x, g @ w.value.T)
+            if w.requires_grad:
+                _give(w, x.value.T @ g)
+        return self._record((xs[0], ws[1]), "dense", (x, w, b), forward, backward)
 
     def concat_cols(self, a: Node, b: Node) -> Node:
         self._own(a, b)
@@ -291,19 +316,22 @@ class Tape:
                             backward)
 
     def mean_rows(self, a: Node) -> Node:
-        """Mean over the sequence axis: (B, L, c) -> (B, c); a single
-        (L, c) sequence gives 1 x c."""
+        """Mean over the sequence axis: (B, L, c) -> (B, c). At L = 1 that is the
+        one row: a view of the input, with no buffer, which replay takes again."""
         self._own(a)
-        shape = a.value.shape
-        m = shape[-2]
-        pooled = shape[:-2] + shape[-1:]
+        if a.value.ndim != 3:
+            raise DimensionError(f"mean_rows: needs a (B, L, c) stack, got {a.value.shape}")
+        n, m, c = a.value.shape
+        if m == 1:
+            node = Node(a.value.reshape(n, c), "mean_rows", a.requires_grad, self)
+            # contiguous, as the divide gave: a strided gradient changes gemm bits at d_c = 1
+            return self._keep(node, lambda out: setattr(node, "value", a.value.reshape(n, c)),
+                              lambda g, out: _give(a, np.ascontiguousarray(g).reshape(n, 1, c)), None)
         # sum then divide by the count, as ndarray.mean does, without its overhead;
         # the pooled gradient is repeated over the sequence to the input's full shape
-        return self._record((shape[0] if len(shape) == 3 else 1, shape[-1]), "mean_rows", (a,),
-                            lambda out: np.divide(np.add.reduce(a.value, axis=-2), m,
-                                                  out=out.reshape(pooled)),
-                            lambda g, out: _give(a, (g / m).reshape(
-                                shape[:-2] + (1, shape[-1])).repeat(m, axis=-2)))
+        return self._record((n, c), "mean_rows", (a,),
+                            lambda out: np.divide(np.add.reduce(a.value, axis=1), m, out=out),
+                            lambda g, out: _give(a, (g / m).reshape(n, 1, c).repeat(m, axis=1)))
 
     def transpose(self, a: Node) -> Node:
         """Swap the last two axes."""
@@ -332,9 +360,10 @@ class Tape:
         probs = np.empty((m, 2)) if logits.requires_grad else None
 
         def forward(out: Array) -> None:
-            z = logits.value - np.maximum.reduce(logits.value, axis=1, keepdims=True)
+            # two columns: the row max and the row sum are one elementwise op each
+            z = logits.value - np.maximum(logits.value[:, 0], logits.value[:, 1]).reshape(m, 1)
             e = np.exp(z)
-            sum_e = np.add.reduce(e, axis=1, keepdims=True)
+            sum_e = np.add(e[:, 0], e[:, 1]).reshape(m, 1)
             log_probs = z - np.log(sum_e)
             out[0, 0] = -(np.add.reduce(log_probs[rows, labels.value]) / m)  # as ndarray.mean
             if probs is not None:

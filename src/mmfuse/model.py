@@ -219,15 +219,15 @@ def _attend(tape, pn, h_t, h_i, d_k):
 
 def _gate_alphas(tape, pn, pooled_t, pooled_i):
     joint = tape.concat_cols(pooled_t, pooled_i)
-    hidden = tape.relu(tape.add(tape.matmul(joint, pn["gate_w1"]), pn["gate_b1"]))
-    alpha_t = tape.sigmoid(tape.add(tape.matmul(hidden, pn["gate_w_text"]), pn["gate_b_text"]))
-    alpha_i = tape.sigmoid(tape.add(tape.matmul(hidden, pn["gate_w_image"]), pn["gate_b_image"]))
+    hidden = tape.dense(joint, pn["gate_w1"], pn["gate_b1"], "relu")
+    alpha_t = tape.dense(hidden, pn["gate_w_text"], pn["gate_b_text"], "sigmoid")
+    alpha_i = tape.dense(hidden, pn["gate_w_image"], pn["gate_b_image"], "sigmoid")
     return alpha_t, alpha_i
 
 
 def _classify(tape, pn, features):
-    hidden = tape.relu(tape.add(tape.matmul(features, pn["cls_w1"]), pn["cls_b1"]))
-    return tape.add(tape.matmul(hidden, pn["cls_w2"]), pn["cls_b2"])
+    hidden = tape.dense(features, pn["cls_w1"], pn["cls_b1"], "relu")
+    return tape.dense(hidden, pn["cls_w2"], pn["cls_b2"])
 
 
 def build_logits(tape, pn, config, x_text, x_image):

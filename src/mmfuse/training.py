@@ -106,10 +106,11 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     """Mean cross-entropy of a batch of records as a 1x1 graph node.
 
     Pass a tape, and a vector laid out like ``params.flat`` that
-    Tape.backward adds the parameter gradients into; otherwise a private
-    tape and a zero vector are used. ``grad`` is read only when the tape
-    records: a tape that has run backward on this loss, from these params
-    and hyper-config, is replayed on the batch into the vector it was given.
+    Tape.backward adds the parameter gradients into. ``grad`` is read only
+    when the tape records: a tape that has run backward on this loss, from
+    these params and hyper-config, is replayed on the batch into the vector
+    it was given. Without ``grad`` the loss is a value alone: the parameters
+    enter the tape (a private one if none is given) as input leaves.
     """
     if tape is None:
         tape = Tape()
@@ -117,9 +118,9 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     labels = tape.input("labels", batch.labels)
     if tape.root is not None:
         return tape.replay()
-    if grad is None:
-        grad = np.zeros_like(params.flat)
-    nodes = build_logits(tape, register_parameters(tape, params, grad), hyper, x_text, x_image)
+    pn = (register_parameters(tape, params, grad) if grad is not None
+          else {name: tape.input(name, arr) for name, arr in params.items()})
+    nodes = build_logits(tape, pn, hyper, x_text, x_image)
     return tape.cross_entropy_logits(nodes["logits"], labels)
 
 

@@ -36,12 +36,8 @@ def fd_worst_error(build, arrays, step=1e-5):
     return finite_difference_check(f, arrays, {k: n.grad for k, n in nodes.items()}, step=step)
 
 
-def uniform(rng, *shape, avoid_zero=False):
-    a = rng.uniform(-2.0, 2.0, shape)
-    if avoid_zero:
-        # keep relu inputs away from the kink
-        a = np.where(np.abs(a) < 1e-3, 0.5, a)
-    return a
+def uniform(rng, *shape):
+    return rng.uniform(-2.0, 2.0, shape)
 
 
 # -- forward values ----------------------------------------------------------
@@ -84,14 +80,112 @@ def test_softmax_rows_sum_to_one():
         assert (s > 0.0).all() and (s < 1.0).all()
 
 
-def test_sigmoid_relu_values():
+def test_dense_activation_values():
     t = Tape()
     x = t.constant([[0.0, -1.0, 50.0, -50.0]])
-    s = t.sigmoid(x).value
+    eye, bias = t.constant(np.eye(4)), t.constant([[0.0, 0.0, 0.0, 0.0]])
+    s = t.dense(x, eye, bias, "sigmoid").value
     assert s[0, 0] == 0.5
     assert abs(s[0, 1] - 1.0 / (1.0 + math.exp(1.0))) < 1e-12
     assert 0.0 <= s[0, 3] < 1e-15 and 1.0 - 1e-15 < s[0, 2] <= 1.0
-    assert np.array_equal(t.relu(x).value, [[0.0, 0.0, 50.0, 0.0]])
+    assert np.array_equal(t.dense(x, eye, bias, "relu").value, [[0.0, 0.0, 50.0, 0.0]])
+    shifted = t.dense(t.constant([[1.0, 2.0], [3.0, 4.0]]), t.constant([[1.0], [10.0]]),
+                      t.constant([[-0.5]]))
+    assert np.array_equal(shifted.value, [[20.5], [42.5]])
+
+
+def dense_reference(x, w, b, act, upstream):
+    """The three separate ops the dense record replaces, in numpy: its value
+    and the gradients of b, x and w for an upstream gradient."""
+    pre = np.matmul(x, w) + b
+    if act == "relu":
+        out = np.maximum(pre, 0.0)
+        g = upstream * (pre > 0.0)
+    elif act == "sigmoid":
+        out = 0.5 * (1.0 + np.tanh(0.5 * pre))
+        g = upstream * out * (1.0 - out)
+    else:
+        out, g = pre, upstream
+    g_b = np.add.reduce(g, axis=(0,), keepdims=True) if len(g) > 1 else g
+    return out, g_b, g @ w.T, x.T @ g
+
+
+@pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+def test_dense_matches_separate_ops_bytewise(act):
+    """Forward and all three gradients equal matmul, then the bias add, then
+    the activation, by bytes. ``x`` feeds a second consumer, whose gradient
+    comes first and to which the dense contribution is added."""
+    for m in (1, 3, 32):
+        rng = np.random.default_rng(m)
+        u, p = rng.normal(size=(m, 5)), rng.normal(size=(5, 4))
+        w, b = rng.normal(size=(4, 6)), rng.normal(size=(1, 6))
+        r, s = rng.normal(size=(m, 6)), rng.normal(size=(m, 4))
+        t = Tape()
+        n = {"p": param(t, p), "w": param(t, w), "b": param(t, b)}
+        x = t.matmul(t.input("u", u), n["p"])
+        out = t.dense(x, n["w"], n["b"], act)
+        root = t.add(sum_all(t, t.mul(out, t.constant(r))), sum_all(t, t.mul(x, t.constant(s))))
+        t.backward(root)
+        want, g_b, g_x, g_w = dense_reference(u @ p, w, b, act, r)
+        assert out.value.tobytes() == want.tobytes()
+        # parameter gradients add into zeroed buffers, which turns a -0.0 into 0.0
+        assert n["b"].grad.tobytes() == (0.0 + g_b).tobytes()
+        assert x.grad.tobytes() == (s + g_x).tobytes()
+        assert n["w"].grad.tobytes() == (0.0 + g_w).tobytes()
+        assert n["p"].grad.tobytes() == (0.0 + u.T @ (s + g_x)).tobytes()
+    t = Tape()
+    x, w = t.constant(np.ones((3, 4))), t.constant(np.ones((4, 2)))
+    for bad in ((1, 3), (3, 2), (1, 1, 2)):
+        with pytest.raises(DimensionError):
+            t.dense(x, w, t.constant(np.ones(bad)))
+    with pytest.raises(DimensionError):
+        t.dense(t.constant(np.ones((1, 3, 4))), w, t.constant(np.ones((1, 2))))
+    with pytest.raises(UsageError):
+        t.dense(x, w, t.constant(np.ones((1, 2))), "tanh")
+
+
+def test_softmax_row_max_matches_a_max_reduce():
+    """The row max comes from a sequence-major copy; the softmax equals one
+    that takes it with a max-reduce over the last axis, by bytes, with ties
+    and signed zeros in the rows."""
+    rng = np.random.default_rng(12)
+    t = Tape()
+    for batch in (1, 3, 32, 1000):
+        for length in (1, 2, 3, 4, 7, 8, 9, 16):
+            shape = (batch, 2, length)
+            tied = rng.choice([-0.0, 0.0, -1.5, 2.0, 2.0], size=shape)
+            for v in (tied, 20.0 * rng.normal(size=shape)):
+                e = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))
+                want = e / np.add.reduce(e, axis=-1, keepdims=True)
+                assert t.softmax_rows(t.constant(v)).value.tobytes() == want.tobytes()
+
+
+def test_length_one_mean_is_a_view_that_follows_replay():
+    """At L = 1, mean_rows shares its input's memory. Kept, it follows a
+    repointed input through the op it pools, and its gradient is the pooled
+    one, reshaped and contiguous even where the pooled one is a strided
+    concat_cols slice, since a strided operand moves a gemm's bits."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(4, 1, 3))
+    scoring = Tape()
+    assert np.shares_memory(scoring.mean_rows(scoring.input("x", x)).value, x)
+    t = Tape()
+    bias = param(t, rng.normal(size=(1, 1, 3)))
+    h = t.add(t.input("x", x), bias)
+    pooled = t.mean_rows(h)
+    assert np.shares_memory(pooled.value, h.value) and pooled.value.shape == (4, 3)
+    w = t.constant(rng.normal(size=(5, 2)))
+    loss = sum_all(t, t.matmul(t.concat_cols(pooled, t.constant(np.ones((4, 2)))), w))
+    t.backward(loss)
+    x2 = rng.normal(size=(4, 1, 3))
+    t.input("x", x2)
+    bias.grad.fill(0.0)
+    t.replay()
+    t.backward(loss)
+    assert np.array_equal(pooled.value, (x2 + bias.value)[:, 0])
+    assert np.shares_memory(pooled.value, h.value)
+    assert not pooled.grad.flags.c_contiguous and h.grad.flags.c_contiguous
+    assert h.grad.shape == (4, 1, 3) and np.array_equal(h.grad[:, 0], pooled.grad)
 
 
 def test_scale_concat_mean_transpose_sum_values():
@@ -101,7 +195,7 @@ def test_scale_concat_mean_transpose_sum_values():
     assert np.array_equal(t.mul(a, t.constant([[2.0], [10.0]])).value, [[2.0, 4.0], [30.0, 40.0]])
     b = t.constant([[5.0], [6.0]])
     assert np.array_equal(t.concat_cols(a, b).value, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
-    assert np.array_equal(t.mean_rows(a).value, [[2.0, 3.0]])
+    assert np.array_equal(t.mean_rows(t.constant([[[1.0, 2.0], [3.0, 4.0]]])).value, [[2.0, 3.0]])
     assert np.array_equal(t.transpose(a).value, [[1.0, 3.0], [2.0, 4.0]])
     assert sum_all(t, a).value[0, 0] == 10.0
 
@@ -128,9 +222,9 @@ def test_stack_values():
 
 def test_value_only_tape_frees_intermediates():
     t = Tape()
-    hidden = t.sigmoid(t.constant(np.ones((2, 3, 4))))
+    hidden = t.softmax_rows(t.constant(np.ones((2, 3, 4))))
     value = weakref.ref(hidden.value)
-    out = t.relu(hidden)
+    out = t.add(hidden, hidden)
     del hidden
     assert value() is None  # no gradient flows through either op, so neither is kept
     assert len(t) == 1 and out.value.shape == (2, 3, 4)  # the constant leaf alone
@@ -177,20 +271,24 @@ OPS = {
         {"a": (3, 4)},
         lambda t, n: sum_all(t, t.matmul(t.softmax_rows(n["a"]), n["w"])),
     ),
-    "sigmoid": (
-        {"a": (3, 4)},
-        lambda t, n: sum_all(t, t.matmul(t.sigmoid(n["a"]), n["w"])),
+    "dense": (
+        {"a": (3, 5), "b": (5, 4), "c": (1, 4)},
+        lambda t, n: sum_all(t, t.matmul(t.dense(n["a"], n["b"], n["c"]), n["w"])),
     ),
-    "relu": (
-        {"a": (3, 4)},
-        lambda t, n: sum_all(t, t.matmul(t.relu(n["a"]), n["w"])),
+    "dense_relu": (
+        {"a": (3, 5), "b": (5, 4), "c": (1, 4)},
+        lambda t, n: sum_all(t, t.matmul(t.dense(n["a"], n["b"], n["c"], "relu"), n["w"])),
+    ),
+    "dense_sigmoid": (
+        {"a": (3, 5), "b": (5, 4), "c": (1, 4)},
+        lambda t, n: sum_all(t, t.matmul(t.dense(n["a"], n["b"], n["c"], "sigmoid"), n["w"])),
     ),
     "concat_cols": (
         {"a": (3, 2), "b": (3, 2)},
         lambda t, n: sum_all(t, t.matmul(t.concat_cols(n["a"], n["b"]), n["w"])),
     ),
     "mean_rows": (
-        {"a": (5, 4)},
+        {"a": (1, 5, 4)},
         lambda t, n: sum_all(t, t.matmul(t.mean_rows(n["a"]), n["w"])),
     ),
     "transpose": (
@@ -212,6 +310,10 @@ OPS = {
     ),
     "mean_rows_stack": (
         {"a": (2, 3, 4)},
+        lambda t, n: sum_all(t, t.matmul(t.mean_rows(n["a"]), n["w"])),
+    ),
+    "mean_rows_length_one": (
+        {"a": (3, 1, 4)},
         lambda t, n: sum_all(t, t.matmul(t.mean_rows(n["a"]), n["w"])),
     ),
     "transpose_stack": (
@@ -239,7 +341,7 @@ def test_gradients_match_finite_differences(op):
     shapes, build = OPS[op]
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        arrays = {k: uniform(rng, *shape, avoid_zero=(op == "relu")) for k, shape in shapes.items()}
+        arrays = {k: uniform(rng, *shape) for k, shape in shapes.items()}
         if op in REDUCER_ROWS:
             arrays["w"] = uniform(rng, REDUCER_ROWS[op], 2)
         assert fd_worst_error(build, arrays) <= 1e-4
@@ -256,23 +358,26 @@ def test_cross_entropy_gradient_matches_finite_differences():
 
 
 def test_composite_graph_gradient():
-    # chain exercising most ops together
+    # chain exercising most ops together; the relu layer feeds two consumers
     def build(t, n):
-        h = t.relu(t.add(t.matmul(n["x"], n["w1"]), n["b1"]))
-        s = t.softmax_rows(h)
-        g = t.sigmoid(t.matmul(t.mean_rows(s), n["w2"]))
-        scaled = t.mul(t.concat_cols(g, g), n["alpha"])
-        return sum_all(t, t.matmul(scaled, n["w3"]))
+        s = t.softmax_rows(t.add(t.matmul(n["x"], n["w1"]), n["b1"]))
+        h = t.dense(t.mean_rows(s), n["w2"], n["b2"], "relu")
+        g = t.dense(h, n["w3"], n["b3"], "sigmoid")
+        scaled = t.mul(t.concat_cols(g, h), n["alpha"])
+        return sum_all(t, t.matmul(scaled, n["w4"]))
 
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
         arrays = {
-            "x": uniform(rng, 4, 3),
+            "x": uniform(rng, 2, 4, 3),
             "w1": uniform(rng, 3, 5),
-            "b1": uniform(rng, 1, 5),
+            "b1": uniform(rng, 1, 1, 5),
             "w2": uniform(rng, 5, 3),
+            "b2": uniform(rng, 1, 3),
+            "w3": uniform(rng, 3, 3),
+            "b3": uniform(rng, 1, 3),
             "alpha": uniform(rng, 1, 1),
-            "w3": uniform(rng, 6, 2),
+            "w4": uniform(rng, 6, 2),
         }
         assert fd_worst_error(build, arrays) <= 1e-4
 
@@ -298,7 +403,7 @@ def test_gradients_accumulate_for_repeated_parent():
     # an op's repeated parent: both operands are handed the same array, which
     # the second contribution must not write into
     t = Tape()
-    h = t.sigmoid(param(t, as_matrix([[1.5]])))
+    h = t.transpose(param(t, as_matrix([[1.5]])))
     s = t.add(h, h)
     t.backward(s)
     assert np.array_equal(s.grad, [[1.0]])
@@ -339,7 +444,7 @@ def test_unused_branches_get_no_gradient():
     t = Tape()
     x = param(t, as_matrix([[1.0]]))
     unused = param(t, as_matrix([[5.0]]))
-    off_path = t.sigmoid(unused)  # on the tape, off the path
+    off_path = t.transpose(unused)  # on the tape, off the path
     y = sum_all(t, x)
     t.backward(y)
     assert np.array_equal(unused.grad, [[0.0]]) and off_path.grad is None
@@ -395,7 +500,7 @@ def test_replayed_gradients_match_a_fresh_tape_bytewise():
 def test_backward_runs_once_per_replay():
     t = Tape()
     x = param(t, as_matrix([[2.0, 3.0]]))
-    y, other = sum_all(t, t.sigmoid(x)), sum_all(t, x)
+    y, other = sum_all(t, t.mul(x, x)), sum_all(t, x)
     with pytest.raises(UsageError):
         t.replay()  # nothing to replay before a backward
     t.backward(y)
@@ -406,15 +511,14 @@ def test_backward_runs_once_per_replay():
         t.backward(other)  # only the recorded root replays
     x.grad.fill(0.0)  # the parameter's buffer is the caller's to zero
     t.backward(y)
-    s = 0.5 * (1.0 + np.tanh(0.5 * np.array([[2.0, 3.0]])))
-    assert np.array_equal(x.grad, s * (1.0 - s))
+    assert np.array_equal(x.grad, [[4.0, 6.0]])
 
 
 def test_replay_refuses_a_tape_that_dropped_an_op():
     t = Tape()
     x = t.input("x", np.array([[0.5, -1.0]]))
     w = param(t, as_matrix([[2.0], [3.0]]))
-    squashed = t.sigmoid(x)  # no gradient flows through it: computed, not kept
+    squashed = t.mul(x, x)  # no gradient flows through it: computed, not kept
     y = sum_all(t, t.matmul(squashed, w))
     assert len(t) == 4  # x, w, matmul, sum_all
     t.backward(y)
@@ -422,7 +526,7 @@ def test_replay_refuses_a_tape_that_dropped_an_op():
     assert x.grad is None and squashed.grad is None
     t.input("x", np.array([[1.0, 2.0]]))
     with pytest.raises(UsageError):
-        t.replay()  # it would rerun the matmul on the old sigmoid of x
+        t.replay()  # it would rerun the matmul on the old square of x
 
 
 # -- error handling ----------------------------------------------------------
@@ -473,11 +577,11 @@ def test_nodes_cannot_cross_tapes():
     t1, t2 = Tape(), Tape()
     a = t1.constant([[1.0]])
     with pytest.raises(UsageError):
-        t2.sigmoid(a)
+        t2.transpose(a)
     orphan = Tape().constant([[1.0]])  # its tape is freed with the statement
     assert orphan.tape is None
     with pytest.raises(UsageError):
-        t2.sigmoid(orphan)
+        t2.transpose(orphan)
 
 
 def test_as_matrix_validation():

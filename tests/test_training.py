@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mmfuse import training
+from mmfuse.autodiff import Tape
 from mmfuse.data import SyntheticSpec, batches, generate_synthetic, split
 from mmfuse.errors import (
     BadMagicError,
@@ -143,6 +145,22 @@ def test_batched_path_matches_batches_of_one(variant, l_t, l_i):
     assert_close(loss, np.mean([value for value, _ in singles]))
     for name in params.names:
         assert_close(grads[name], sum(g[name] for _, g in singles) / len(records))
+
+
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_value_only_batch_loss_keeps_no_op_and_matches_a_recorded_step(variant, lengths,
+                                                                       monkeypatch):
+    hyper = HyperConfig(variant=variant, init_seed=7, **SMALL)
+    params = init_params(hyper)
+    records = small_dataset(n=9, seed=8, l_t=lengths[0], l_i=lengths[1])
+    recorded, _ = loss_and_grads(params, hyper, records)
+    made = []  # holds the private tape, which batch_loss would free as it returns
+    monkeypatch.setattr(training, "Tape", lambda: made.append(Tape()) or made[-1])
+    loss = batch_loss(params, hyper, records)
+    (tape,) = made
+    assert not tape._steps and loss.tape is tape and not loss.requires_grad
+    assert loss.value[0, 0].tobytes() == recorded.tobytes()
 
 
 def test_batch_loss_rejects_empty_batch():

@@ -1,8 +1,9 @@
 """Run the CLI byte gates into OUT, so that two trees can be compared byte for byte.
 
-For ``--seed 1..5``, at the default config and at ``l_t = 3``, ``l_i = 2``,
+For ``--seed 1..5``, at the default config, at ``l_t = 3``, ``l_i = 2`` and at
+``l_t = 9``, ``l_i = 1`` (a softmax over nine keys beside a length-1 side),
 this runs ``gen-data``, ``ablate``, ``train --variant full``, ``eval``,
-``gate-stats`` and ``perturb`` (with both ablation baselines): 60 commands.
+``gate-stats`` and ``perturb`` (with both ablation baselines): 90 commands.
 Each runs in a fresh ``python -m mmfuse.cli`` on this tree's ``src/``, with
 BLAS on one thread, in OUT with paths relative to it, so that no output
 names the tree. Each command's exit code, stdout and stderr are saved
@@ -12,7 +13,7 @@ beside its outputs. To compare a change with its parent::
     python3 tools/byte_gates.py /tmp/gates-parent        # in the parent's tree
     diff -r /tmp/gates-parent /tmp/gates-change
 
-The 60 commands take about half a minute on two cores; OUT must not exist yet.
+The 90 commands take about a minute on two cores; OUT must not exist yet.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CONFIGS = {"L1": None, "L3x2": "[data]\nl_t = 3\nl_i = 2\n"}  # None: the default config
+CONFIGS = {"L1": None,  # None: the default config
+           "L3x2": "[data]\nl_t = 3\nl_i = 2\n", "L9x1": "[data]\nl_t = 9\nl_i = 1\n"}
 SEEDS = range(1, 6)
 
 
@@ -48,6 +50,9 @@ def main(argv: list[str]) -> int:
         print(f"usage: {sys.argv[0]} OUT", file=sys.stderr)
         return 2
     out = Path(argv[0])
+    if out.exists():
+        print(f"{sys.argv[0]}: error: {out} already exists", file=sys.stderr)
+        return 2
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(SRC),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
