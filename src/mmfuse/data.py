@@ -217,8 +217,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # -- binary io -----------------------------------------------------------------
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file and rename so failures leave no partial file."""
+def atomic_write_bytes(path, payload: bytes | np.ndarray) -> None:
+    """Write bytes, or a ``uint8`` buffer, via a temp file and rename so
+    failures leave no partial file."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -261,19 +262,41 @@ class ByteReader:
 _HEADER = struct.Struct("<4sIQIIII")
 
 
+def _rows(buf: bytes | np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-byte run of a buffer as ``uint8`` rows, row k starting at byte k."""
+    return np.ndarray((max(len(buf) - width + 1, 0), width), np.uint8, buf, strides=(1, 1))
+
+
 def save(dataset: Dataset, path) -> None:
-    n = len(dataset)
-    text, image = dataset.text.astype("<f8", copy=False), dataset.image.astype("<f8", copy=False)
-    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, n, dataset.d_t, dataset.d_i,
-                           dataset.l_t, dataset.l_i)]
-    labels, provenance = dataset.labels.tolist(), dataset.provenance.tolist()
-    for i, rid in enumerate(dataset.ids):
-        encoded = rid.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)) + encoded
-                      + struct.pack("<BB", labels[i], provenance[i]))
-        chunks.append(text[i].tobytes())
-        chunks.append(image[i].tobytes())
-    atomic_write_bytes(path, b"".join(chunks))
+    """Build the file in one ``uint8`` buffer of its exact size, then write it.
+    The ids are encoded as one block; every record's offsets follow from the
+    id byte lengths, and each column lands at its records' offsets through a
+    strided view, as ``load`` gathers them: the id lengths and bytes, the
+    codes, the text block and the image block."""
+    n, ids = len(dataset), dataset.ids
+    text_bytes, image_bytes = 8 * dataset.l_t * dataset.d_t, 8 * dataset.l_i * dataset.d_i
+    tail = 2 + text_bytes + image_bytes
+    block = np.frombuffer("".join(ids).encode("utf-8"), np.uint8)
+    lengths = np.fromiter(map(len, ids), np.int64, n)  # byte lengths if every id is ASCII
+    if lengths.sum() != len(block):
+        lengths = np.fromiter((len(rid.encode("utf-8")) for rid in ids), np.int64, n)
+    id_ends = np.cumsum(lengths)  # where each id ends in the block
+    # where each record's tail starts: the header, k + 1 length fields and k tails precede it
+    tails = _HEADER.size + id_ends + 4 * np.arange(1, n + 1) + tail * np.arange(n)
+    buf = np.empty(_HEADER.size + 4 * n + len(block) + tail * n, np.uint8)
+    buf[:_HEADER.size] = np.frombuffer(_HEADER.pack(
+        MAGIC, FORMAT_VERSION, n, dataset.d_t, dataset.d_i, dataset.l_t, dataset.l_i), np.uint8)
+    _rows(buf, 4)[tails - lengths - 4] = lengths.astype("<u4").view(np.uint8).reshape(n, 4)
+    for width in np.flatnonzero(np.bincount(lengths)[1:]) + 1:  # each id byte length but 0
+        at = lengths == width
+        _rows(buf, width)[tails[at] - width] = _rows(block, width)[id_ends[at] - width]
+    records = _rows(buf, tail)
+    records[tails, 0], records[tails, 1] = dataset.labels, dataset.provenance
+    for start, width, stack in ((2, text_bytes, dataset.text),
+                                (2 + text_bytes, image_bytes, dataset.image)):
+        values = stack.astype("<f8", copy=False).reshape(n, width // 8)
+        records[tails, start:start + width] = values.view(np.uint8)
+    atomic_write_bytes(path, buf)
 
 
 def _fixed_stride_ids(data: bytes, pos: int, n: int, tail: int):
@@ -344,13 +367,12 @@ def load(path) -> Dataset:
         )
     # every record holds at least its fixed fields and its features, so a
     # count the file cannot hold is refused before anything is allocated
-    tail, size, pos = 2 + text_bytes + image_bytes, len(data), reader.pos
+    tail, pos = 2 + text_bytes + image_bytes, reader.pos
     reader.need(pos + n * (4 + tail))
     ids, starts = ((n and _fixed_stride_ids(data, pos, n, tail))
                    or _walk_ids(data, pos, n, tail, reader.need))
 
-    # with no records a wide header's tail can be longer than the whole file
-    window = np.ndarray((max(size - tail + 1, 0), tail), np.uint8, data, strides=(1, 1))
+    window = _rows(data, tail)  # no rows when a wide header's tail is longer than the file
     codes = window[starts, :2]
     try:
         return Dataset(tuple(ids), codes[:, 0], codes[:, 1],

@@ -73,10 +73,9 @@ def run_perturbation_suite(
         raise InputError("perturbation suite needs a non-empty test split")
 
     rows = [("unperturbed", evaluate(full_checkpoint.params, full_checkpoint.hyper, test_ds))]
-    for scenario in scenarios:
-        perturbed = perturb_dataset(test_ds, scenario)
-        rows.append((scenario.label(),
-                     evaluate(full_checkpoint.params, full_checkpoint.hyper, perturbed)))
+    for scenario in scenarios:  # no name keeps a perturbed copy alive past its evaluation
+        rows.append((scenario.label(), evaluate(full_checkpoint.params, full_checkpoint.hyper,
+                                                perturb_dataset(test_ds, scenario))))
     for variant, checkpoint in (baselines or {}).items():
         variant = Variant(variant)
         if variant not in (Variant.TEXT_ONLY, Variant.IMAGE_ONLY):

@@ -1,13 +1,15 @@
 """Oracles and stage views that only the tests use.
 
-Each one runs package code (``model._forward_nodes``, ``model._attend``,
-``Tape._record``), so the tests that call them still check what the
-package computes.
+The stage views run package code (``model._forward_nodes``,
+``model._attend``, ``Tape._record``), so the tests that call them still
+check what the package computes. ``reference_file_bytes`` is the
+record-by-record feature writer that ``data.save`` replaced.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from mmfuse import model
 from mmfuse.autodiff import Node, Tape, _give, as_matrix
-from mmfuse.data import Dataset
+from mmfuse.data import _HEADER, FORMAT_VERSION, MAGIC, Dataset
 from mmfuse.errors import InputError, UsageError
 from mmfuse.model import HyperConfig, ModelParams
 from mmfuse.training import batch_loss
@@ -142,6 +144,23 @@ def cross_attend(params: ModelParams, h_text, h_image, d_k: int) -> tuple[Array,
                                  tape.constant(as_matrix(h_image, name="h_image")[None], name="h_image"),
                                  d_k)
     return att_t.value[0], att_i.value[0]
+
+
+def reference_file_bytes(dataset: Dataset) -> bytes:
+    """A feature file's bytes written record by record, one ``struct.pack``
+    per field: the writer ``data.save`` replaced, kept as its oracle."""
+    n = len(dataset)
+    text, image = dataset.text.astype("<f8", copy=False), dataset.image.astype("<f8", copy=False)
+    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, n, dataset.d_t, dataset.d_i,
+                           dataset.l_t, dataset.l_i)]
+    labels, provenance = dataset.labels.tolist(), dataset.provenance.tolist()
+    for i, rid in enumerate(dataset.ids):
+        encoded = rid.encode("utf-8")
+        chunks.append(struct.pack("<I", len(encoded)) + encoded
+                      + struct.pack("<BB", labels[i], provenance[i]))
+        chunks.append(text[i].tobytes())
+        chunks.append(image[i].tobytes())
+    return b"".join(chunks)
 
 
 def parse_report(text: str) -> list[dict]:

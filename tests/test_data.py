@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mmfuse.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from support import reference_file_bytes
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -226,6 +228,50 @@ def test_round_trip_preserves_multirow_sequences(tmp_path):
             assert stack.flags.c_contiguous and stack.flags.writeable
             stack[...] = 7.0
         assert datasets_equal(case, load(path))  # the stacks share no memory with the file
+
+
+_IDS = st.one_of(
+    # mixed lengths: ASCII, multi-byte utf-8, newlines, NULs and empty ids
+    st.lists(st.one_of(st.text(st.sampled_from("ab-7\né記🙂\x00"), max_size=8), st.text(max_size=4)),
+             max_size=40),
+    st.integers(0, 40).map(lambda n: [f"r-{i:03d}" for i in range(n)]),  # one length, as generated
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=_IDS, l_t=st.integers(1, 4), l_i=st.integers(1, 4), d_t=st.integers(1, 5),
+       d_i=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_save_writes_the_reference_writers_bytes(tmp_path, ids, l_t, l_i, d_t, d_i, seed):
+    rng, n = np.random.default_rng(seed), len(ids)
+    case = Dataset(ids, rng.integers(0, 2, n), rng.integers(0, 4, n),
+                   rng.normal(size=(n, l_t, d_t)), rng.normal(size=(n, l_i, d_i)))
+    path = tmp_path / "case.mmfn"
+    save(case, path)
+    assert path.read_bytes() == reference_file_bytes(case)
+    assert datasets_equal(case, load(path))
+
+
+@pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
+def test_save_writes_generated_files_as_the_reference_writer(tmp_path, l_t, l_i):
+    ds = generate_synthetic(SyntheticSpec(n_samples=300, l_t=l_t, l_i=l_i, seed=5))
+    path = tmp_path / "generated.mmfn"
+    save(ds, path)
+    assert path.read_bytes() == reference_file_bytes(ds)
+    assert datasets_equal(ds, load(path))
+
+
+def test_save_peak_memory_stays_near_the_file_size(tmp_path):
+    # the record-by-record writer peaked at about 3.5x the file size
+    ds = generate_synthetic(SyntheticSpec(n_samples=20000, seed=3))
+    path = tmp_path / "large.mmfn"
+    tracemalloc.start()
+    try:
+        save(ds, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("ids,walked", [

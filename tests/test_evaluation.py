@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import mmfuse.experiments
 from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic, split
 from mmfuse.errors import InputError, UsageError
 from mmfuse.evaluation import (
@@ -352,6 +355,29 @@ def test_perturbation_suite_rows():
         "baseline-text-only",
         "baseline-image-only",
     ]
+
+
+def test_perturbation_suite_holds_one_perturbed_copy_at_a_time(monkeypatch):
+    _, _, test_ds = tiny_splits()
+    hyper = HyperConfig(variant=Variant.FULL, **SMALL)
+    ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
+    copies, alive = [], []  # weak references to each perturbed stack; live copies at each call
+
+    def perturb(dataset, scenario):
+        alive.append(sum(ref() is not None for ref in copies))
+        out = perturb_dataset(dataset, scenario)
+        copies.extend(weakref.ref(getattr(out, side)) for side in ("text", "image")
+                      if getattr(out, side) is not getattr(dataset, side))
+        return out
+
+    monkeypatch.setattr(mmfuse.experiments, "perturb_dataset", perturb)
+    gc.disable()  # reference counting alone must free each copy
+    try:
+        run_perturbation_suite(ckpt, test_ds, default_scenarios())
+    finally:
+        gc.enable()
+    assert alive == [0] * 6 and len(copies) == 6
+    assert all(ref() is None for ref in copies)
 
 
 def test_perturbation_suite_requires_full_variant():

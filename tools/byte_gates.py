@@ -3,17 +3,18 @@
 For ``--seed 1..5``, at the default config, at ``l_t = 3``, ``l_i = 2`` and at
 ``l_t = 9``, ``l_i = 1`` (a softmax over nine keys beside a length-1 side),
 this runs ``gen-data``, ``ablate``, ``train --variant full``, ``eval``,
-``gate-stats`` and ``perturb`` (with both ablation baselines): 90 commands.
-Each runs in a fresh ``python -m mmfuse.cli`` on this tree's ``src/``, with
-BLAS on one thread, in OUT with paths relative to it, so that no output
-names the tree. Each command's exit code, stdout and stderr are saved
+``gate-stats`` and ``perturb`` (with both ablation baselines), plus one
+``gen-data`` of 80,000 records (the paper's LMFND size) with ``--seed 1``:
+91 commands. Each runs in a fresh ``python -m mmfuse.cli`` on this tree's
+``src/``, with BLAS on one thread, in OUT with paths relative to it, so that
+no output names the tree. Each command's exit code, stdout and stderr are saved
 beside its outputs. To compare a change with its parent::
 
     python3 tools/byte_gates.py /tmp/gates-change        # in the change's tree
     python3 tools/byte_gates.py /tmp/gates-parent        # in the parent's tree
     diff -r /tmp/gates-parent /tmp/gates-change
 
-The 90 commands take about a minute on two cores; OUT must not exist yet.
+The 91 commands take about a minute on two cores; OUT must not exist yet.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIGS = {"L1": None,  # None: the default config
            "L3x2": "[data]\nl_t = 3\nl_i = 2\n", "L9x1": "[data]\nl_t = 9\nl_i = 1\n"}
 SEEDS = range(1, 6)
+LARGE = ("large", "[data]\nn_samples = 80000\n", 1)  # name, config, seed: one paper-scale gen-data
 
 
 def commands(run: str) -> list[tuple[str, list[str]]]:
@@ -56,26 +58,29 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(SRC),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    runs = [(name, ini, seed, commands(f"{name}/seed{seed}"))
+            for name, ini in CONFIGS.items() for seed in SEEDS]
+    name, ini, seed = LARGE
+    runs.append((name, ini, seed, commands(f"{name}/seed{seed}")[:1]))
     failed = 0
-    for name, ini in CONFIGS.items():
+    for name, ini, seed, steps in runs:
         config = []
         if ini is not None:
             (out / f"{name}.ini").write_text(ini)
             config = ["--config", f"{name}.ini"]
-        for seed in SEEDS:
-            run = f"{name}/seed{seed}"
-            (out / run).mkdir(parents=True)
-            for command, args in commands(run):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "mmfuse.cli", command, *config, "--seed", str(seed),
-                     "--out", f"{run}/{command}", *args],
-                    cwd=out, env=env, capture_output=True, text=True)
-                for suffix, text in (("exit", f"{proc.returncode}\n"), ("stdout", proc.stdout),
-                                     ("stderr", proc.stderr)):
-                    (out / run / f"{command}.{suffix}").write_text(text)
-                failed += proc.returncode != 0
-                print(f"{run} {command}: exit {proc.returncode}", flush=True)
-    print(f"{failed} of {len(CONFIGS) * len(SEEDS) * 6} commands failed")
+        run = f"{name}/seed{seed}"
+        (out / run).mkdir(parents=True)
+        for command, args in steps:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mmfuse.cli", command, *config, "--seed", str(seed),
+                 "--out", f"{run}/{command}", *args],
+                cwd=out, env=env, capture_output=True, text=True)
+            for suffix, text in (("exit", f"{proc.returncode}\n"), ("stdout", proc.stdout),
+                                 ("stderr", proc.stderr)):
+                (out / run / f"{command}.{suffix}").write_text(text)
+            failed += proc.returncode != 0
+            print(f"{run} {command}: exit {proc.returncode}", flush=True)
+    print(f"{failed} of {sum(len(steps) for *_, steps in runs)} commands failed")
     return 1 if failed else 0
 
 
