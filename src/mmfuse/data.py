@@ -277,9 +277,7 @@ def save(dataset: Dataset, path) -> None:
     text_bytes, image_bytes = 8 * dataset.l_t * dataset.d_t, 8 * dataset.l_i * dataset.d_i
     tail = 2 + text_bytes + image_bytes
     block = np.frombuffer("".join(ids).encode("utf-8"), np.uint8)
-    lengths = np.fromiter(map(len, ids), np.int64, n)  # byte lengths if every id is ASCII
-    if lengths.sum() != len(block):
-        lengths = np.fromiter((len(rid.encode("utf-8")) for rid in ids), np.int64, n)
+    lengths = np.fromiter((len(rid.encode("utf-8")) for rid in ids), np.int64, n)
     id_ends = np.cumsum(lengths)  # where each id ends in the block
     # where each record's tail starts: the header, k + 1 length fields and k tails precede it
     tails = _HEADER.size + id_ends + 4 * np.arange(1, n + 1) + tail * np.arange(n)

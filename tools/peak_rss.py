@@ -1,11 +1,18 @@
 """Print the process's peak resident memory after each command of a perfbench workload.
 
 perfbench reports one ``peak_rss_mb`` per run: the ``ru_maxrss`` of the one
-process that ran every command. This runs a workload's set-up commands once
-and its timed sequence twice through ``mmfuse.cli.main`` in one process, as
-perfbench does (BLAS on one thread, the same plan, a garbage collection
-before each timed pass), and prints ``ru_maxrss`` after each command, so the
-command that sets the peak shows. Run it from any directory::
+process that ran every command. This replays a run's phases in one process
+with perfbench's own ``Runner`` (which checks each command's outputs and
+reads its artifacts for their digest) and prints ``ru_maxrss`` after each
+command. The phases are those of ``run_workload``: the set-up once under a
+tracer; the set-up untraced ``SETUP_REPS`` times and for ``SETUP_SECONDS``;
+the timed sequence once under a tracer; then two untraced timed passes,
+each after a garbage collection, where perfbench repeats them for
+``--seconds``. The import timing that perfbench runs in a child process is
+left out, as it does not touch this process's memory. The readings sit a
+few MB below perfbench's own, as the two processes' heaps differ: read them
+for which command raises the peak, not for the figure. Run it from any
+directory::
 
     python3 tools/peak_rss.py score-large
 
@@ -16,18 +23,19 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import resource
 import shutil
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+import time
+from contextlib import nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import run  # noqa: E402  (perfbench's runner: BLAS pinning and the program import)
+import run  # noqa: E402  (perfbench's runner: BLAS pinning, program import, Runner)
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 7  # perfbench's default workload seed
@@ -51,22 +59,31 @@ def main(argv: list[str]) -> int:
     plan = workloads.plan(args.workload, SEED, root.as_posix())
     for path, text in plan.configs.items():
         Path(path).write_text(text)
-
-    print(f"{'phase':8} {'command':16} {'ru_maxrss_mb':>12}")
-    print(f"{'start':8} {'':16} {peak_mb():12.1f}")
+    runner = run.Runner(cli, plan)
     failed = 0
-    for phase, commands in (("setup", plan.setup), ("timed-1", plan.timed), ("timed-2", plan.timed)):
-        if phase != "setup":
-            gc.collect()
-        for c in commands:
-            shutil.rmtree(c.out_dir, ignore_errors=True)
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = cli.main(list(c.argv))
-            print(f"{phase:8} {c.label:16} {peak_mb():12.1f}", flush=True)
-            if code != 0:
-                failed += 1
-                print(f"  exit {code}: {err.getvalue().strip()}", file=sys.stderr)
+
+    def replay(phase: str, commands, traced: bool) -> None:
+        nonlocal failed
+        tracer = tracing.Tracer() if traced else None
+        with tracing.installed(tracer) if traced else nullcontext():
+            for c in commands:
+                [result] = runner.run([c], tracer)
+                print(f"{phase:10} {c.label:16} {peak_mb():12.1f}", flush=True)
+                if result.problems:
+                    failed += 1
+                    print(f"  {'; '.join(result.problems)}", file=sys.stderr)
+
+    print(f"{'phase':10} {'command':16} {'ru_maxrss_mb':>12}")
+    print(f"{'start':10} {'':16} {peak_mb():12.1f}")
+    replay("setup", plan.setup, traced=True)
+    rep, start = 0, time.perf_counter()
+    while rep < run.SETUP_REPS or time.perf_counter() - start < run.SETUP_SECONDS:
+        rep += 1
+        replay(f"setup-{rep}", plan.setup, traced=False)
+    replay("rehearsal", plan.timed, traced=True)
+    for k in (1, 2):
+        gc.collect()
+        replay(f"timed-{k}", plan.timed, traced=False)
     return 1 if failed else 0
 
 
