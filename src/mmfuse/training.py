@@ -256,7 +256,11 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
                 getattr(train_ds, name).take(idx, axis=0, out=getattr(batch, name))
             value = train_step(params, hyper, batch, state, config)
             if not math.isfinite(value):
-                raise NumericsError(f"loss diverged at epoch {epoch}, step {step}")
+                bad = [(name, np.argwhere(~finite)[0].tolist()) for name, finite  # layout order
+                       in params.views(np.isfinite(params.flat)).items() if not finite.all()]
+                where = (f"first non-finite parameter {bad[0][0]}{bad[0][1]}" if bad
+                         else "every parameter is finite")
+                raise NumericsError(f"loss diverged at epoch {epoch}, step {step}; {where}")
             epoch_losses.append(value)
 
         val = evaluate(params, hyper, val_ds)

@@ -3,7 +3,9 @@
 The stage views run package code (``model._forward_nodes``,
 ``model._attend``, ``Tape._record``), so the tests that call them still
 check what the package computes. ``reference_file_bytes`` is the
-record-by-record feature writer that ``data.save`` replaced.
+record-by-record feature writer that ``data.save`` replaced, and
+``reference_synthetic`` the record-by-record generator that
+``data.generate_synthetic`` replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from mmfuse import model
 from mmfuse.autodiff import Node, Tape, _give, as_matrix
-from mmfuse.data import _HEADER, FORMAT_VERSION, MAGIC, Dataset
+from mmfuse.data import (_HEADER, FORMAT_VERSION, MAGIC, Dataset, Provenance, SyntheticSpec,
+                         _signal_columns)
 from mmfuse.errors import InputError, UsageError
 from mmfuse.model import HyperConfig, ModelParams
 from mmfuse.training import batch_loss
@@ -161,6 +164,52 @@ def reference_file_bytes(dataset: Dataset) -> bytes:
         chunks.append(text[i].tobytes())
         chunks.append(image[i].tobytes())
     return b"".join(chunks)
+
+
+def reference_synthetic(spec: SyntheticSpec) -> Dataset:
+    """A synthetic dataset built record by record, each record's arithmetic
+    beside its draws: the generator ``data.generate_synthetic`` replaced,
+    kept as its oracle."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_samples
+    n_fake = n // 2
+    labels = np.concatenate([np.ones(n_fake, dtype=np.intp), np.zeros(n - n_fake, dtype=np.intp)])
+    labels = labels[rng.permutation(n)]
+
+    k_t = _signal_columns(spec.d_t)
+    k_i = _signal_columns(spec.d_i)
+    text = np.empty((n, spec.l_t, spec.d_t))
+    image = np.empty((n, spec.l_i, spec.d_i))
+    provenance = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        text_informative = rng.random() < spec.p_text_signal
+        image_informative = rng.random() < spec.p_image_signal
+        if not (text_informative or image_informative):
+            text_informative = image_informative = True
+        conflicted = False
+        if text_informative != image_informative:
+            conflicted = rng.random() < spec.conflict_rate
+
+        sign = spec.signal_strength if labels[i] == 1 else -spec.signal_strength
+        text[i] = rng.normal(0.0, spec.noise_std, (spec.l_t, spec.d_t))
+        if text_informative:
+            text[i, :, :k_t] += sign
+        elif conflicted:
+            text[i, :, :k_t] -= sign
+        image[i] = rng.normal(0.0, spec.noise_std, (spec.l_i, spec.d_i))
+        if image_informative:
+            image[i, :, :k_i] += sign
+        elif conflicted:
+            image[i, :, :k_i] -= sign
+
+        if text_informative and image_informative:
+            provenance[i] = Provenance.BOTH
+        elif text_informative:
+            provenance[i] = Provenance.TEXT
+        else:
+            provenance[i] = Provenance.IMAGE
+    ids = tuple(f"syn-{i:06d}" for i in range(n))
+    return Dataset(ids, labels, provenance, text, image)
 
 
 def parse_report(text: str) -> list[dict]:

@@ -364,8 +364,29 @@ def test_divergence_names_epoch_and_step():
     hyper = HyperConfig(variant=Variant.CONCAT, **SMALL)
     # one step this large sends the weights past what the next forward can hold
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericsError, match=r"^loss diverged at epoch 0, step 1$"):
+            pytest.raises(NumericsError,
+                          match=r"^loss diverged at epoch 0, step 1; every parameter is finite$"):
         train(train_ds, val_ds, hyper, TrainConfig(learning_rate=1e300, seed=15))
+
+
+def test_divergence_names_the_first_non_finite_parameter(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(n_samples=100, d_t=8, d_i=6, seed=15))
+    train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=15)
+    real_step, losses = training.train_step, []
+
+    def corrupting_step(params, *args):
+        losses.append(real_step(params, *args))
+        if len(losses) < 2:
+            return losses[-1]
+        params["cls_b2"][0, 0] = np.nan  # later in the layout than cls_w2
+        params["cls_w2"][4, 0] = np.inf  # later in cls_w2's rows than [3, 1]
+        params["cls_w2"][3, 1] = -np.inf
+        return math.nan
+
+    monkeypatch.setattr(training, "train_step", corrupting_step)
+    with pytest.raises(NumericsError, match=r"^loss diverged at epoch 0, step 1; "
+                                            r"first non-finite parameter cls_w2\[3, 1\]$"):
+        train(train_ds, val_ds, HyperConfig(variant=Variant.FULL, **SMALL), TrainConfig(seed=15))
 
 
 def test_train_step_loop_reproduces_one_epoch_of_train():

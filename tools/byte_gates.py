@@ -3,9 +3,11 @@
 For ``--seed 1..5``, at the default config, at ``l_t = 3``, ``l_i = 2`` and at
 ``l_t = 9``, ``l_i = 1`` (a softmax over nine keys beside a length-1 side),
 this runs ``gen-data``, ``ablate``, ``train --variant full``, ``eval``,
-``gate-stats`` and ``perturb`` (with both ablation baselines), plus one
-``gen-data`` of 80,000 records (the paper's LMFND size) with ``--seed 1``:
-91 commands. Each runs in a fresh ``python -m mmfuse.cli`` on this tree's
+``gate-stats`` and ``perturb`` (with both ablation baselines), plus two
+``gen-data`` runs with ``--seed 1``: one of 80,000 records (the paper's
+LMFND size), and one at ``l_t = 3``, ``l_i = 2`` where no text side is drawn
+informative and every single-informative record is conflicted:
+92 commands. Each runs in a fresh ``python -m mmfuse.cli`` on this tree's
 ``src/``, with BLAS on one thread, in OUT with paths relative to it, so that
 no output names the tree. Each command's exit code, stdout and stderr are saved
 beside its outputs. To compare a change with its parent::
@@ -14,7 +16,7 @@ beside its outputs. To compare a change with its parent::
     python3 tools/byte_gates.py /tmp/gates-parent        # in the parent's tree
     diff -r /tmp/gates-parent /tmp/gates-change
 
-The 91 commands take about a minute on two cores; OUT must not exist yet.
+The 92 commands take about a minute on two cores; OUT must not exist yet.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIGS = {"L1": None,  # None: the default config
            "L3x2": "[data]\nl_t = 3\nl_i = 2\n", "L9x1": "[data]\nl_t = 9\nl_i = 1\n"}
 SEEDS = range(1, 6)
-LARGE = ("large", "[data]\nn_samples = 80000\n", 1)  # name, config, seed: one paper-scale gen-data
+GEN_ONLY = [("large", "[data]\nn_samples = 80000\n", 1),  # name, config, seed: gen-data alone
+            ("conflict", "[data]\nl_t = 3\nl_i = 2\np_text_signal = 0.0\nconflict_rate = 1.0\n"
+                         "noise_std = 0.3\nsignal_strength = 2.5\n", 1)]
 
 
 def commands(run: str) -> list[tuple[str, list[str]]]:
@@ -60,8 +64,7 @@ def main(argv: list[str]) -> int:
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     runs = [(name, ini, seed, commands(f"{name}/seed{seed}"))
             for name, ini in CONFIGS.items() for seed in SEEDS]
-    name, ini, seed = LARGE
-    runs.append((name, ini, seed, commands(f"{name}/seed{seed}")[:1]))
+    runs += [(name, ini, seed, commands(f"{name}/seed{seed}")[:1]) for name, ini, seed in GEN_ONLY]
     failed = 0
     for name, ini, seed, steps in runs:
         config = []
