@@ -110,9 +110,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __repr__(self) -> str:
-        return f"Node(op={self.op!r}, shape={self.value.shape}, requires_grad={self.requires_grad})"
-
 
 class Tape:
     """Ordered record of graph nodes; owns the backward traversal and replay.

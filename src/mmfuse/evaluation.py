@@ -6,7 +6,7 @@ zero denominator are reported as 0.0 rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -43,10 +43,8 @@ def compute_metrics(labels, predictions) -> MetricsReport:
         if not ((arr == 0) | (arr == 1)).all():
             raise InputError(f"{name} must contain only 0 and 1")
 
-    tp = int(np.sum((lab == 1) & (pred == 1)))
-    fp = int(np.sum((lab == 0) & (pred == 1)))
-    tn = int(np.sum((lab == 0) & (pred == 0)))
-    fn = int(np.sum((lab == 1) & (pred == 0)))
+    tn, fp, fn, tp = (int(c) for c in np.bincount(
+        2 * lab.astype(np.intp, copy=False) + pred.astype(np.intp, copy=False), minlength=4))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -61,8 +59,6 @@ def compute_metrics(labels, predictions) -> MetricsReport:
 
 def evaluate(params: ModelParams, hyper: HyperConfig, dataset: Dataset) -> MetricsReport:
     """Metrics of argmax predictions over a dataset."""
-    if len(dataset) == 0:
-        raise InputError("cannot evaluate on an empty dataset")
     outputs = forward_batch(params, hyper, dataset)
     return compute_metrics(dataset.labels, predict_labels(outputs))
 
@@ -88,9 +84,7 @@ def collect_gate_weights(params: ModelParams, hyper: HyperConfig,
     """Per-record gate values over a dataset; full variant only."""
     if hyper.variant is not Variant.FULL:
         raise UsageError(f"variant {hyper.variant.value!r} has no gate")
-    if len(dataset) == 0:
-        raise InputError("cannot collect gate weights from an empty dataset")
-    outputs = forward_batch(params, hyper, dataset)
+    outputs = forward_batch(params, hyper, dataset, logits=False)
     return outputs.alpha_text, outputs.alpha_image
 
 
@@ -182,7 +176,9 @@ def perturb_dataset(dataset: Dataset, scenario: PerturbationScenario) -> Dataset
     Each record's noise comes from its own stream, so it does not depend on
     the other records. ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z``
     over the stream's standard normals z, which makes one draw per record
-    serve every sigma and both modalities.
+    serve every sigma and both modalities. Only the replaced stack can be
+    invalid, so only it is checked, and the copy is built as ``Dataset.take``
+    builds its rows.
     """
     kind = scenario.kind
     side = "text" if kind in (PerturbationKind.TEXT_MISSING, PerturbationKind.TEXT_NOISE) else "image"
@@ -191,9 +187,11 @@ def perturb_dataset(dataset: Dataset, scenario: PerturbationScenario) -> Dataset
         width = max(dataset.l_t * dataset.d_t, dataset.l_i * dataset.d_i)
         z = _unit_noise(scenario.noise_seed, len(dataset), width)
         perturbed = x + (0.0 + scenario.sigma * z[:, :x.shape[1] * x.shape[2]].reshape(x.shape))
+        if not np.isfinite(perturbed).all():  # a sigma large enough to overflow the features
+            i = int((~np.isfinite(perturbed).all(axis=(1, 2))).argmax())
+            raise InputError(f"{scenario.label()}: record {i}: non-finite feature values")
     else:
         perturbed = np.zeros_like(x)
-    try:
-        return replace(dataset, **{side: perturbed})
-    except InputError as err:  # a sigma large enough to overflow the features
-        raise InputError(f"{scenario.label()}: {err}") from None
+    copy = object.__new__(Dataset)
+    copy.__dict__.update(vars(dataset), **{side: perturbed})
+    return copy

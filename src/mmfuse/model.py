@@ -230,10 +230,11 @@ def _classify(tape, pn, features):
     return tape.dense(hidden, pn["cls_w2"], pn["cls_b2"])
 
 
-def build_logits(tape, pn, config, x_text, x_image):
+def build_logits(tape, pn, config, x_text, x_image, logits=True):
     """Wire the variant's graph over (B, L_t, d_t) and (B, L_i, d_i) feature
     stacks; returns the interesting nodes by name. Sequences are mean-pooled
-    after projection (and attention), giving one row per record.
+    after projection (and attention), giving one row per record. With
+    ``logits=False`` the full variant stops at its gates.
     """
     v = config.variant
     nodes: dict[str, Node] = {}
@@ -262,6 +263,8 @@ def build_logits(tape, pn, config, x_text, x_image):
                 alpha_t, alpha_i = _gate_alphas(tape, pn, pooled_t, pooled_i)
                 nodes["alpha_text"] = alpha_t
                 nodes["alpha_image"] = alpha_i
+                if not logits:
+                    return nodes
                 nodes["fused"] = tape.concat_cols(tape.mul(pooled_t, alpha_t),
                                                   tape.mul(pooled_i, alpha_i))
             else:
@@ -278,7 +281,7 @@ CHUNK = 2048
 
 @dataclass
 class BatchOutputs:
-    logits: Array
+    logits: Array | None  # None from a gates-only pass
     alpha_text: Array | None = None
     alpha_image: Array | None = None
 
@@ -298,28 +301,32 @@ def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset,
             tape.input("image_features", batch.image[rows]))
 
 
-def _forward_nodes(params, config, batch, rows=slice(None)) -> dict[str, Node]:
+def _forward_nodes(params, config, batch, rows=slice(None), logits=True) -> dict[str, Node]:
     tape = Tape()  # parameters as input leaves: no op needs a gradient, so none is kept
     pn = {name: tape.input(name, arr) for name, arr in params.items()}
-    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch, rows))
+    return build_logits(tape, pn, config, *feature_stacks(tape, config, batch, rows), logits=logits)
 
 
 def _outputs(nodes) -> tuple:
     alphas = (nodes[k].value[:, 0] if k in nodes else None for k in ("alpha_text", "alpha_image"))
-    return nodes["logits"].value, *alphas
+    return nodes["logits"].value if "logits" in nodes else None, *alphas
 
 
-def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset) -> BatchOutputs:
+def forward_batch(params: ModelParams, config: HyperConfig, batch: Dataset, *,
+                  logits: bool = True) -> BatchOutputs:
     """Forward a dataset in order, in ceil(n / CHUNK) near-equal chunks of row
     views: one graph each, whose tape keeps no op, and of which only the
-    _outputs arrays live on. The first chunk's feature_stacks checks them all."""
+    _outputs arrays live on. The first chunk's feature_stacks checks them all.
+    With ``logits=False`` the full variant returns its gates only."""
     n = len(batch)
     k = max(1, -(-n // CHUNK))  # an empty batch is one chunk, which feature_stacks refuses
-    parts = [_outputs(_forward_nodes(params, config, batch, slice(n * j // k, n * (j + 1) // k)))
-             for j in range(k)]
+    parts = [_outputs(_forward_nodes(params, config, batch, slice(n * j // k, n * (j + 1) // k),
+                                     logits)) for j in range(k)]
     return BatchOutputs(*(None if p[0] is None else np.concatenate(p) for p in zip(*parts)))
 
 
 def predict_labels(outputs: BatchOutputs) -> np.ndarray:
-    """Hard labels by logit argmax (ties resolve to 0/real)."""
-    return np.argmax(outputs.logits, axis=1).astype(np.intp)
+    """Hard labels by logit argmax, as ``np.argmax(logits, axis=1)`` gives them:
+    a tie resolves to 0/real, and a NaN counts as the largest, the first NaN winning."""
+    l0, l1 = outputs.logits[:, 0], outputs.logits[:, 1]
+    return (~(l1 <= l0) & (l0 == l0)).astype(np.intp)

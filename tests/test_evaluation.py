@@ -89,6 +89,13 @@ def test_metrics_match_brute_force_oracle():
         assert report.f1 == expected_f1
 
 
+def test_metrics_count_bool_and_float_labels_as_integers():
+    ints = compute_metrics([1, 0, 1, 0, 1], [1, 1, 0, 0, 1])
+    assert compute_metrics(np.array([1.0, 0.0, 1.0, 0.0, 1.0]),
+                           np.array([True, True, False, False, True])) == ints
+    assert (ints.tp, ints.fp, ints.tn, ints.fn) == (2, 1, 1, 1)
+
+
 def test_metrics_input_validation():
     with pytest.raises(InputError):
         compute_metrics([1, 0], [1])
@@ -157,6 +164,16 @@ def test_collect_gate_weights_requires_gated_variant():
         collect_gate_weights(init_params(hyper), hyper, ds)
 
 
+def test_empty_dataset_is_refused_by_feature_stacks():
+    # evaluate and collect_gate_weights leave the check to feature_stacks
+    ds = generate_synthetic(SyntheticSpec(n_samples=4, d_t=8, d_i=6, seed=24)).take([])
+    hyper = HyperConfig(variant=Variant.FULL, **SMALL)
+    params = init_params(hyper)
+    for score in (evaluate, collect_gate_weights, gate_stats):
+        with pytest.raises(InputError, match="^a batch needs at least one record$"):
+            score(params, hyper, ds)
+
+
 def test_gate_stats_integration():
     ds = generate_synthetic(SyntheticSpec(n_samples=30, d_t=8, d_i=6, seed=25))
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
@@ -214,6 +231,21 @@ def test_overflowing_noise_names_the_scenario():
     with np.errstate(over="ignore"), pytest.raises(
             InputError, match=r"^image-noise\(sigma=1e\+308\): record 0: non-finite feature values$"):
         perturb_dataset(ds, scenario)
+
+
+def test_overflow_names_the_first_bad_record_and_the_copy_shares_the_other_side():
+    text = np.zeros((3, 1, 8))
+    text[2] = np.finfo(np.float64).max  # only this record overflows under sigma = 1e300
+    ds = Dataset(("a", "b", "c"), [0, 1, 0], [1, 2, 3], text, np.ones((3, 2, 6)))
+    with np.errstate(over="ignore"), pytest.raises(
+            InputError, match=r"^text-noise\(sigma=1e\+300\): record 2: non-finite feature values$"):
+        perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1e300))
+    noisy = perturb_dataset(ds.take([0, 1]), PerturbationScenario(PerturbationKind.TEXT_NOISE,
+                                                                  sigma=1e300))
+    assert np.isfinite(noisy.text).all() and noisy.ids == ("a", "b")
+    gone = perturb_dataset(ds, PerturbationScenario(PerturbationKind.IMAGE_MISSING))
+    assert gone.text is ds.text and gone.ids is ds.ids and gone.labels is ds.labels
+    assert np.array_equal(gone.image, np.zeros((3, 2, 6)))
 
 
 def test_noise_scales_with_sigma():

@@ -468,10 +468,10 @@ def test_forward_batch_walks_near_equal_chunks_bitwise(n, lengths, variant):
     seen = []  # per graph built: its record count, and whether its inputs view the file's stacks
     build = model.build_logits
 
-    def spy(tape, pn, config, x_text, x_image):
+    def spy(tape, pn, config, x_text, x_image, logits):
         views = np.shares_memory(x_text.value, ds.text) and np.shares_memory(x_image.value, ds.image)
         seen.append((len(x_text.value), views))
-        return build(tape, pn, config, x_text, x_image)
+        return build(tape, pn, config, x_text, x_image, logits)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "build_logits", spy)
@@ -562,3 +562,24 @@ def test_predict_labels_follow_logits():
     trace = forward(params, config, record)
     out = forward_batch(params, config, record)
     assert predict_labels(out)[0] == int(trace.logits[0, 1] > trace.logits[0, 0])
+
+
+def test_predict_labels_equal_argmax_on_ties_infinities_and_nans():
+    values = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]
+    logits = np.array([(a, b) for a in values for b in values])  # every pair, both orders
+    labels = predict_labels(model.BatchOutputs(logits))
+    assert labels.dtype == np.intp
+    assert np.array_equal(labels, np.argmax(logits, axis=1))
+
+
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
+@pytest.mark.parametrize("n", [CHUNK + 1, 4097])
+def test_gates_only_pass_gives_the_full_pass_alphas_bitwise(n, lengths):
+    config = config_for(Variant.FULL)
+    params = random_params(config, seed=6)
+    ds = random_dataset(n, *lengths, seed=n)
+    full = forward_batch(params, config, ds)
+    gates = forward_batch(params, config, ds, logits=False)
+    assert gates.logits is None
+    for key in ("alpha_text", "alpha_image"):
+        assert getattr(gates, key).tobytes() == getattr(full, key).tobytes()

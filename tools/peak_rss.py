@@ -8,7 +8,11 @@ command. The phases are those of ``run_workload``: the set-up once under a
 tracer; the set-up untraced ``SETUP_REPS`` times and for ``SETUP_SECONDS``;
 the timed sequence once under a tracer; then two untraced timed passes,
 each after a garbage collection, where perfbench repeats them for
-``--seconds``. The import timing that perfbench runs in a child process is
+``--seconds``. Beside ``ru_maxrss`` it prints the process's anonymous and
+file-backed resident memory now (``RssAnon`` and ``RssFile`` of
+``/proc/self/status``) and malloc's in-use bytes (``mallinfo2``: allocated
+chunks plus mmapped ones), each as ``-`` where the platform lacks it. The
+import timing that perfbench runs in a child process is
 left out, as it does not touch this process's memory. The readings sit a
 few MB below perfbench's own, as the two processes' heaps differ: read them
 for which command raises the peak, not for the figure. Run it from any
@@ -22,6 +26,7 @@ Its files go under ``.bench_work/peak-rss/WORKLOAD`` of the checkout.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import os
 import resource
@@ -43,6 +48,36 @@ SEED = 7  # perfbench's default workload seed
 
 def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def malloc_in_use_mb() -> float | None:
+    """malloc's in-use bytes (allocated chunks plus mmapped ones), where glibc has ``mallinfo2``."""
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2  # glibc 2.33 and later
+    except (AttributeError, OSError):
+        return None
+    mallinfo2.argtypes, mallinfo2.restype = [], MallInfo2
+    info = mallinfo2()
+    return (info.uordblks + info.hblkhd) / 2**20
+
+
+def memory_now() -> str:
+    """RssAnon, RssFile and malloc's in-use bytes, in MB, as one report column each."""
+    status = {}
+    try:
+        with open("/proc/self/status") as f:
+            status = dict(line.split(":", 1) for line in f if line.startswith("Rss"))
+    except OSError:
+        pass
+    fields = [int(status[k].split()[0]) / 1024 if k in status else None for k in ("RssAnon", "RssFile")]
+    fields.append(malloc_in_use_mb())
+    return " ".join(f"{v:12.2f}" if v is not None else f"{'-':>12}" for v in fields)
 
 
 def main(argv: list[str]) -> int:
@@ -68,13 +103,14 @@ def main(argv: list[str]) -> int:
         with tracing.installed(tracer) if traced else nullcontext():
             for c in commands:
                 [result] = runner.run([c], tracer)
-                print(f"{phase:10} {c.label:16} {peak_mb():12.1f}", flush=True)
+                print(f"{phase:10} {c.label:16} {peak_mb():12.1f} {memory_now()}", flush=True)
                 if result.problems:
                     failed += 1
                     print(f"  {'; '.join(result.problems)}", file=sys.stderr)
 
-    print(f"{'phase':10} {'command':16} {'ru_maxrss_mb':>12}")
-    print(f"{'start':10} {'':16} {peak_mb():12.1f}")
+    print(f"{'phase':10} {'command':16} {'ru_maxrss_mb':>12} {'rss_anon_mb':>12} {'rss_file_mb':>12} "
+          f"{'malloc_mb':>12}")
+    print(f"{'start':10} {'':16} {peak_mb():12.1f} {memory_now()}")
     replay("setup", plan.setup, traced=True)
     rep, start = 0, time.perf_counter()
     while rep < run.SETUP_REPS or time.perf_counter() - start < run.SETUP_SECONDS:
