@@ -116,19 +116,15 @@ def parse_config(text: str) -> RunConfig:
             owner, kind = keys[key]
             values[owner][key] = parse_value(f"{section}.{key}", kind, raw)
 
-    try:
-        synthetic = SyntheticSpec(**values["synthetic"])  # checked first: its widths size the model
-        return RunConfig(
-            synthetic=synthetic,
-            model=HyperConfig(d_t=synthetic.d_t, d_i=synthetic.d_i, **values["model"]),
-            train=TrainConfig(**values["train"]),
-            eval=EvalSettings(**values["eval"]),
-            **values["run"],
-        )
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid config: {exc}") from None
+    # every value has its field's type, so the constructors raise InputError alone
+    synthetic = SyntheticSpec(**values["synthetic"])  # checked first: its widths size the model
+    return RunConfig(
+        synthetic=synthetic,
+        model=HyperConfig(d_t=synthetic.d_t, d_i=synthetic.d_i, **values["model"]),
+        train=TrainConfig(**values["train"]),
+        eval=EvalSettings(**values["eval"]),
+        **values["run"],
+    )
 
 
 def load_config(path) -> RunConfig:

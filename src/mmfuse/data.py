@@ -31,14 +31,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FileFormatError,
-    InconsistentDimsError,
-    InputError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import FileFormatError, InputError
 
 MAGIC = b"MMFN"
 FORMAT_VERSION = 1
@@ -251,7 +244,7 @@ class ByteReader:
     def need(self, end: int) -> None:
         """Refuse a read that would end past the last byte."""
         if end > len(self.buf):
-            raise TruncatedFileError(
+            raise FileFormatError(
                 f"{self.what} ends at byte {len(self.buf)} but {end} bytes are needed")
 
     def take(self, n: int) -> memoryview:
@@ -359,13 +352,13 @@ def load(path) -> Dataset:
     reader = ByteReader(data, "file")
     magic, version = reader.unpack("<4sI")
     if magic != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")
+        raise FileFormatError(f"expected magic {MAGIC!r}, got {magic!r}")
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"unsupported format version {version}")
+        raise FileFormatError(f"unsupported format version {version}")
     n, d_t, d_i, l_t, l_i = reader.unpack("<QIIII")  # the rest of _HEADER
     text_bytes, image_bytes = 8 * l_t * d_t, 8 * l_i * d_i
     if min(d_t, d_i, l_t, l_i) < 1 or text_bytes + image_bytes > np.iinfo(np.intp).max:
-        raise InconsistentDimsError(
+        raise FileFormatError(
             f"header dimensions must all be at least 1 and give an addressable record, "
             f"got d_t={d_t} d_i={d_i} l_t={l_t} l_i={l_i}"
         )
@@ -408,9 +401,7 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) ->
     rng = np.random.default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])
     for cls in (0, 1):
-        idx = np.flatnonzero(dataset.labels == cls)
-        if idx.size == 0:
-            continue
+        idx = np.flatnonzero(dataset.labels == cls)  # an absent class shuffles with no draw
         rng.shuffle(idx)
         c1 = int(round(fractions[0] * idx.size))
         c2 = int(round((fractions[0] + fractions[1]) * idx.size))

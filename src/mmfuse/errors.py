@@ -25,22 +25,6 @@ class FileFormatError(MMFuseError):
     """A serialized artifact violates its binary format."""
 
 
-class BadMagicError(FileFormatError):
-    """The file does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(FileFormatError):
-    """The file declares a format version this code does not read."""
-
-
-class TruncatedFileError(FileFormatError):
-    """The file ends before its declared payload does."""
-
-
-class InconsistentDimsError(FileFormatError):
-    """Declared dimensions are invalid or contradict each other."""
-
-
 class VariantMismatchError(MMFuseError):
     """A checkpoint holds a different model variant than requested."""
 

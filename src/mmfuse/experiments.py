@@ -40,7 +40,7 @@ def run_ablation(
     return rows, checkpoints
 
 
-def default_scenarios(sigmas=(0.5, 1.0), noise_seed: int = 0) -> list[PerturbationScenario]:
+def default_scenarios(sigmas: tuple[float, ...], noise_seed: int) -> list[PerturbationScenario]:
     """Missing-modality scenarios plus one noise scenario per sigma and side."""
     scenarios = [
         PerturbationScenario(PerturbationKind.TEXT_MISSING),

@@ -87,12 +87,6 @@ class HyperConfig:
                 f"{total} parameters, more than an array can hold"
             )
 
-    @property
-    def classifier_input_width(self) -> int:
-        if self.variant in (Variant.TEXT_ONLY, Variant.IMAGE_ONLY):
-            return self.d_c
-        return 2 * self.d_c
-
 
 def parameter_shapes(config: HyperConfig) -> dict[str, tuple[int, int]]:
     """Parameter names and shapes for a variant, in canonical order."""
@@ -112,7 +106,8 @@ def parameter_shapes(config: HyperConfig) -> dict[str, tuple[int, int]]:
         shapes["gate_b_text"] = (1, 1)
         shapes["gate_w_image"] = (config.gate_hidden, 1)
         shapes["gate_b_image"] = (1, 1)
-    shapes["cls_w1"] = (config.classifier_input_width, config.cls_hidden)
+    fused = config.d_c if v in (Variant.TEXT_ONLY, Variant.IMAGE_ONLY) else 2 * config.d_c
+    shapes["cls_w1"] = (fused, config.cls_hidden)
     shapes["cls_b1"] = (1, config.cls_hidden)
     shapes["cls_w2"] = (config.cls_hidden, 2)
     shapes["cls_b2"] = (1, 2)
@@ -124,9 +119,8 @@ class ModelParams:
     float64 vector ``flat``; ``views`` lays out any such vector the same way."""
 
     def __init__(self, entries):
-        items = entries.items() if hasattr(entries, "items") else entries
-        # the entries set the layout views() follows; zeros(0) lets there be none
-        self._arrays = {name: as_matrix(arr, name=name) for name, arr in items}
+        # the (name, array) entries set the layout views() follows; zeros(0) lets there be none
+        self._arrays = {name: as_matrix(arr, name=name) for name, arr in entries}
         self.flat = np.concatenate([np.zeros(0), *(arr.ravel() for arr in self._arrays.values())])
         self._arrays = self.views(self.flat)
 

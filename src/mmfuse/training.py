@@ -27,14 +27,8 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .data import ByteReader, Dataset, atomic_write_bytes, batches
-from .errors import (
-    BadMagicError,
-    FileFormatError,
-    InputError,
-    NumericsError,
-    VariantMismatchError,
-    VersionMismatchError,
-)
+from .errors import FileFormatError, InputError, NumericsError, VariantMismatchError
+from .evaluation import evaluate
 from .fieldtext import field_types, parse_value, render_value
 from .model import (
     HyperConfig,
@@ -224,8 +218,6 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
     validation F1 by more than F1_IMPROVEMENT_THRESHOLD (patience 0 stops
     on the first non-improving epoch).
     """
-    from .evaluation import evaluate  # local import; evaluation also stands alone
-
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InputError("train and validation splits must both be non-empty")
     for ds, name in ((train_ds, "train"), (val_ds, "validation")):
@@ -348,9 +340,9 @@ def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint
         reader = ByteReader(fh.read(), "checkpoint")
     magic, version = reader.unpack("<4sI")
     if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"expected magic {CHECKPOINT_MAGIC!r}, got {magic!r}")
+        raise FileFormatError(f"expected magic {CHECKPOINT_MAGIC!r}, got {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"unsupported checkpoint version {version}")
+        raise FileFormatError(f"unsupported checkpoint version {version}")
 
     (hyper_len,) = reader.unpack("<I")
     hyper = _decode_config(reader.take(hyper_len), HyperConfig)

@@ -462,7 +462,7 @@ def test_determinism_and_persistence(acceptance_log, tmp_path):
 
 
 def test_optimizer_step(acceptance_log):
-    params = ModelParams({"w": np.array([[1.0]])})
+    params = ModelParams([("w", np.array([[1.0]]))])
     state = init_optimizer_state(params)
     config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
     adamw_step(params, np.array([1.0]), state, config)
@@ -471,7 +471,7 @@ def test_optimizer_step(acceptance_log):
     expected = 1.0 - 0.1 * (1.0 / (np.sqrt(1.0) + config.epsilon))
     step_err = abs(theta - expected)
 
-    frozen = ModelParams({"w": np.array([[0.7, -0.3]])})
+    frozen = ModelParams([("w", np.array([[0.7, -0.3]]))])
     before = frozen["w"].tobytes()
     adamw_step(frozen, np.zeros(2), init_optimizer_state(frozen),
                TrainConfig(learning_rate=0.5, weight_decay=0.0))

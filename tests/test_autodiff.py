@@ -555,6 +555,11 @@ def test_shape_errors_name_both_shapes():
         t.matmul(t.constant(np.zeros((3, 2))), t.constant(np.zeros((2, 2, 4))))
     with pytest.raises(DimensionError):
         t.add(stack, t.constant(np.zeros((2, 2, 4))))  # only length 1 broadcasts
+    with pytest.raises(DimensionError, match=r"^mean_rows: needs a \(B, L, c\) stack, got \(2, 3\)$"):
+        t.mean_rows(a)
+    t.input("x", np.zeros((2, 3)))
+    with pytest.raises(UsageError, match=r"^input 'x' was recorded with shape \(2, 3\), got \(3, 2\)$"):
+        t.input("x", np.zeros((3, 2)))
 
 
 def test_cross_entropy_rejects_bad_labels():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import struct
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -110,6 +113,49 @@ def test_gen_data_master_seed_changes_data(tmp_path, capsys):
     assert (out / "data.mmfn").read_bytes() != outs[0]
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("gen-data", "[data]\nfeature_file = x.mmfn\n",
+     "gen-data builds synthetic data; remove data.feature_file from the config"),
+    ("train", "[train]\nweight_decay = -1\n", "weight_decay must be non-negative, got -1.0"),
+    ("ablate", "[data]\ntrain_frac = 0.9\ntest_frac = 0\n", "ablation needs a non-empty test split"),
+], ids=["feature-file", "weight-decay", "no-test-split"])
+def test_config_the_command_cannot_use_exits_one(command, config, message, workspace, tmp_path,
+                                                 capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(config)
+    argv = [command, "--config", str(ini), "--out", str(tmp_path / "o")]
+    if command != "gen-data":
+        argv += ["--data", str(workspace["data"])]
+    assert run(argv, capsys) == (1, "", f"mmfuse: error: {message}\n")
+
+
+@pytest.mark.parametrize("command,output", [
+    ("gen-data", "resolved-config.ini"), ("gen-data", "data.mmfn"), ("train", "model.mmck"),
+    ("eval", "metrics.jsonl"),
+])
+def test_output_path_taken_by_a_directory_exits_two(command, output, workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / output).mkdir(parents=True)
+    argv = [command, "--config", str(workspace["config"]), "--out", str(out)]
+    if command != "gen-data":
+        argv += ["--data", str(workspace["data"])]
+    if command == "eval":
+        argv += ["--checkpoint", str(workspace["full"])]
+    code, _, stderr = run(argv, capsys)
+    assert (code, stderr) == (2, f"mmfuse: error: cannot write {out / output}: Is a directory\n")
+    assert not [path.name for path in out.iterdir() if path.name.startswith(".tmp-")]
+
+
+def test_failing_stdout_exits_two(workspace, tmp_path, capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["gen-data", "--config", str(workspace["config"]), "--out", str(tmp_path / "o")])
+    assert (code, capsys.readouterr().err) == (2, "mmfuse: error: [Errno 32] Broken pipe\n")
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -187,6 +233,38 @@ def test_train_corrupt_data_is_data_error(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert stderr.startswith("mmfuse: error:")
+
+
+def test_file_cut_inside_a_later_id_length_is_data_error(workspace, tmp_path, capsys):
+    rows = load(workspace["data"]).take([0, 1])
+    path = tmp_path / "cut.mmfn"
+    save(Dataset(("r" * 200, "s"), rows.labels, rows.provenance, rows.text, rows.image), path)
+    payload = path.read_bytes()  # ids of two lengths: the loader walks the records
+    at = payload.rindex(struct.pack("<I", 1) + b"s")  # the second record's id length
+    path.write_bytes(payload[:at + 2])
+    code, _, stderr = run(["train", "--config", str(workspace["config"]), "--data", str(path),
+                           "--out", str(tmp_path / "o")], capsys)
+    assert (code, stderr) == (
+        2, f"mmfuse: error: data file {path}: file ends at byte {at + 2} but {at + 4} bytes "
+           f"are needed\n")
+
+
+@pytest.mark.parametrize("label", [0, 1], ids=["all-real", "all-fake"])
+def test_single_class_file_trains_and_ablates(label, workspace, tmp_path, capsys):
+    dataset = load(workspace["data"])
+    path = tmp_path / "one-class.mmfn"
+    save(dataset.take(np.flatnonzero(dataset.labels == label)), path)
+    for command in ("train", "ablate"):
+        code, _, stderr = run([command, "--config", str(workspace["config"]), "--data", str(path),
+                               "--out", str(tmp_path / command)], capsys)
+        assert (code, stderr) == (0, "")
+    history = stdout_rows((tmp_path / "train" / "history.jsonl").read_text())
+    checkpoint = load_checkpoint(tmp_path / "train" / "model.mmck")
+    if label == 0:  # no fake record to find: F1 is 0 in every epoch, and the first is kept
+        assert [row["val_f1"] for row in history] == [0.0] * 3
+        assert (checkpoint.best_val_f1, checkpoint.best_epoch) == (0.0, 0)
+    else:
+        assert checkpoint.best_val_f1 == max(row["val_f1"] for row in history) > 0.0
 
 
 # -- eval and gate-stats ------------------------------------------------------------
@@ -487,6 +565,46 @@ def test_eval_on_checkpoint_with_bad_config_value(workspace, tmp_path, capsys):
                            "--out", str(tmp_path / "o")], capsys)
     assert code == 3
     assert stderr.count("\n") == 1 and "learning_rate" in stderr
+
+
+def edit_checkpoint(payload: bytes, old: bytes, new: bytes) -> bytes:
+    """``payload`` with its one ``old`` replaced by ``new``; the config block
+    that holds the edit gets its new length."""
+    at = payload.index(old)
+    edited = bytearray(payload[:at] + new + payload[at + len(old):])
+    start = 8  # the hyper-config block's length field; the train-config block's follows it
+    for _ in range(2):
+        (size,) = struct.unpack_from("<I", edited, start)
+        if start < at < start + 4 + size:
+            struct.pack_into("<I", edited, start, size + len(new) - len(old))
+        start += 4 + size
+    return bytes(edited)
+
+
+PROJ_TEXT = b"proj_text" + struct.pack("<II", 8, 4)  # name, rows, cols in the small config
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (b"\ninit_seed=", b"\n\ninit_seed=", None),  # a blank line is skipped
+    (b"\ninit_seed=0", b"", "checkpoint config block is missing keys ['init_seed']"),
+    (b"weight_decay=0.01", b"weight_decay=-1.0",
+     "checkpoint config is invalid: weight_decay must be non-negative, got -1.0"),
+    (PROJ_TEXT, b"proj_text" + struct.pack("<II", 0, 4),
+     "parameter proj_text: shape (0, 4) is invalid"),
+    (PROJ_TEXT, b"proj_text" + struct.pack("<II", 4, 8),
+     "checkpoint parameters are inconsistent: parameter proj_text has shape (4, 8), "
+     "expected (8, 4)"),
+], ids=["blank-line", "missing-key", "invalid-value", "zero-rows", "wrong-shape"])
+def test_edited_checkpoint_exits_three_or_loads(old, new, message, workspace, tmp_path, capsys):
+    path = tmp_path / "edited.mmck"
+    path.write_bytes(edit_checkpoint(workspace["full"].read_bytes(), old, new))
+    argv = ["eval", "--data", str(workspace["data"]), "--out", str(tmp_path / "o")]
+    code, stdout, stderr = run(argv + ["--checkpoint", str(path)], capsys)
+    if message is None:
+        assert (code, stdout, stderr) == run(argv + ["--checkpoint", str(workspace["full"])],
+                                             capsys)
+    else:
+        assert (code, stdout, stderr) == (3, "", f"mmfuse: error: checkpoint {path}: {message}\n")
 
 
 def test_non_utf8_config_exits_one(workspace, tmp_path, capsys):

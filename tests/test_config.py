@@ -20,6 +20,7 @@ from mmfuse.config import (
 )
 from mmfuse.data import SyntheticSpec
 from mmfuse.errors import InputError
+from mmfuse.fieldtext import parse_value
 from mmfuse.model import Variant
 
 
@@ -65,6 +66,11 @@ def test_type_errors_name_section_and_key():
         parse_config("[data]\nn_samples = many\n")
     with pytest.raises(InputError, match="train.learning_rate"):
         parse_config("[train]\nlearning_rate = fast\n")
+
+
+def test_a_field_type_without_text_form_is_a_type_error():
+    with pytest.raises(TypeError, match="^data.blob: no text form for type <class 'bytes'>$"):
+        parse_value("data.blob", bytes, "00")
 
 
 def test_invalid_values_are_rejected_with_key_names():

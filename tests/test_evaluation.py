@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mmfuse.experiments
+from mmfuse.config import EvalSettings
 from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic, split
 from mmfuse.errors import InputError, UsageError
 from mmfuse.evaluation import (
@@ -348,7 +349,8 @@ def test_run_ablation_row_order_and_checkpoints():
 
 
 def test_default_scenarios_cover_missing_and_noise():
-    labels = [s.label() for s in default_scenarios(sigmas=(0.5, 1.0), noise_seed=0)]
+    settings = EvalSettings()
+    labels = [s.label() for s in default_scenarios(settings.sigmas, settings.noise_seed)]
     assert labels == [
         "text-missing",
         "image-missing",
@@ -403,9 +405,11 @@ def test_perturbation_suite_holds_one_perturbed_copy_at_a_time(monkeypatch):
         return out
 
     monkeypatch.setattr(mmfuse.experiments, "perturb_dataset", perturb)
+    settings = EvalSettings()
+    scenarios = default_scenarios(settings.sigmas, settings.noise_seed)
     gc.disable()  # reference counting alone must free each copy
     try:
-        run_perturbation_suite(ckpt, test_ds, default_scenarios())
+        run_perturbation_suite(ckpt, test_ds, scenarios)
     finally:
         gc.enable()
     assert alive == [0] * 6 and len(copies) == 6
@@ -418,3 +422,13 @@ def test_perturbation_suite_requires_full_variant():
     ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
     with pytest.raises(InputError):
         run_perturbation_suite(ckpt, test_ds, [])
+
+
+def test_perturbation_suite_refuses_an_empty_split_and_a_fused_baseline():
+    _, _, test_ds = tiny_splits()
+    hyper = HyperConfig(variant=Variant.FULL, **SMALL)
+    ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
+    with pytest.raises(InputError, match="^perturbation suite needs a non-empty test split$"):
+        run_perturbation_suite(ckpt, test_ds.take([]), [])
+    with pytest.raises(InputError, match="^baselines must be single-modality variants, got 'full'$"):
+        run_perturbation_suite(ckpt, test_ds, [], baselines={Variant.FULL: ckpt})
