@@ -6,32 +6,33 @@ overrides, writes its outputs plus a ``resolved-config.ini`` echo into
 written atomically and reruns with identical inputs produce byte-identical
 files.
 
-Exit codes name the input at fault: 0 success, 1 a flag or the config,
-2 the data file or an output, 3 a checkpoint. The helpers that read the data
-file or a checkpoint, or write an output, know which path failed and set the
-code themselves; every other error reaches ``main``, which maps it by class:
-a width or variant mismatch between a checkpoint and its input is 3, an
-``OSError`` 2, and any other package error or ``MemoryError`` 1. A failure
-prints a single ``mmfuse: error: ...`` line to standard error.
+Exit codes name the input at fault: 0 success, 1 a flag or the config, 2 the
+data file, an output or standard output, 3 a checkpoint. The helpers that
+read or write these set the code themselves; every other error reaches
+``main``, which maps it by class: a width mismatch between a checkpoint and
+its input is 3, an ``OSError`` 2, and any other package error or
+``MemoryError`` 1. A failure prints one ``mmfuse: error: ...`` line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, apply_master_seed, default_config, load_config, render_config
 from .data import Dataset, atomic_write_bytes, generate_synthetic, load, save, split
-from .errors import MMFuseError, UsageError, VariantMismatchError, WidthMismatchError
+from .errors import MMFuseError, UsageError, WidthMismatchError
 from .evaluation import evaluate, gate_stats
 from .experiments import default_scenarios, run_ablation, run_perturbation_suite
 from .model import Variant
-from .reports import gate_stats_row, metrics_row, render_report, write_report
+from .reports import metrics_row, render_report
 from .training import PRESETS, Checkpoint, apply_preset, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
@@ -104,19 +105,32 @@ def _start(args, config: RunConfig) -> tuple[RunConfig, Path]:
 def _write(path: Path, payload) -> None:
     """Write one output atomically: a dataset, a checkpoint, the resolved
     config or report rows. Report rows are then printed as written."""
+    rows = payload if isinstance(payload, list) else None
     try:
         if isinstance(payload, Dataset):
             save(payload, path)
         elif isinstance(payload, Checkpoint):
             save_checkpoint(payload, path)
-        elif isinstance(payload, RunConfig):
-            atomic_write_bytes(path, render_config(payload).encode("utf-8"))
         else:
-            write_report(path, payload)
+            text = render_config(payload) if rows is None else render_report(rows)
+            atomic_write_bytes(path, text.encode("utf-8"))
     except OSError as exc:
         raise CommandError(EXIT_DATA, f"cannot write {path}: {exc.strerror or exc}") from exc
-    if isinstance(payload, list):  # outside the mapping: stdout failing is not the file's fault
-        sys.stdout.write(render_report(payload))
+    if rows is not None:  # outside the mapping: stdout failing is not the file's fault
+        _say(text)
+
+
+def _say(text: str) -> None:
+    """Print ``text`` at once; a failing standard output is a data error."""
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        # point the descriptor, if the stream has one, at the null device, so that the
+        # interpreter's flush at exit of what stays buffered adds no second error
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise CommandError(
+            EXIT_DATA, f"cannot write to standard output: {exc.strerror or exc}") from exc
 
 
 def _read(load, path: str, code: int, what: str):
@@ -148,11 +162,9 @@ def cmd_gen_data(args, config: RunConfig, out_dir: Path) -> None:
     dataset = generate_synthetic(config.synthetic)
     path = out_dir / "data.mmfn"
     _write(path, dataset)
-    print(
-        f"wrote {len(dataset)} records "
-        f"(d_t={dataset.d_t}, d_i={dataset.d_i}, l_t={dataset.l_t}, l_i={dataset.l_i}) "
-        f"to {path}"
-    )
+    _say(f"wrote {len(dataset)} records "
+         f"(d_t={dataset.d_t}, d_i={dataset.d_i}, l_t={dataset.l_t}, l_i={dataset.l_i}) "
+         f"to {path}\n")
 
 
 def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
@@ -164,10 +176,8 @@ def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
     checkpoint_path = out_dir / "model.mmck"
     _write(checkpoint_path, checkpoint)
     _write(out_dir / "history.jsonl", history)
-    print(
-        f"saved checkpoint to {checkpoint_path} "
-        f"(best val_f1={checkpoint.best_val_f1!r} at epoch {checkpoint.best_epoch})"
-    )
+    _say(f"saved checkpoint to {checkpoint_path} "
+         f"(best val_f1={checkpoint.best_val_f1!r} at epoch {checkpoint.best_epoch})\n")
 
 
 def cmd_eval(args, config: RunConfig, out_dir: Path) -> None:
@@ -182,7 +192,7 @@ def cmd_gate_stats(args, config: RunConfig, out_dir: Path) -> None:
     dataset = _load_dataset(config.feature_file)
     stats = gate_stats(checkpoint.params, checkpoint.hyper, dataset,
                        threshold=config.eval.threshold)
-    _write(out_dir / "gate-stats.jsonl", [gate_stats_row(stats)])
+    _write(out_dir / "gate-stats.jsonl", [asdict(stats)])
 
 
 def cmd_ablate(args, config: RunConfig, out_dir: Path) -> None:
@@ -290,7 +300,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else 0
-    except (WidthMismatchError, VariantMismatchError) as err:  # the model does not fit its input
+    except WidthMismatchError as err:  # the model does not fit its input
         return _fail(err, EXIT_CHECKPOINT)
     except OSError as err:
         return _fail(err, EXIT_DATA)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import SyntheticSpec
 from .errors import InputError
+from .evaluation import DOMINANCE_THRESHOLD
 from .fieldtext import field_types, parse_value, render_value
 from .model import HyperConfig
 from .training import TrainConfig
@@ -33,7 +34,7 @@ from .training import TrainConfig
 
 @dataclass(frozen=True)
 class EvalSettings:
-    threshold: float = 0.2
+    threshold: float = DOMINANCE_THRESHOLD
     sigmas: tuple[float, ...] = (0.5, 1.0)
     noise_seed: int = 0
 

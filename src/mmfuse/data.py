@@ -10,8 +10,7 @@ passes all work on these arrays rather than on one object per record.
 the ids as one block and gathers each column at once; it walks the records
 one by one only when the ids differ in byte length or the block fails.
 
-File format (little-endian), magic ``MMFN``, version 1, unchanged by the
-columnar layout::
+File format (little-endian), magic ``MMFN``, version 1::
 
     header: 4s magic | u32 version | u64 n_records | u32 d_t | u32 d_i | u32 l_t | u32 l_i
     record: u32 id_len | id utf-8 | u8 label | u8 provenance

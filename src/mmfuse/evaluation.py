@@ -65,6 +65,8 @@ def evaluate(params: ModelParams, hyper: HyperConfig, dataset: Dataset) -> Metri
 
 # -- gate statistics ---------------------------------------------------------------
 
+DOMINANCE_THRESHOLD = 0.2  # default gate margin past which one modality dominates a record
+
 
 @dataclass(frozen=True)
 class GateStatsReport:
@@ -88,7 +90,8 @@ def collect_gate_weights(params: ModelParams, hyper: HyperConfig,
     return outputs.alpha_text, outputs.alpha_image
 
 
-def gate_stats_from_alphas(alpha_text, alpha_image, threshold: float = 0.2) -> GateStatsReport:
+def gate_stats_from_alphas(alpha_text, alpha_image,
+                           threshold: float = DOMINANCE_THRESHOLD) -> GateStatsReport:
     """Summarize gate values: means, population stds, dominance percentages.
 
     A record is text-dominant when alpha_t - alpha_i > threshold, image-
@@ -118,7 +121,7 @@ def gate_stats_from_alphas(alpha_text, alpha_image, threshold: float = 0.2) -> G
 
 
 def gate_stats(params: ModelParams, hyper: HyperConfig, dataset: Dataset,
-               threshold: float = 0.2) -> GateStatsReport:
+               threshold: float = DOMINANCE_THRESHOLD) -> GateStatsReport:
     alpha_text, alpha_image = collect_gate_weights(params, hyper, dataset)
     return gate_stats_from_alphas(alpha_text, alpha_image, threshold)
 

@@ -32,6 +32,7 @@ Array = np.ndarray
 
 
 class Variant(str, Enum):
+    # declared in reporting order: single modalities, then increasingly complete fusion
     TEXT_ONLY = "text-only"
     IMAGE_ONLY = "image-only"
     CONCAT = "concat"
@@ -39,14 +40,7 @@ class Variant(str, Enum):
     FULL = "full"
 
 
-# fixed reporting order: single modalities, then increasingly complete fusion
-VARIANT_ORDER = (
-    Variant.TEXT_ONLY,
-    Variant.IMAGE_ONLY,
-    Variant.CONCAT,
-    Variant.FIXED_ATTENTION,
-    Variant.FULL,
-)
+VARIANT_ORDER = tuple(Variant)
 
 _ATTENTION_NAMES = (
     "attn_q_text", "attn_k_image", "attn_v_image",
@@ -280,6 +274,14 @@ class BatchOutputs:
     alpha_image: Array | None = None
 
 
+def check_widths(config: HyperConfig, batch: Dataset, what: str = "record") -> None:
+    """Refuse ``batch`` unless its feature widths are the model's."""
+    if (batch.d_t, batch.d_i) != (config.d_t, config.d_i):
+        raise WidthMismatchError(
+            f"{what} widths (d_t={batch.d_t}, d_i={batch.d_i}) do not match the model "
+            f"(d_t={config.d_t}, d_i={config.d_i})")
+
+
 def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset,
                    rows: slice = slice(None)) -> tuple[Node, Node]:
     """A batch's two feature stacks, or views of their ``rows``, as the tape's
@@ -287,10 +289,7 @@ def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset,
     batch must hold at least one record, with the model's feature widths."""
     if len(batch) == 0:
         raise InputError("a batch needs at least one record")
-    if (batch.d_t, batch.d_i) != (config.d_t, config.d_i):
-        raise WidthMismatchError(
-            f"record widths (d_t={batch.d_t}, d_i={batch.d_i}) do not match the model "
-            f"(d_t={config.d_t}, d_i={config.d_i})")
+    check_widths(config, batch)
     return (tape.input("text_features", batch.text[rows]),
             tape.input("image_features", batch.image[rows]))
 

@@ -12,8 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import atomic_write_bytes
-from .evaluation import GateStatsReport, MetricsReport
+from .evaluation import MetricsReport
 
 
 def _encode_value(value) -> str:
@@ -37,13 +36,5 @@ def render_report(rows) -> str:
     return "".join(report_line(row) + "\n" for row in rows)
 
 
-def write_report(path, rows) -> None:
-    atomic_write_bytes(path, render_report(rows).encode("utf-8"))
-
-
 def metrics_row(label_key: str, label_value: str, metrics: MetricsReport) -> dict:
     return {label_key: label_value, **asdict(metrics)}
-
-
-def gate_stats_row(stats: GateStatsReport) -> dict:
-    return asdict(stats)

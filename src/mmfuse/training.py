@@ -36,6 +36,7 @@ from .model import (
     Variant,
     build_logits,
     check_params_match,
+    check_widths,
     feature_stacks,
     init_params,
     register_parameters,
@@ -96,25 +97,18 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
 
 
 def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
-               *, tape: Tape | None = None, grad: np.ndarray | None = None) -> Node:
-    """Mean cross-entropy of a batch of records as a 1x1 graph node.
+               *, tape: Tape, grad: np.ndarray) -> Node:
+    """Mean cross-entropy of a batch of records as a 1x1 graph node on ``tape``.
 
-    Pass a tape, and a vector laid out like ``params.flat`` that
-    Tape.backward adds the parameter gradients into. ``grad`` is read only
-    when the tape records: a tape that has run backward on this loss, from
-    these params and hyper-config, is replayed on the batch into the vector
-    it was given. Without ``grad`` the loss is a value alone: the parameters
-    enter the tape (a private one if none is given) as input leaves.
-    """
-    if tape is None:
-        tape = Tape()
+    ``grad``, laid out like ``params.flat``, is read only when the tape records:
+    Tape.backward adds the parameter gradients into it. A tape that has run
+    backward on this loss, from these params and hyper-config, is replayed on
+    the batch into the vector it was given."""
     x_text, x_image = feature_stacks(tape, hyper, batch)
     labels = tape.input("labels", batch.labels)
     if tape.root is not None:
         return tape.replay()
-    pn = (register_parameters(tape, params, grad) if grad is not None
-          else {name: tape.input(name, arr) for name, arr in params.items()})
-    nodes = build_logits(tape, pn, hyper, x_text, x_image)
+    nodes = build_logits(tape, register_parameters(tape, params, grad), hyper, x_text, x_image)
     return tape.cross_entropy_logits(nodes["logits"], labels)
 
 
@@ -221,11 +215,7 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InputError("train and validation splits must both be non-empty")
     for ds, name in ((train_ds, "train"), (val_ds, "validation")):
-        if (ds.d_t, ds.d_i) != (hyper.d_t, hyper.d_i):
-            raise InputError(
-                f"{name} split dims (d_t={ds.d_t}, d_i={ds.d_i}) do not match "
-                f"model (d_t={hyper.d_t}, d_i={hyper.d_i})"
-            )
+        check_widths(hyper, ds, f"{name} split")
 
     params = init_params(hyper)
     state = init_optimizer_state(params)
@@ -271,7 +261,7 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
             bad_streak = 0
         else:
             bad_streak += 1
-            if bad_streak >= max(config.patience, 1):
+            if bad_streak >= config.patience:
                 break
 
     checkpoint = Checkpoint(hyper, best_params, config, float(best_f1), best_epoch)

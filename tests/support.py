@@ -1,11 +1,11 @@
 """Oracles and stage views that only the tests use.
 
 The stage views run package code (``model._forward_nodes``,
-``model._attend``, ``Tape._record``), so the tests that call them still
-check what the package computes. ``reference_file_bytes`` is the
-record-by-record feature writer that ``data.save`` replaced, and
-``reference_synthetic`` the record-by-record generator that
-``data.generate_synthetic`` replaced.
+``model._attend``, ``model.build_logits``, ``Tape._record``), so the tests
+that call them still check what the package computes.
+``reference_file_bytes`` is the record-by-record feature writer that
+``data.save`` replaced, and ``reference_synthetic`` the record-by-record
+generator that ``data.generate_synthetic`` replaced.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ def input_leaves(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Every parameter on a tape as an input leaf, for probes that need only values:
     no op on them needs a gradient, so the tape keeps none."""
     return {name: tape.input(name, arr) for name, arr in params.items()}
+
+
+def loss_value(params: ModelParams, hyper: HyperConfig, batch: Dataset) -> Node:
+    """The batch loss as a value alone: ``batch_loss``'s graph on a fresh tape,
+    whose parameters are input leaves, so it keeps no op."""
+    tape = Tape()
+    x_text, x_image = model.feature_stacks(tape, hyper, batch)
+    labels = tape.input("labels", batch.labels)
+    nodes = model.build_logits(tape, input_leaves(tape, params), hyper, x_text, x_image)
+    return tape.cross_entropy_logits(nodes["logits"], labels)
 
 
 def set_param(params: ModelParams, name: str, values) -> None:

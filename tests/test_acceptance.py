@@ -47,14 +47,14 @@ from mmfuse.model import (
 from mmfuse.training import (
     TrainConfig,
     adamw_step,
-    batch_loss,
     init_optimizer_state,
     load_checkpoint,
     save_checkpoint,
     train,
     train_step,
 )
-from support import cross_attend, finite_difference_check, loss_and_grads, pin_gates, set_param
+from support import (cross_attend, finite_difference_check, loss_and_grads, loss_value, pin_gates,
+                     set_param)
 
 DATA_SEEDS = (1, 2, 3, 4, 5)
 FRACTIONS = (0.8, 0.1, 0.1)
@@ -114,10 +114,10 @@ def test_gradient_fidelity(acceptance_log):
                 params = init_params(hyper)
                 _, analytic = loss_and_grads(params, hyper, records)
 
-                def loss_value(_):
-                    return float(batch_loss(params, hyper, records).value[0, 0])
+                def value(_):
+                    return float(loss_value(params, hyper, records).value[0, 0])
 
-                err = finite_difference_check(loss_value, dict(params.items()), analytic)
+                err = finite_difference_check(value, dict(params.items()), analytic)
                 worst = max(worst, err)
     elapsed = perf_counter() - started
     _report(

@@ -1,4 +1,5 @@
-"""End-to-end tests for the command-line interface (in-process)."""
+"""End-to-end tests for the command-line interface (in-process, and in a child
+process where a real file descriptor matters)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import contextlib
 import errno
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -153,7 +156,30 @@ def test_failing_stdout_exits_two(workspace, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     code = main(["gen-data", "--config", str(workspace["config"]), "--out", str(tmp_path / "o")])
-    assert (code, capsys.readouterr().err) == (2, "mmfuse: error: [Errno 32] Broken pipe\n")
+    assert (code, capsys.readouterr().err) == (
+        2, "mmfuse: error: cannot write to standard output: Broken pipe\n")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+def test_closed_stdout_pipe_exits_two_with_one_line(command, workspace, tmp_path):
+    """A real pipe whose read end is closed, in a child with default (block)
+    buffering: the error is one line, and the exit flush adds none."""
+    argv = [command, "--config", str(workspace["config"]), "--out", str(tmp_path / "o")]
+    if command != "gen-data":
+        argv += ["--data", str(workspace["data"])]
+    if command == "eval":
+        argv += ["--checkpoint", str(workspace["full"])]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mmfuse.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, "mmfuse: error: cannot write to standard output: Broken pipe\n")
 
 
 # -- train ------------------------------------------------------------------------
@@ -543,6 +569,15 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     code, _, stderr = run(["gen-data", "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert stderr == "mmfuse: error: Unable to allocate 8.00 EiB for an array\n"
+
+
+def test_unforeseen_os_error_exits_two(tmp_path, capsys, monkeypatch):
+    def failing(spec):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr("mmfuse.cli.generate_synthetic", failing)
+    code, _, stderr = run(["gen-data", "--out", str(tmp_path / "o")], capsys)
+    assert (code, stderr) == (2, "mmfuse: error: [Errno 5] Input/output error\n")
 
 
 def test_bad_model_value_exits_one_on_every_command(workspace, tmp_path, capsys):

@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
-from mmfuse.data import SyntheticSpec, generate_synthetic, split
+from mmfuse.data import SyntheticSpec, atomic_write_bytes, generate_synthetic, split
 from mmfuse.evaluation import compute_metrics, gate_stats_from_alphas
 from mmfuse.model import HyperConfig
-from mmfuse.reports import (
-    gate_stats_row,
-    metrics_row,
-    render_report,
-    report_line,
-    write_report,
-)
+from mmfuse.reports import metrics_row, render_report, report_line
 from mmfuse.training import TrainConfig, train
 from support import parse_report
 
@@ -40,8 +35,8 @@ def test_render_and_parse_round_trip(tmp_path):
     assert parse_report(text) == rows
 
     path = tmp_path / "report.jsonl"
-    write_report(path, rows)
-    write_report(tmp_path / "again.jsonl", rows)
+    atomic_write_bytes(path, render_report(rows).encode("utf-8"))
+    atomic_write_bytes(tmp_path / "again.jsonl", render_report(rows).encode("utf-8"))
     assert path.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
     assert parse_report(path.read_text()) == rows
 
@@ -68,7 +63,7 @@ def test_metrics_row_layout():
 
 def test_gate_stats_row_layout():
     stats = gate_stats_from_alphas(np.array([0.9, 0.1]), np.array([0.1, 0.9]), threshold=0.2)
-    parsed = json.loads(report_line(gate_stats_row(stats)))
+    parsed = json.loads(report_line(asdict(stats)))
     assert parsed["mean_alpha_t"] == 0.5
     assert parsed["pct_text_dominant"] == 50.0
     assert parsed["threshold"] == 0.2

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from mmfuse import training
 from mmfuse.autodiff import Tape
 from mmfuse.data import SyntheticSpec, batches, generate_synthetic, split
-from mmfuse.errors import FileFormatError, InputError, NumericsError, VariantMismatchError
+from mmfuse.errors import (FileFormatError, InputError, NumericsError, VariantMismatchError,
+                           WidthMismatchError)
 from mmfuse.evaluation import evaluate
 from mmfuse.model import (
     HyperConfig,
@@ -39,7 +40,9 @@ from mmfuse.training import (
     train,
     train_step,
 )
-from support import finite_difference_check, forward, loss_and_grads, pin_gates, set_param
+import support
+from support import (finite_difference_check, forward, loss_and_grads, loss_value, pin_gates,
+                     set_param)
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
 
@@ -62,14 +65,14 @@ def test_loss_is_zero_for_saturated_correct_logits():
     set_param(params, "cls_b2", [[100.0, -100.0]])  # always confidently "real"
     ds = small_dataset(seed=1)
     reals = ds.take(np.flatnonzero(ds.labels == 0)[:8])
-    loss = batch_loss(params, config, reals)
+    loss = loss_value(params, config, reals)
     assert loss.value[0, 0] == 0.0
 
 
 def test_loss_starts_near_coin_flip():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     params = init_params(config)
-    loss = batch_loss(params, config, small_dataset(seed=2))
+    loss = loss_value(params, config, small_dataset(seed=2))
     assert abs(float(loss.value[0, 0]) - math.log(2.0)) < 0.2
 
 
@@ -77,7 +80,7 @@ def test_batched_loss_equals_mean_of_per_record_losses():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     params = init_params(config)
     records = small_dataset(seed=3).take(range(10))
-    batched = float(batch_loss(params, config, records).value[0, 0])
+    batched = float(loss_value(params, config, records).value[0, 0])
 
     def record_loss(i):
         logits = forward(params, config, records.take([i])).logits[0]
@@ -98,7 +101,7 @@ def test_batch_loss_gradient_matches_finite_differences(l_t, l_i):
     _, analytic = loss_and_grads(params, config, records)
 
     def f(arrays):
-        return float(batch_loss(params, config, records).value[0, 0])
+        return float(loss_value(params, config, records).value[0, 0])
 
     arrays = dict(params.items())
     assert finite_difference_check(f, arrays, analytic, step=1e-5) <= 1e-4
@@ -147,9 +150,9 @@ def test_value_only_batch_loss_keeps_no_op_and_matches_a_recorded_step(variant, 
     params = init_params(hyper)
     records = small_dataset(n=9, seed=8, l_t=lengths[0], l_i=lengths[1])
     recorded, _ = loss_and_grads(params, hyper, records)
-    made = []  # holds the private tape, which batch_loss would free as it returns
-    monkeypatch.setattr(training, "Tape", lambda: made.append(Tape()) or made[-1])
-    loss = batch_loss(params, hyper, records)
+    made = []  # holds the fresh tape, which loss_value would free as it returns
+    monkeypatch.setattr(support, "Tape", lambda: made.append(Tape()) or made[-1])
+    loss = loss_value(params, hyper, records)
     (tape,) = made
     assert not tape._steps and loss.tape is tape and not loss.requires_grad
     assert loss.value[0, 0].tobytes() == recorded.tobytes()
@@ -157,8 +160,10 @@ def test_value_only_batch_loss_keeps_no_op_and_matches_a_recorded_step(variant, 
 
 def test_batch_loss_rejects_empty_batch():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
+    params = init_params(config)
     with pytest.raises(InputError):
-        batch_loss(init_params(config), config, small_dataset().take([]))
+        batch_loss(params, config, small_dataset().take([]), tape=Tape(),
+                   grad=np.zeros_like(params.flat))
 
 
 # -- AdamW -----------------------------------------------------------------------
@@ -307,7 +312,7 @@ def test_loss_drops_for_every_variant():
     train_ds, val_ds, _ = default_splits(seed=8)
     for variant in VARIANT_ORDER:
         hyper = HyperConfig(d_t=16, d_i=12, variant=variant)
-        initial = float(batch_loss(init_params(hyper), hyper, train_ds).value[0, 0])
+        initial = float(loss_value(init_params(hyper), hyper, train_ds).value[0, 0])
         _, history = train(train_ds, val_ds, hyper, TrainConfig(max_epochs=3, patience=3, seed=8))
         assert history[-1]["train_loss"] <= 0.7 * initial, variant
 
@@ -498,8 +503,12 @@ def test_train_validates_inputs():
     ds = generate_synthetic(SyntheticSpec(n_samples=50, d_t=8, d_i=6, seed=12))
     train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=12)
     hyper_wrong = HyperConfig(d_t=16, d_i=12)
-    with pytest.raises(InputError):
+    with pytest.raises(WidthMismatchError, match=r"^train split widths \(d_t=8, d_i=6\) do not "
+                       r"match the model \(d_t=16, d_i=12\)$"):
         train(train_ds, val_ds, hyper_wrong, TrainConfig())
+    wide = generate_synthetic(SyntheticSpec(n_samples=10, d_t=16, d_i=12, seed=12))
+    with pytest.raises(WidthMismatchError, match=r"^validation split widths \(d_t=8, d_i=6\)"):
+        train(wide, val_ds, hyper_wrong, TrainConfig())
     empty = train_ds.take([])
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     with pytest.raises(InputError):
