@@ -30,7 +30,7 @@ from .config import RunConfig, apply_master_seed, default_config, load_config, r
 from .data import Dataset, atomic_write_bytes, generate_synthetic, load, save, split
 from .errors import MMFuseError, UsageError, WidthMismatchError
 from .evaluation import evaluate, gate_stats
-from .experiments import default_scenarios, run_ablation, run_perturbation_suite
+from .experiments import run_ablation, run_perturbation_suite
 from .model import Variant
 from .reports import metrics_row, render_report
 from .training import PRESETS, Checkpoint, apply_preset, load_checkpoint, save_checkpoint, train
@@ -213,8 +213,8 @@ def cmd_perturb(args, config: RunConfig, out_dir: Path) -> None:
                  for variant, path in ((Variant.TEXT_ONLY, args.baseline_text),
                                        (Variant.IMAGE_ONLY, args.baseline_image)) if path}
     dataset = _load_dataset(config.feature_file)
-    scenarios = default_scenarios(config.eval.sigmas, config.eval.noise_seed)
-    results = run_perturbation_suite(full, dataset, scenarios, baselines)
+    results = run_perturbation_suite(full, dataset, config.eval.sigmas, config.eval.noise_seed,
+                                     baselines)
     _write(out_dir / "perturbation.jsonl",
            [metrics_row("scenario", label, report) for label, report in results])
 

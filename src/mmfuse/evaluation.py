@@ -7,7 +7,6 @@ zero denominator are reported as 0.0 rather than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -129,34 +128,9 @@ def gate_stats(params: ModelParams, hyper: HyperConfig, dataset: Dataset,
 # -- perturbations ------------------------------------------------------------------
 
 
-class PerturbationKind(str, Enum):
-    TEXT_MISSING = "text-missing"
-    IMAGE_MISSING = "image-missing"
-    TEXT_NOISE = "text-noise"
-    IMAGE_NOISE = "image-noise"
-
-
-_NOISE_KINDS = (PerturbationKind.TEXT_NOISE, PerturbationKind.IMAGE_NOISE)
-
-
-@dataclass(frozen=True)
-class PerturbationScenario:
-    kind: PerturbationKind
-    sigma: float | None = None
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", PerturbationKind(self.kind))
-        if self.kind in _NOISE_KINDS:
-            if self.sigma is None or self.sigma <= 0.0:
-                raise InputError(f"{self.kind.value} needs sigma > 0, got {self.sigma}")
-        elif self.sigma is not None:
-            raise InputError(f"{self.kind.value} does not take a sigma")
-
-    def label(self) -> str:
-        if self.sigma is None:
-            return self.kind.value
-        return f"{self.kind.value}(sigma={self.sigma:g})"
+def perturbation_label(side: str, sigma: float | None) -> str:
+    """``text-missing`` without a sigma, ``text-noise(sigma=0.5)`` with one."""
+    return f"{side}-missing" if sigma is None else f"{side}-noise(sigma={sigma:g})"
 
 
 @lru_cache(maxsize=1)
@@ -172,29 +146,33 @@ def _unit_noise(noise_seed: int, n: int, width: int) -> np.ndarray:
     return rows
 
 
-def perturb_dataset(dataset: Dataset, scenario: PerturbationScenario) -> Dataset:
-    """A copy of the dataset with one modality zeroed or noised; the input
-    stays untouched.
+def perturb_dataset(dataset: Dataset, side: str, sigma: float | None = None,
+                    noise_seed: int = 0) -> Dataset:
+    """A copy of the dataset with one side, ``"text"`` or ``"image"``, zeroed
+    (no sigma) or noised with standard deviation ``sigma``; the input stays
+    untouched.
 
     Each record's noise comes from its own stream, so it does not depend on
     the other records. ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z``
     over the stream's standard normals z, which makes one draw per record
-    serve every sigma and both modalities. Only the replaced stack can be
+    serve every sigma and both sides. Only the replaced stack can be
     invalid, so only it is checked, and the copy is built as ``Dataset.take``
     builds its rows.
     """
-    kind = scenario.kind
-    side = "text" if kind in (PerturbationKind.TEXT_MISSING, PerturbationKind.TEXT_NOISE) else "image"
+    if side not in ("text", "image"):
+        raise InputError(f"perturbation side must be 'text' or 'image', got {side!r}")
     x = getattr(dataset, side)
-    if kind in _NOISE_KINDS:
+    if sigma is None:
+        perturbed = np.zeros_like(x)
+    elif sigma <= 0.0:
+        raise InputError(f"{side}-noise needs sigma > 0, got {sigma}")
+    else:
         width = max(dataset.l_t * dataset.d_t, dataset.l_i * dataset.d_i)
-        z = _unit_noise(scenario.noise_seed, len(dataset), width)
-        perturbed = x + (0.0 + scenario.sigma * z[:, :x.shape[1] * x.shape[2]].reshape(x.shape))
+        z = _unit_noise(noise_seed, len(dataset), width)
+        perturbed = x + (0.0 + sigma * z[:, :x.shape[1] * x.shape[2]].reshape(x.shape))
         if not np.isfinite(perturbed).all():  # a sigma large enough to overflow the features
             i = int((~np.isfinite(perturbed).all(axis=(1, 2))).argmax())
-            raise InputError(f"{scenario.label()}: record {i}: non-finite feature values")
-    else:
-        perturbed = np.zeros_like(x)
+            raise InputError(f"{perturbation_label(side, sigma)}: record {i}: non-finite feature values")
     copy = object.__new__(Dataset)
     copy.__dict__.update(vars(dataset), **{side: perturbed})
     return copy

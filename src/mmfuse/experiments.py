@@ -10,13 +10,7 @@ from dataclasses import replace
 
 from .data import Dataset
 from .errors import InputError
-from .evaluation import (
-    MetricsReport,
-    PerturbationKind,
-    PerturbationScenario,
-    evaluate,
-    perturb_dataset,
-)
+from .evaluation import MetricsReport, evaluate, perturb_dataset, perturbation_label
 from .model import HyperConfig, Variant, VARIANT_ORDER
 from .training import Checkpoint, TrainConfig, train
 
@@ -40,26 +34,15 @@ def run_ablation(
     return rows, checkpoints
 
 
-def default_scenarios(sigmas: tuple[float, ...], noise_seed: int) -> list[PerturbationScenario]:
-    """Missing-modality scenarios plus one noise scenario per sigma and side."""
-    scenarios = [
-        PerturbationScenario(PerturbationKind.TEXT_MISSING),
-        PerturbationScenario(PerturbationKind.IMAGE_MISSING),
-    ]
-    for sigma in sigmas:
-        scenarios.append(PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma, noise_seed))
-    for sigma in sigmas:
-        scenarios.append(PerturbationScenario(PerturbationKind.IMAGE_NOISE, sigma, noise_seed))
-    return scenarios
-
-
 def run_perturbation_suite(
     full_checkpoint: Checkpoint,
     test_ds: Dataset,
-    scenarios,
+    sigmas: tuple[float, ...],
+    noise_seed: int,
     baselines: dict[Variant, Checkpoint] | None = None,
 ) -> list[tuple[str, MetricsReport]]:
-    """Evaluate the full model unperturbed and under each scenario.
+    """Evaluate the full model unperturbed, with each side missing, then with
+    the text and then the image noised at each sigma.
 
     Optional single-modality baselines are appended unperturbed, as
     reference points for the missing-modality rows.
@@ -73,9 +56,12 @@ def run_perturbation_suite(
         raise InputError("perturbation suite needs a non-empty test split")
 
     rows = [("unperturbed", evaluate(full_checkpoint.params, full_checkpoint.hyper, test_ds))]
-    for scenario in scenarios:  # no name keeps a perturbed copy alive past its evaluation
-        rows.append((scenario.label(), evaluate(full_checkpoint.params, full_checkpoint.hyper,
-                                                perturb_dataset(test_ds, scenario))))
+    sides = ("text", "image")
+    scenarios = [(side, None) for side in sides] + [(side, s) for side in sides for s in sigmas]
+    for side, sigma in scenarios:  # no name keeps a perturbed copy alive past its evaluation
+        rows.append((perturbation_label(side, sigma),
+                     evaluate(full_checkpoint.params, full_checkpoint.hyper,
+                              perturb_dataset(test_ds, side, sigma, noise_seed))))
     for variant, checkpoint in (baselines or {}).items():
         variant = Variant(variant)
         if variant not in (Variant.TEXT_ONLY, Variant.IMAGE_ONLY):

@@ -28,8 +28,6 @@ from mmfuse.data import (
     split,
 )
 from mmfuse.evaluation import (
-    PerturbationKind,
-    PerturbationScenario,
     collect_gate_weights,
     compute_metrics,
     evaluate,
@@ -307,29 +305,28 @@ def test_gating_adaptivity(acceptance_log, five_seed_ablation):
 def test_robustness_ordering(acceptance_log, five_seed_ablation):
     runs, _ = five_seed_ablation
     unperturbed, text_missing, image_baseline = [], [], []
-    noise_f1 = {PerturbationKind.TEXT_NOISE: {0.5: [], 1.0: []},
-                PerturbationKind.IMAGE_NOISE: {0.5: [], 1.0: []}}
+    noise_f1 = {"text": {0.5: [], 1.0: []}, "image": {0.5: [], 1.0: []}}
     for run in runs:
         test_ds = run["splits"][2]
         full = run["checkpoints"][Variant.FULL]
         unperturbed.append(run["f1"][Variant.FULL])
         image_baseline.append(run["f1"][Variant.IMAGE_ONLY])
-        missing = perturb_dataset(test_ds, PerturbationScenario(PerturbationKind.TEXT_MISSING))
+        missing = perturb_dataset(test_ds, "text")
         text_missing.append(evaluate(full.params, full.hyper, missing).f1)
-        for kind, by_sigma in noise_f1.items():
+        for side, by_sigma in noise_f1.items():
             for sigma in by_sigma:
-                noisy = perturb_dataset(test_ds, PerturbationScenario(kind, sigma))
+                noisy = perturb_dataset(test_ds, side, sigma)
                 by_sigma[sigma].append(evaluate(full.params, full.hyper, noisy).f1)
 
     mean_clean = float(np.mean(unperturbed))
     mean_missing = float(np.mean(text_missing))
     mean_image = float(np.mean(image_baseline))
     noise_means = {
-        kind: {sigma: float(np.mean(values)) for sigma, values in by_sigma.items()}
-        for kind, by_sigma in noise_f1.items()
+        side: {sigma: float(np.mean(values)) for sigma, values in by_sigma.items()}
+        for side, by_sigma in noise_f1.items()
     }
     monotone = all(
-        mean_clean >= noise_means[kind][0.5] >= noise_means[kind][1.0] for kind in noise_means
+        mean_clean >= noise_means[side][0.5] >= noise_means[side][1.0] for side in noise_means
     )
     ok = (
         abs(mean_missing - mean_image) <= 0.08
@@ -337,8 +334,8 @@ def test_robustness_ordering(acceptance_log, five_seed_ablation):
         and monotone
     )
     noise_detail = ", ".join(
-        f"{kind.value} {noise_means[kind][0.5]:.4f}/{noise_means[kind][1.0]:.4f}"
-        for kind in noise_means
+        f"{side}-noise {noise_means[side][0.5]:.4f}/{noise_means[side][1.0]:.4f}"
+        for side in noise_means
     )
     _report(
         acceptance_log,

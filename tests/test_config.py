@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,13 @@ def test_defaults_round_trip_through_canonical_text():
     text = render_config(config)
     assert parse_config(text) == config
     assert render_config(parse_config(text)) == text  # canonical form is a fixed point
+
+
+def test_readme_example_config_parses_to_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    assert parse_config(blocks[0]) == default_config()
 
 
 def test_empty_document_gives_defaults():

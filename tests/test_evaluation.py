@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import weakref
 
@@ -14,8 +13,6 @@ from mmfuse.config import EvalSettings
 from mmfuse.data import Dataset, SyntheticSpec, generate_synthetic, split
 from mmfuse.errors import InputError, UsageError
 from mmfuse.evaluation import (
-    PerturbationKind,
-    PerturbationScenario,
     _unit_noise,
     collect_gate_weights,
     compute_metrics,
@@ -23,8 +20,9 @@ from mmfuse.evaluation import (
     gate_stats,
     gate_stats_from_alphas,
     perturb_dataset,
+    perturbation_label,
 )
-from mmfuse.experiments import default_scenarios, run_ablation, run_perturbation_suite
+from mmfuse.experiments import run_ablation, run_perturbation_suite
 from mmfuse.model import HyperConfig, Variant, VARIANT_ORDER, init_params
 from mmfuse.training import Checkpoint, TrainConfig
 
@@ -196,11 +194,11 @@ def test_missing_perturbations_zero_one_side():
     ds = one_record(rng.normal(size=(1, 8)), rng.normal(size=(1, 6)))
     text_before, image_before = ds.text.copy(), ds.image.copy()
 
-    gone_text = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_MISSING))
+    gone_text = perturb_dataset(ds, "text")
     assert np.array_equal(gone_text.text, np.zeros((1, 1, 8)))
     assert np.array_equal(gone_text.image, image_before)
 
-    gone_image = perturb_dataset(ds, PerturbationScenario(PerturbationKind.IMAGE_MISSING))
+    gone_image = perturb_dataset(ds, "image")
     assert np.array_equal(gone_image.image, np.zeros((1, 1, 6)))
     assert np.array_equal(gone_image.text, text_before)
 
@@ -211,27 +209,24 @@ def test_missing_perturbations_zero_one_side():
 
 def test_noise_perturbation_moments_and_determinism():
     ds = one_record(np.zeros((1, 10000)), np.zeros((1, 1)))
-    scenario = PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1.0, noise_seed=5)
-    noisy = perturb_dataset(ds, scenario)
+    noisy = perturb_dataset(ds, "text", 1.0, noise_seed=5)
     added = noisy.text[0, 0]
     assert abs(added.mean()) <= 0.05
     assert abs(added.std() - 1.0) <= 0.05
     assert np.array_equal(noisy.image, ds.image)
 
-    again = perturb_dataset(ds, scenario)
+    again = perturb_dataset(ds, "text", 1.0, noise_seed=5)
     assert np.array_equal(noisy.text, again.text)
 
-    other_seed = dataclasses.replace(scenario, noise_seed=6)
-    different = perturb_dataset(ds, other_seed)
+    different = perturb_dataset(ds, "text", 1.0, noise_seed=6)
     assert not np.array_equal(noisy.text, different.text)
 
 
 def test_overflowing_noise_names_the_scenario():
     ds = one_record(np.zeros((1, 8)), np.zeros((1, 64)))  # some |z| > 1.8 overflows
-    scenario = PerturbationScenario(PerturbationKind.IMAGE_NOISE, sigma=1e308, noise_seed=7)
     with np.errstate(over="ignore"), pytest.raises(
             InputError, match=r"^image-noise\(sigma=1e\+308\): record 0: non-finite feature values$"):
-        perturb_dataset(ds, scenario)
+        perturb_dataset(ds, "image", 1e308, noise_seed=7)
 
 
 def test_overflow_names_the_first_bad_record_and_the_copy_shares_the_other_side():
@@ -240,56 +235,50 @@ def test_overflow_names_the_first_bad_record_and_the_copy_shares_the_other_side(
     ds = Dataset(("a", "b", "c"), [0, 1, 0], [1, 2, 3], text, np.ones((3, 2, 6)))
     with np.errstate(over="ignore"), pytest.raises(
             InputError, match=r"^text-noise\(sigma=1e\+300\): record 2: non-finite feature values$"):
-        perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1e300))
-    noisy = perturb_dataset(ds.take([0, 1]), PerturbationScenario(PerturbationKind.TEXT_NOISE,
-                                                                  sigma=1e300))
+        perturb_dataset(ds, "text", 1e300)
+    noisy = perturb_dataset(ds.take([0, 1]), "text", 1e300)
     assert np.isfinite(noisy.text).all() and noisy.ids == ("a", "b")
-    gone = perturb_dataset(ds, PerturbationScenario(PerturbationKind.IMAGE_MISSING))
+    gone = perturb_dataset(ds, "image")
     assert gone.text is ds.text and gone.ids is ds.ids and gone.labels is ds.labels
     assert np.array_equal(gone.image, np.zeros((3, 2, 6)))
 
 
 def test_noise_scales_with_sigma():
     ds = one_record(np.zeros((1, 4000)), np.zeros((1, 1)))
-    small = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=0.5, noise_seed=7))
-    large = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=1.0, noise_seed=7))
+    small = perturb_dataset(ds, "text", 0.5, noise_seed=7)
+    large = perturb_dataset(ds, "text", 1.0, noise_seed=7)
     # same seed: identical unit noise scaled by sigma
     assert np.allclose(large.text, 2.0 * small.text, rtol=0, atol=1e-15)
 
 
-def per_record_perturbation(ds, scenario):
+def per_record_perturbation(ds, side, sigma, noise_seed):
     """The per-record perturbation that perturb_dataset replaced, as an oracle:
     each record draws from a fresh generator seeded from (noise_seed, i)."""
-    text, image = ds.text.copy(), ds.image.copy()
+    stacks = {"text": ds.text.copy(), "image": ds.image.copy()}
+    x = stacks[side]
     for i in range(len(ds)):
-        if scenario.kind is PerturbationKind.TEXT_MISSING:
-            text[i] = np.zeros_like(ds.text[i])
-        elif scenario.kind is PerturbationKind.IMAGE_MISSING:
-            image[i] = np.zeros_like(ds.image[i])
+        if sigma is None:
+            x[i] = np.zeros_like(x[i])
         else:
-            seed = int(np.random.SeedSequence((scenario.noise_seed, i)).generate_state(1)[0])
-            rng = np.random.default_rng(seed)
-            if scenario.kind is PerturbationKind.TEXT_NOISE:
-                text[i] = ds.text[i] + rng.normal(0.0, scenario.sigma, ds.text[i].shape)
-            else:
-                image[i] = ds.image[i] + rng.normal(0.0, scenario.sigma, ds.image[i].shape)
-    return text, image
+            seed = int(np.random.SeedSequence((noise_seed, i)).generate_state(1)[0])
+            x[i] = x[i] + np.random.default_rng(seed).normal(0.0, sigma, x[i].shape)
+    return stacks["text"], stacks["image"]
 
 
 @pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
 def test_perturb_dataset_matches_per_record_oracle_bitwise(l_t, l_i):
     ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=29))
-    scenarios = [PerturbationScenario(PerturbationKind.TEXT_MISSING),
-                 PerturbationScenario(PerturbationKind.IMAGE_MISSING)]
-    scenarios += [PerturbationScenario(kind, sigma, noise_seed)
-                  for kind in (PerturbationKind.TEXT_NOISE, PerturbationKind.IMAGE_NOISE)
+    scenarios = [(side, None, 0) for side in ("text", "image")]
+    scenarios += [(side, sigma, noise_seed)
+                  for side in ("text", "image")
                   for sigma in (0.5, 1.7)
                   for noise_seed in (0, 2**64 - 3)]
-    for scenario in scenarios:
-        out = perturb_dataset(ds, scenario)
-        text, image = per_record_perturbation(ds, scenario)
-        assert out.text.tobytes() == text.tobytes(), scenario.label()
-        assert out.image.tobytes() == image.tobytes(), scenario.label()
+    for side, sigma, noise_seed in scenarios:
+        out = perturb_dataset(ds, side, sigma, noise_seed)
+        text, image = per_record_perturbation(ds, side, sigma, noise_seed)
+        label = (perturbation_label(side, sigma), noise_seed)
+        assert out.text.tobytes() == text.tobytes(), label
+        assert out.image.tobytes() == image.tobytes(), label
         assert out.ids == ds.ids
         assert np.array_equal(out.labels, ds.labels) and np.array_equal(out.provenance, ds.provenance)
 
@@ -302,28 +291,30 @@ def test_shared_noise_draw_is_read_only():
     assert _unit_noise(3, 5, 7) is z
 
 
-def test_scenario_validation_and_labels():
-    with pytest.raises(InputError):
-        PerturbationScenario(PerturbationKind.TEXT_NOISE)  # sigma required
-    with pytest.raises(InputError):
-        PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=0.0)
-    with pytest.raises(InputError):
-        PerturbationScenario(PerturbationKind.TEXT_MISSING, sigma=0.5)
-    assert PerturbationScenario(PerturbationKind.TEXT_MISSING).label() == "text-missing"
-    noise = PerturbationScenario("image-noise", sigma=0.5)
-    assert noise.label() == "image-noise(sigma=0.5)"
+def test_perturb_dataset_guards_and_labels():
+    ds = generate_synthetic(SyntheticSpec(n_samples=4, d_t=8, d_i=6, seed=27))
+    for side in ("labels", "provenance", "Text", ""):  # a dataset field is not a side
+        with pytest.raises(InputError, match=f"^perturbation side must be 'text' or 'image', "
+                                             f"got {side!r}$"):
+            perturb_dataset(ds, side)
+    for sigma in (0.0, -0.5):
+        with pytest.raises(InputError, match=rf"^image-noise needs sigma > 0, got {sigma}$"):
+            perturb_dataset(ds, "image", sigma)
+    assert perturbation_label("text", None) == "text-missing"
+    assert perturbation_label("image", 0.5) == "image-noise(sigma=0.5)"
+    assert perturbation_label("text", 1.0) == "text-noise(sigma=1)"
+    assert perturbation_label("text", 1e-7) == "text-noise(sigma=1e-07)"
 
 
 def test_perturb_dataset_is_deterministic_and_varies_per_record():
     ds = generate_synthetic(SyntheticSpec(n_samples=6, d_t=8, d_i=6, seed=27))
-    scenario = PerturbationScenario(PerturbationKind.IMAGE_NOISE, sigma=0.5, noise_seed=3)
-    out_a = perturb_dataset(ds, scenario)
-    out_b = perturb_dataset(ds, scenario)
+    out_a = perturb_dataset(ds, "image", 0.5, noise_seed=3)
+    out_b = perturb_dataset(ds, "image", 0.5, noise_seed=3)
     assert np.array_equal(out_a.image, out_b.image)
     noise_rows = out_a.image - ds.image
     assert not np.array_equal(noise_rows[0], noise_rows[1])
 
-    zeroed = perturb_dataset(ds, PerturbationScenario(PerturbationKind.TEXT_MISSING))
+    zeroed = perturb_dataset(ds, "text")
     assert not zeroed.text.any()
     assert zeroed.d_t == ds.d_t and len(zeroed) == len(ds)
 
@@ -348,10 +339,14 @@ def test_run_ablation_row_order_and_checkpoints():
         assert 0.0 <= report.f1 <= 1.0
 
 
-def test_default_scenarios_cover_missing_and_noise():
+def test_suite_rows_follow_the_eval_settings():
+    _, _, test_ds = tiny_splits()
+    hyper = HyperConfig(variant=Variant.FULL, **SMALL)
+    ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
     settings = EvalSettings()
-    labels = [s.label() for s in default_scenarios(settings.sigmas, settings.noise_seed)]
-    assert labels == [
+    rows = run_perturbation_suite(ckpt, test_ds, settings.sigmas, settings.noise_seed)
+    assert [label for label, _ in rows] == [
+        "unperturbed",
         "text-missing",
         "image-missing",
         "text-noise(sigma=0.5)",
@@ -359,6 +354,8 @@ def test_default_scenarios_cover_missing_and_noise():
         "image-noise(sigma=0.5)",
         "image-noise(sigma=1)",
     ]
+    rows = run_perturbation_suite(ckpt, test_ds, (), settings.noise_seed)
+    assert [label for label, _ in rows] == ["unperturbed", "text-missing", "image-missing"]
 
 
 def test_perturbation_suite_rows():
@@ -366,13 +363,6 @@ def test_perturbation_suite_rows():
     full_hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     full_ckpt = Checkpoint(full_hyper, init_params(full_hyper), TrainConfig(), 0.5, 0)
 
-    rows = run_perturbation_suite(full_ckpt, test_ds, [])
-    assert [label for label, _ in rows] == ["unperturbed"]
-
-    scenarios = [
-        PerturbationScenario(PerturbationKind.TEXT_MISSING),
-        PerturbationScenario(PerturbationKind.TEXT_NOISE, sigma=0.5, noise_seed=1),
-    ]
     text_hyper = HyperConfig(variant=Variant.TEXT_ONLY, **SMALL)
     image_hyper = HyperConfig(variant=Variant.IMAGE_ONLY, **SMALL)
     baselines = {
@@ -381,11 +371,13 @@ def test_perturbation_suite_rows():
             image_hyper, init_params(image_hyper), TrainConfig(), 0.5, 0
         ),
     }
-    rows = run_perturbation_suite(full_ckpt, test_ds, scenarios, baselines=baselines)
+    rows = run_perturbation_suite(full_ckpt, test_ds, (0.5,), 1, baselines=baselines)
     assert [label for label, _ in rows] == [
         "unperturbed",
         "text-missing",
+        "image-missing",
         "text-noise(sigma=0.5)",
+        "image-noise(sigma=0.5)",
         "baseline-text-only",
         "baseline-image-only",
     ]
@@ -397,19 +389,18 @@ def test_perturbation_suite_holds_one_perturbed_copy_at_a_time(monkeypatch):
     ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
     copies, alive = [], []  # weak references to each perturbed stack; live copies at each call
 
-    def perturb(dataset, scenario):
+    def perturb(dataset, *args):
         alive.append(sum(ref() is not None for ref in copies))
-        out = perturb_dataset(dataset, scenario)
+        out = perturb_dataset(dataset, *args)
         copies.extend(weakref.ref(getattr(out, side)) for side in ("text", "image")
                       if getattr(out, side) is not getattr(dataset, side))
         return out
 
     monkeypatch.setattr(mmfuse.experiments, "perturb_dataset", perturb)
     settings = EvalSettings()
-    scenarios = default_scenarios(settings.sigmas, settings.noise_seed)
     gc.disable()  # reference counting alone must free each copy
     try:
-        run_perturbation_suite(ckpt, test_ds, scenarios)
+        run_perturbation_suite(ckpt, test_ds, settings.sigmas, settings.noise_seed)
     finally:
         gc.enable()
     assert alive == [0] * 6 and len(copies) == 6
@@ -421,7 +412,7 @@ def test_perturbation_suite_requires_full_variant():
     hyper = HyperConfig(variant=Variant.CONCAT, **SMALL)
     ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
     with pytest.raises(InputError):
-        run_perturbation_suite(ckpt, test_ds, [])
+        run_perturbation_suite(ckpt, test_ds, (), 0)
 
 
 def test_perturbation_suite_refuses_an_empty_split_and_a_fused_baseline():
@@ -429,6 +420,6 @@ def test_perturbation_suite_refuses_an_empty_split_and_a_fused_baseline():
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
     with pytest.raises(InputError, match="^perturbation suite needs a non-empty test split$"):
-        run_perturbation_suite(ckpt, test_ds.take([]), [])
+        run_perturbation_suite(ckpt, test_ds.take([]), (), 0)
     with pytest.raises(InputError, match="^baselines must be single-modality variants, got 'full'$"):
-        run_perturbation_suite(ckpt, test_ds, [], baselines={Variant.FULL: ckpt})
+        run_perturbation_suite(ckpt, test_ds, (), 0, baselines={Variant.FULL: ckpt})
