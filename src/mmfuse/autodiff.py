@@ -14,16 +14,17 @@ Each operation is one record: an output buffer (for a length-1 mean, a
 view of the input) and a forward function that fills it, run once when
 the op is called. As in PyTorch autograd, the tape keeps an op only when
 a parent needs a gradient; an op on ``input`` and ``constant`` leaves
-alone keeps nothing. Ownership runs one way: a tape holds its kept ops
-and named ``input`` leaves, and a node holds its tape only weakly, so
-reference counting frees each value and tape once nothing refers to it.
+alone keeps nothing. Ownership runs one way: a tape holds its kept ops,
+and a node holds its tape only weakly, so reference counting frees each
+value and tape once nothing refers to it.
 ``Tape.backward`` walks the kept ops in reverse, so gradients follow one
 fixed order and repeated runs are bitwise identical. As in PyTorch, a
 parameter adds each contribution into its caller's buffer, and any other
 node keeps its first contribution as it is and sums later ones into a new
 array, so no handed-over array is written. ``Tape.replay`` reruns the kept
-forwards, in their buffers, on new inputs and drops their gradients; it
-refuses a tape that dropped an op.
+forwards, in their buffers, on whatever the ``input`` arrays now hold (the
+caller refills them in place) and drops their gradients; it refuses a
+tape that dropped an op.
 """
 
 from __future__ import annotations
@@ -116,14 +117,13 @@ class Tape:
 
     Pure evaluation (finite-difference probes, inference) enters its arrays
     as ``input`` or ``constant`` leaves, so the tape keeps no op. The tape
-    holds its kept ops and its named inputs; their nodes point back at it
-    weakly, so it is freed, with the arrays it read, when it goes.
+    holds its kept ops alone; their nodes point back at it weakly, so it is
+    freed, with the arrays they read, when it goes.
     """
 
     def __init__(self):
         self._ref = weakref.ref(self)  # the one reference its nodes hold
         self._leaves = 0
-        self._inputs: dict[str, Node] = {}
         self.root: Node | None = None  # of the first backward; what replay recomputes
         self._dropped = False  # an op was computed but not kept, so replay would skip it
         self._steps: list[tuple] = []  # (forward, backward, node, out) per kept op
@@ -145,19 +145,10 @@ class Tape:
         node.grad = grad
         return node
 
-    def input(self, name: str, values: Array) -> Node:
-        """A named leaf without gradient for data the caller has checked,
-        taken as it is (no copy, no finite scan). Called again with that
-        name, it points the leaf at new values of the recorded shape."""
-        node = self._inputs.get(name)
-        if node is None:
-            node = self._inputs[name] = self._leaf(values, "input")
-        elif node.value.shape != values.shape:
-            raise UsageError(f"input {name!r} was recorded with shape {node.value.shape}, "
-                             f"got {values.shape}")
-        else:
-            node.value = values
-        return node
+    def input(self, values: Array) -> Node:
+        """A leaf without gradient for data the caller has checked, taken as
+        it is (no copy, no finite scan): a replay reads what it holds then."""
+        return self._leaf(values, "input")
 
     # -- internals ---------------------------------------------------------
 
@@ -339,8 +330,8 @@ class Tape:
 
     def cross_entropy_logits(self, logits: Node, labels: Node) -> Node:
         """Mean negative log-likelihood of two-class logits: m x 2 -> 1 x 1.
-        ``labels`` is an ``input`` leaf holding a 0/1 class per row, which
-        replay can point at other labels."""
+        ``labels`` is an ``input`` leaf holding an intp 0/1 class per row, which
+        a replay reads as it then is."""
         self._own(logits, labels)
         if logits.value.shape[1] != 2:
             raise DimensionError(
@@ -348,11 +339,11 @@ class Tape:
             )
         m = logits.value.shape[0]
         lab = labels.value
-        if lab.shape != (m,):
-            raise InputError(f"labels must be a length-{m} sequence, got shape {lab.shape}")
+        if lab.dtype != np.intp or lab.shape != (m,):
+            raise InputError(f"labels must be a length-{m} intp vector, "
+                             f"got {lab.dtype} of shape {lab.shape}")
         if not ((lab == 0) | (lab == 1)).all():
             raise InputError("labels must be 0 or 1")
-        labels.value = lab.astype(np.intp, copy=False)
         rows = np.arange(m)
         probs = np.empty((m, 2)) if logits.requires_grad else None
 

@@ -104,7 +104,7 @@ class Dataset:
         """The records at the given positions, in that order, as a new dataset.
 
         Rows of a valid dataset are valid, so the checks are not rerun:
-        training takes its first batch of each size this way.
+        train_step takes its first batch of each shape this way.
         """
         index = np.asarray(index, dtype=np.intp)
         rows = object.__new__(Dataset)

@@ -71,8 +71,8 @@ class HyperConfig:
             raise InputError("model dimensions must all be at least 1")
         if self.d_k != self.d_c:
             raise InputError(f"d_k must equal d_c (got d_k={self.d_k}, d_c={self.d_c})")
-        if self.init_scale <= 0.0:
-            raise InputError(f"init_scale must be positive, got {self.init_scale}")
+        if not 0.0 < self.init_scale < np.inf:
+            raise InputError(f"init_scale must be positive and finite, got {self.init_scale}")
         total = sum(rows * cols for rows, cols in parameter_shapes(self).values())
         if 8 * total > np.iinfo(np.intp).max:
             raise InputError(
@@ -290,13 +290,12 @@ def feature_stacks(tape: Tape, config: HyperConfig, batch: Dataset,
     if len(batch) == 0:
         raise InputError("a batch needs at least one record")
     check_widths(config, batch)
-    return (tape.input("text_features", batch.text[rows]),
-            tape.input("image_features", batch.image[rows]))
+    return tape.input(batch.text[rows]), tape.input(batch.image[rows])
 
 
 def _forward_nodes(params, config, batch, rows=slice(None), logits=True) -> dict[str, Node]:
     tape = Tape()  # parameters as input leaves: no op needs a gradient, so none is kept
-    pn = {name: tape.input(name, arr) for name, arr in params.items()}
+    pn = {name: tape.input(arr) for name, arr in params.items()}
     return build_logits(tape, pn, config, *feature_stacks(tape, config, batch, rows), logits=logits)
 
 

@@ -62,22 +62,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InputError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise InputError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.patience < 0:
             raise InputError(f"patience must be non-negative, got {self.patience}")
-        if self.weight_decay < 0.0:
-            raise InputError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise InputError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise InputError(f"{name} must be in [0, 1), got {v}")
-        if self.epsilon <= 0.0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise InputError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 # named hyperparameter bundles selectable from the CLI; "paper-protocol"
@@ -100,28 +100,29 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
                *, tape: Tape, grad: np.ndarray) -> Node:
     """Mean cross-entropy of a batch of records as a 1x1 graph node on ``tape``.
 
-    ``grad``, laid out like ``params.flat``, is read only when the tape records:
-    Tape.backward adds the parameter gradients into it. A tape that has run
-    backward on this loss, from these params and hyper-config, is replayed on
-    the batch into the vector it was given."""
-    x_text, x_image = feature_stacks(tape, hyper, batch)
-    labels = tape.input("labels", batch.labels)
+    ``batch`` and ``grad`` (laid out like ``params.flat``) are read only when the
+    tape records: Tape.backward adds the parameter gradients into ``grad``. A tape
+    that has run backward on this loss, from these params and hyper-config, is
+    replayed on what the recorded batch's arrays now hold."""
     if tape.root is not None:
         return tape.replay()
+    x_text, x_image = feature_stacks(tape, hyper, batch)
     nodes = build_logits(tape, register_parameters(tape, params, grad), hyper, x_text, x_image)
-    return tape.cross_entropy_logits(nodes["logits"], labels)
+    return tape.cross_entropy_logits(nodes["logits"], tape.input(batch.labels))
 
 
 # -- optimizer -------------------------------------------------------------------
 
 
 class StepRecording(NamedTuple):
-    """A train_step tape, what it was recorded from, and its gradient vector."""
+    """A train_step tape, what it was recorded from, its gradient vector and
+    the batch whose arrays it reads, which each later step refills."""
 
     flat: np.ndarray
     hyper: HyperConfig
     tape: Tape
     grad: np.ndarray
+    batch: Dataset
 
 
 @dataclass
@@ -166,23 +167,27 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
     theta -= np.add(np.multiply(lr, update, out=b), np.multiply(lr * wd, theta, out=a), out=b)
 
 
-def train_step(params: ModelParams, hyper: HyperConfig, batch: Dataset,
+def train_step(params: ModelParams, hyper: HyperConfig, dataset: Dataset, rows,
                state: OptimizerState, config: TrainConfig) -> float:
-    """One AdamW step on a batch, in place; returns the batch loss.
+    """One AdamW step, in place, on ``dataset``'s records at ``rows``; returns the loss.
 
     Gradients add into one vector laid out like ``params.flat``, zeroed by each
     step, so a parameter the loss does not reach gets zeros. A non-finite loss
     is returned without updating anything, so the caller decides how to report it.
 
-    The first step at a batch shape records its tape and that vector in
-    ``state``; later ones replay both while given the same ``params.flat``
-    and an equal hyper.
+    The first step at a batch shape records its tape, that vector and its batch
+    in ``state``; later ones gather their rows into that batch in place and
+    replay, while given the same ``params.flat`` and an equal hyper.
     """
-    key = (batch.text.shape, batch.image.shape)
+    key = (len(rows), dataset.text.shape[1:], dataset.image.shape[1:])
     recording = state.recordings.get(key)
     if recording is None or recording.flat is not params.flat or recording.hyper != hyper:
-        recording = StepRecording(params.flat, hyper, Tape(), np.zeros_like(params.flat))
-    loss = batch_loss(params, hyper, batch, tape=recording.tape, grad=recording.grad)
+        recording = StepRecording(params.flat, hyper, Tape(), np.zeros_like(params.flat),
+                                  dataset.take(rows))
+    else:
+        for name in ("labels", "text", "image"):  # ids and provenance stay the first batch's
+            getattr(dataset, name).take(rows, axis=0, out=getattr(recording.batch, name))
+    loss = batch_loss(params, hyper, recording.batch, tape=recording.tape, grad=recording.grad)
     value = float(loss.value[0, 0])
     if math.isfinite(value):
         recording.grad.fill(0.0)
@@ -227,16 +232,10 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
     bad_streak = 0
     history: list[dict] = []
 
-    sized: dict[int, Dataset] = {}  # per batch size, the batch its recorded tape reads
     for epoch in range(config.max_epochs):
         epoch_losses = []
         for step, idx in enumerate(batches(train_ds, config.batch_size, int(epoch_seeds[epoch]))):
-            if len(idx) not in sized:
-                sized[len(idx)] = train_ds.take(idx)
-            batch = sized[len(idx)]
-            for name in ("labels", "text", "image"):  # ids and provenance stay the first batch's
-                getattr(train_ds, name).take(idx, axis=0, out=getattr(batch, name))
-            value = train_step(params, hyper, batch, state, config)
+            value = train_step(params, hyper, train_ds, idx, state, config)
             if not math.isfinite(value):
                 bad = [(name, np.argwhere(~finite)[0].tolist()) for name, finite  # layout order
                        in params.views(np.isfinite(params.flat)).items() if not finite.all()]

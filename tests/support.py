@@ -78,7 +78,7 @@ def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):
 def input_leaves(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Every parameter on a tape as an input leaf, for probes that need only values:
     no op on them needs a gradient, so the tape keeps none."""
-    return {name: tape.input(name, arr) for name, arr in params.items()}
+    return {name: tape.input(arr) for name, arr in params.items()}
 
 
 def loss_value(params: ModelParams, hyper: HyperConfig, batch: Dataset) -> Node:
@@ -86,7 +86,7 @@ def loss_value(params: ModelParams, hyper: HyperConfig, batch: Dataset) -> Node:
     whose parameters are input leaves, so it keeps no op."""
     tape = Tape()
     x_text, x_image = model.feature_stacks(tape, hyper, batch)
-    labels = tape.input("labels", batch.labels)
+    labels = tape.input(batch.labels)
     nodes = model.build_logits(tape, input_leaves(tape, params), hyper, x_text, x_image)
     return tape.cross_entropy_logits(nodes["logits"], labels)
 

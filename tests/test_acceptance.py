@@ -254,7 +254,7 @@ def _train_gate_candidate(train_ds, val_ds, backbone, data_seed, index):
     best = (_SELECTION_FLOOR, params.copy())
     for epoch in range(_GATE_EPOCHS):
         for batch_idx in batches(train_ds, config.batch_size, int(epoch_seeds[epoch])):
-            train_step(params, hyper, train_ds.take(batch_idx), state, config)
+            train_step(params, hyper, train_ds, batch_idx, state, config)
         val_seps = _provenance_separations(params, hyper, val_ds)
         if min(val_seps) > best[0]:
             best = (min(val_seps), params.copy())

@@ -26,7 +26,7 @@ def fd_worst_error(build, arrays, step=1e-5):
     """Backprop through build(tape, nodes) and compare against central differences."""
     def f(params):
         t = Tape()
-        nodes = {k: t.input(k, v) for k, v in params.items()}
+        nodes = {k: t.input(v) for k, v in params.items()}
         return float(build(t, nodes).value[0, 0])
 
     tape = Tape()
@@ -122,7 +122,7 @@ def test_dense_matches_separate_ops_bytewise(act):
         r, s = rng.normal(size=(m, 6)), rng.normal(size=(m, 4))
         t = Tape()
         n = {"p": param(t, p), "w": param(t, w), "b": param(t, b)}
-        x = t.matmul(t.input("u", u), n["p"])
+        x = t.matmul(t.input(u), n["p"])
         out = t.dense(x, n["w"], n["b"], act)
         root = t.add(sum_all(t, t.mul(out, t.constant(r))), sum_all(t, t.mul(x, t.constant(s))))
         t.backward(root)
@@ -161,28 +161,27 @@ def test_softmax_row_max_matches_a_max_reduce():
 
 
 def test_length_one_mean_is_a_view_that_follows_replay():
-    """At L = 1, mean_rows shares its input's memory. Kept, it follows a
-    repointed input through the op it pools, and its gradient is the pooled
-    one, reshaped and contiguous even where the pooled one is a strided
+    """At L = 1, mean_rows shares its input's memory. Kept, it follows an
+    input refilled in place through the op it pools, and its gradient is the
+    pooled one, reshaped and contiguous even where the pooled one is a strided
     concat_cols slice, since a strided operand moves a gemm's bits."""
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 1, 3))
     scoring = Tape()
-    assert np.shares_memory(scoring.mean_rows(scoring.input("x", x)).value, x)
+    assert np.shares_memory(scoring.mean_rows(scoring.input(x)).value, x)
     t = Tape()
     bias = param(t, rng.normal(size=(1, 1, 3)))
-    h = t.add(t.input("x", x), bias)
+    h = t.add(t.input(x), bias)
     pooled = t.mean_rows(h)
     assert np.shares_memory(pooled.value, h.value) and pooled.value.shape == (4, 3)
     w = t.constant(rng.normal(size=(5, 2)))
     loss = sum_all(t, t.matmul(t.concat_cols(pooled, t.constant(np.ones((4, 2)))), w))
     t.backward(loss)
-    x2 = rng.normal(size=(4, 1, 3))
-    t.input("x", x2)
+    x[...] = rng.normal(size=(4, 1, 3))
     bias.grad.fill(0.0)
     t.replay()
     t.backward(loss)
-    assert np.array_equal(pooled.value, (x2 + bias.value)[:, 0])
+    assert np.array_equal(pooled.value, (x + bias.value)[:, 0])
     assert np.shares_memory(pooled.value, h.value)
     assert not pooled.grad.flags.c_contiguous and h.grad.flags.c_contiguous
     assert h.grad.shape == (4, 1, 3) and np.array_equal(h.grad[:, 0], pooled.grad)
@@ -230,17 +229,24 @@ def test_value_only_tape_frees_intermediates():
     assert len(t) == 1 and out.value.shape == (2, 3, 4)  # the constant leaf alone
     features = np.ones((2, 1, 3))
     held = weakref.ref(features)
-    t.input("features", features)
-    del features
-    assert held() is not None and len(t) == 2  # a live tape holds its named input
+    leaf = t.input(features)
+    assert leaf.value is features and len(t) == 2  # taken as it is, no copy
+    del features, leaf
+    assert held() is None  # no op read it, so the tape does not hold it
+    # an input that a kept op reads lives while that op does, and goes with the tape
+    features = np.ones((2, 1, 3))
+    held = weakref.ref(features)
+    out = t.add(t.input(features), param(t, np.ones((1, 1, 3))))
+    del features, out
+    assert held() is not None
     del t
-    assert held() is None  # and the input goes with the tape
+    assert held() is None
 
 
 def test_cross_entropy_values():
     def loss(logits, labels):
         t = Tape()
-        return t.cross_entropy_logits(t.constant(logits), t.input("labels", np.array(labels)))
+        return t.cross_entropy_logits(t.constant(logits), t.input(np.array(labels)))
 
     even = loss([[0.0, 0.0]], [1])
     assert abs(even.value[0, 0] - math.log(2.0)) <= 1e-15
@@ -353,7 +359,7 @@ def test_cross_entropy_gradient_matches_finite_differences():
         labels = rng.integers(0, 2, 5)
         arrays = {"a": uniform(rng, 5, 3), "w": uniform(rng, 3, 2)}
         build = lambda t, n: t.cross_entropy_logits(t.matmul(n["a"], n["w"]),
-                                                    t.input("labels", labels))
+                                                    t.input(labels))
         assert fd_worst_error(build, arrays) <= 1e-4
 
 
@@ -431,7 +437,7 @@ def test_backward_is_bitwise_deterministic():
         a = param(t, rng.normal(size=(4, 5)))
         b = param(t, rng.normal(size=(5, 3)))
         logits = t.matmul(t.softmax_rows(t.matmul(a, b)), t.constant(rng.normal(size=(3, 2))))
-        out = t.cross_entropy_logits(logits, t.input("labels", np.array([0, 1, 1, 0])))
+        out = t.cross_entropy_logits(logits, t.input(np.array([0, 1, 1, 0])))
         t.backward(out)
         return a.grad.copy(), b.grad.copy(), out.value.copy()
 
@@ -454,13 +460,13 @@ def handoff_graph(t, x, labels, w, bias, v):
     """One graph of each gradient path: ``h`` has one consumer, ``hb`` two
     (``add(hb, hb)``), ``bias`` broadcasts over batch and sequence, and
     ``mean_rows`` pools a sequence of 3; returns every node by name."""
-    n = {"x": t.input("x", x), "w": param(t, w), "bias": param(t, bias), "v": param(t, v)}
+    n = {"x": t.input(x), "w": param(t, w), "bias": param(t, bias), "v": param(t, v)}
     n["h"] = t.matmul(n["x"], n["w"])
     n["hb"] = t.add(n["h"], n["bias"])
     n["s"] = t.add(n["hb"], n["hb"])
     n["pooled"] = t.mean_rows(n["s"])
     n["logits"] = t.matmul(n["pooled"], n["v"])
-    n["loss"] = t.cross_entropy_logits(n["logits"], t.input("labels", labels))
+    n["loss"] = t.cross_entropy_logits(n["logits"], t.input(labels))
     return n
 
 
@@ -472,13 +478,13 @@ def test_replayed_gradients_match_a_fresh_tape_bytewise():
     rng = np.random.default_rng(11)
     w, bias, v = rng.normal(size=(5, 3)), rng.normal(size=(1, 1, 3)), rng.normal(size=(3, 2))
     tape, replayed = Tape(), None
+    x_in, labels_in = np.empty((4, 3, 5)), np.empty(4, dtype=np.intp)  # the tape's inputs
     for step in range(4):
         x, labels = rng.normal(size=(4, 3, 5)), rng.integers(0, 2, 4)
+        x_in[...], labels_in[...] = x, labels  # refilled in place, as train_step does
         if replayed is None:
-            replayed = handoff_graph(tape, x, labels, w, bias, v)
+            replayed = handoff_graph(tape, x_in, labels_in, w, bias, v)
         else:
-            tape.input("x", x)
-            tape.input("labels", labels)
             tape.replay()
             for name in ("w", "bias", "v"):  # the caller zeroes its buffers, as training does
                 replayed[name].grad.fill(0.0)
@@ -516,7 +522,8 @@ def test_backward_runs_once_per_replay():
 
 def test_replay_refuses_a_tape_that_dropped_an_op():
     t = Tape()
-    x = t.input("x", np.array([[0.5, -1.0]]))
+    values = np.array([[0.5, -1.0]])
+    x = t.input(values)
     w = param(t, as_matrix([[2.0], [3.0]]))
     squashed = t.mul(x, x)  # no gradient flows through it: computed, not kept
     y = sum_all(t, t.matmul(squashed, w))
@@ -524,7 +531,7 @@ def test_replay_refuses_a_tape_that_dropped_an_op():
     t.backward(y)
     assert np.array_equal(w.grad, squashed.value.T)
     assert x.grad is None and squashed.grad is None
-    t.input("x", np.array([[1.0, 2.0]]))
+    values[...] = [[1.0, 2.0]]
     with pytest.raises(UsageError):
         t.replay()  # it would rerun the matmul on the old square of x
 
@@ -547,7 +554,7 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(DimensionError):
         t.concat_cols(a, t.constant(np.zeros((3, 3))))
     with pytest.raises(DimensionError):
-        t.cross_entropy_logits(a, t.input("labels", np.array([0, 1])))
+        t.cross_entropy_logits(a, t.input(np.array([0, 1])))
     stack = t.constant(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionError):
         t.matmul(stack, t.constant(np.zeros((3, 4, 2))))  # batch sizes differ
@@ -557,18 +564,21 @@ def test_shape_errors_name_both_shapes():
         t.add(stack, t.constant(np.zeros((2, 2, 4))))  # only length 1 broadcasts
     with pytest.raises(DimensionError, match=r"^mean_rows: needs a \(B, L, c\) stack, got \(2, 3\)$"):
         t.mean_rows(a)
-    t.input("x", np.zeros((2, 3)))
-    with pytest.raises(UsageError, match=r"^input 'x' was recorded with shape \(2, 3\), got \(3, 2\)$"):
-        t.input("x", np.zeros((3, 2)))
 
 
 def test_cross_entropy_rejects_bad_labels():
     t = Tape()
     logits = t.constant(np.zeros((2, 2)))
-    with pytest.raises(InputError):
-        t.cross_entropy_logits(logits, t.input("bad", np.array([0, 2])))
-    with pytest.raises(InputError):
-        t.cross_entropy_logits(logits, t.input("short", np.array([0])))
+    with pytest.raises(InputError, match="^labels must be 0 or 1$"):
+        t.cross_entropy_logits(logits, t.input(np.array([0, 2])))
+    with pytest.raises(InputError, match=r"^labels must be a length-2 intp vector, got "
+                                         rf"{np.dtype(np.intp)} of shape \(1,\)$"):
+        t.cross_entropy_logits(logits, t.input(np.array([0], dtype=np.intp)))
+    # labels of another dtype are refused, not converted: a replay reads the leaf's own array
+    for other in (np.float64, np.int32, np.bool_):
+        with pytest.raises(InputError, match=f"^labels must be a length-2 intp vector, "
+                                             f"got {np.dtype(other)} of shape"):
+            t.cross_entropy_logits(logits, t.input(np.array([0, 1], dtype=other)))
 
 
 def test_backward_requires_scalar_root():

@@ -12,7 +12,6 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from mmfuse.cli import build_parser, main
 from mmfuse.config import apply_master_seed, load_config, render_config
 from mmfuse.data import Dataset, load, save
 from mmfuse.model import CHUNK, Variant, VARIANT_ORDER
-from mmfuse.training import load_checkpoint, save_checkpoint
+from mmfuse.training import load_checkpoint
 
 SMALL_INI = """\
 [data]
@@ -119,7 +118,7 @@ def test_gen_data_master_seed_changes_data(tmp_path, capsys):
 @pytest.mark.parametrize("command,config,message", [
     ("gen-data", "[data]\nfeature_file = x.mmfn\n",
      "gen-data builds synthetic data; remove data.feature_file from the config"),
-    ("train", "[train]\nweight_decay = -1\n", "weight_decay must be non-negative, got -1.0"),
+    ("train", "[train]\nweight_decay = -1\n", "weight_decay must be non-negative and finite, got -1.0"),
     ("ablate", "[data]\ntrain_frac = 0.9\ntest_frac = 0\n", "ablation needs a non-empty test split"),
 ], ids=["feature-file", "weight-decay", "no-test-split"])
 def test_config_the_command_cannot_use_exits_one(command, config, message, workspace, tmp_path,
@@ -591,11 +590,11 @@ def test_bad_model_value_exits_one_on_every_command(workspace, tmp_path, capsys)
 
 
 def test_eval_on_checkpoint_with_bad_config_value(workspace, tmp_path, capsys):
-    checkpoint = load_checkpoint(workspace["full"])
-    bad = replace(checkpoint, train_config=replace(checkpoint.train_config,
-                                                   learning_rate=float("nan")))
+    # TrainConfig refuses a nan, so the nan is written into the saved text
+    learning_rate = load_checkpoint(workspace["full"]).train_config.learning_rate
     path = tmp_path / "nan-lr.mmck"
-    save_checkpoint(bad, path)
+    path.write_bytes(edit_checkpoint(workspace["full"].read_bytes(),
+                                     f"learning_rate={learning_rate!r}".encode(), b"learning_rate=nan"))
     code, _, stderr = run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(path),
                            "--out", str(tmp_path / "o")], capsys)
     assert code == 3
@@ -623,7 +622,7 @@ PROJ_TEXT = b"proj_text" + struct.pack("<II", 8, 4)  # name, rows, cols in the s
     (b"\ninit_seed=", b"\n\ninit_seed=", None),  # a blank line is skipped
     (b"\ninit_seed=0", b"", "checkpoint config block is missing keys ['init_seed']"),
     (b"weight_decay=0.01", b"weight_decay=-1.0",
-     "checkpoint config is invalid: weight_decay must be non-negative, got -1.0"),
+     "checkpoint config is invalid: weight_decay must be non-negative and finite, got -1.0"),
     (PROJ_TEXT, b"proj_text" + struct.pack("<II", 0, 4),
      "parameter proj_text: shape (0, 4) is invalid"),
     (PROJ_TEXT, b"proj_text" + struct.pack("<II", 4, 8),

@@ -102,8 +102,9 @@ def test_hyper_config_validation():
     with pytest.raises(InputError):
         HyperConfig(d_t=4, d_i=4, d_c=8, d_k=4)
     assert HyperConfig(d_t=4, d_i=4, d_c=8).d_k == 8
-    with pytest.raises(InputError):
-        HyperConfig(d_t=4, d_i=4, init_scale=0.0)
+    for scale in (0.0, math.inf, math.nan):  # nan would reach init_params' uniform draw
+        with pytest.raises(InputError, match=f"^init_scale must be positive and finite, got {scale}$"):
+            HyperConfig(d_t=4, d_i=4, init_scale=scale)
     assert HyperConfig(d_t=4, d_i=4, variant="concat").variant is Variant.CONCAT
 
 

@@ -281,6 +281,10 @@ def test_train_config_validation_and_preset():
         TrainConfig(beta1=1.0)
     with pytest.raises(InputError):
         TrainConfig(patience=-1)
+    for name in ("learning_rate", "weight_decay", "epsilon"):  # refused before any step runs
+        for value in (math.inf, math.nan):
+            with pytest.raises(InputError, match=f"^{name} must be .* and finite, got {value}$"):
+                TrainConfig(**{name: value})
     preset = apply_preset(TrainConfig(), "paper-protocol")
     assert preset.learning_rate == 1e-5
     assert preset.batch_size == 32
@@ -396,7 +400,7 @@ def test_train_step_loop_reproduces_one_epoch_of_train():
     params = init_params(hyper)
     state = init_optimizer_state(params)
     epoch_seed = int(np.random.SeedSequence(config.seed).generate_state(1, np.uint64)[0])
-    losses = [train_step(params, hyper, train_ds.take(idx), state, config)
+    losses = [train_step(params, hyper, train_ds, idx, state, config)
               for idx in batches(train_ds, config.batch_size, epoch_seed)]
     assert params_equal(params, checkpoint.params)
     assert float(np.mean(losses)) == history[0]["train_loss"]
@@ -408,11 +412,11 @@ def test_train_step_skips_update_on_non_finite_loss():
     set_param(params, "cls_w1", np.zeros((4, 6)))
     set_param(params, "cls_b2", [[1e308, -1e308]])  # a fake record costs an infinite loss
     ds = small_dataset(seed=17)
-    fakes = ds.take(np.flatnonzero(ds.labels == 1)[:4])
+    fakes = np.flatnonzero(ds.labels == 1)[:4]
     before = params.copy()
     state = init_optimizer_state(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = train_step(params, hyper, fakes, state, TrainConfig())
+        value = train_step(params, hyper, ds, fakes, state, TrainConfig())
     assert not math.isfinite(value)
     assert params_equal(params, before) and state.step_count == 0
 
@@ -421,21 +425,22 @@ def test_train_step_skips_update_on_non_finite_loss():
 @pytest.mark.parametrize("variant", VARIANT_ORDER)
 def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
     """train_step records its tape once per batch shape, a full batch and the
-    short tail each, and replays it; every step equals a fresh eager tape
+    short tail each, and replays it on rows gathered from any dataset of the
+    recorded shapes (here two, in turn); every step equals a fresh eager tape
     followed by adamw_step, bit for bit."""
     hyper = HyperConfig(variant=variant, init_seed=40, **SMALL)
-    ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=8, d_i=6, l_t=seq_len,
-                                          l_i=seq_len, seed=40))
+    sources = [generate_synthetic(SyntheticSpec(n_samples=40, d_t=8, d_i=6, l_t=seq_len,
+                                                l_i=seq_len, seed=seed)) for seed in (40, 45)]
     params = init_params(hyper)
     reference = params.copy()
     state, ref_state = init_optimizer_state(params), init_optimizer_state(reference)
     config = TrainConfig(learning_rate=0.01, seed=40)
     recorded = {}
-    for epoch in range(3):
+    for epoch in range(4):
+        ds = sources[epoch % 2]
         for idx in batches(ds, 16, epoch):  # 16, 16, then a tail of 8
-            batch = ds.take(idx)
-            value = train_step(params, hyper, batch, state, config)
-            ref_value, grads = loss_and_grads(reference, hyper, batch)
+            value = train_step(params, hyper, ds, idx, state, config)
+            ref_value, grads = loss_and_grads(reference, hyper, ds.take(idx))
             adamw_step(reference, np.concatenate([grads[n].ravel() for n in reference.names]),
                        ref_state, config)
             # bytes, not np.array_equal, which takes -0.0 for +0.0
@@ -443,9 +448,30 @@ def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
             assert params.flat.tobytes() == reference.flat.tobytes()
             assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
             assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
-            tape = state.recordings[batch.text.shape, batch.image.shape].tape
-            assert recorded.setdefault(len(batch), tape) is tape
+            tape = state.recordings[len(idx), ds.text.shape[1:], ds.image.shape[1:]].tape
+            assert recorded.setdefault(len(idx), tape) is tape
     assert sorted(recorded) == [8, 16] and len(state.recordings) == 2
+
+
+def test_train_step_records_again_at_another_sequence_length():
+    """A batch of the recorded size whose sequences have another length is
+    another shape: it records its own tape, equal to a fresh one, and the
+    first recording still replays."""
+    hyper = HyperConfig(variant=Variant.FULL, init_seed=46, **SMALL)
+    short, long = (small_dataset(n=16, seed=46, l_t=length, l_i=2) for length in (1, 3))
+    params = init_params(hyper)
+    state = init_optimizer_state(params)
+    config = TrainConfig(learning_rate=0.01)
+    rows = np.arange(8)
+    train_step(params, hyper, short, rows, state, config)
+    (first,) = state.recordings.values()
+    expected, _ = loss_and_grads(params, hyper, long.take(rows))
+    assert np.float64(train_step(params, hyper, long, rows, state, config)).tobytes() \
+        == expected.tobytes()
+    assert set(state.recordings) == {(8, (1, 8), (2, 6)), (8, (3, 8), (2, 6))}
+    assert state.recordings[8, (3, 8), (2, 6)].tape is not first.tape
+    train_step(params, hyper, short, rows + 8, state, config)
+    assert state.recordings[8, (1, 8), (2, 6)] is first
 
 
 def test_train_step_records_again_for_other_params_or_hyper():
@@ -454,15 +480,16 @@ def test_train_step_records_again_for_other_params_or_hyper():
     records again rather than replaying stale views."""
     hyper = HyperConfig(variant=Variant.FULL, init_seed=41, **SMALL)
     batch = small_dataset(n=16, seed=41)
+    rows = np.arange(16)
     config = TrainConfig(learning_rate=0.01)
     first, second = init_params(hyper), init_params(replace(hyper, init_seed=42))
     state = init_optimizer_state(first)
-    train_step(first, hyper, batch, state, config)
+    train_step(first, hyper, batch, rows, state, config)
     (key, recording), = state.recordings.items()
 
     first_before, second_before = first.copy(), second.copy()
     expected, _ = loss_and_grads(second, hyper, batch)
-    assert train_step(second, hyper, batch, state, config) == expected
+    assert train_step(second, hyper, batch, rows, state, config) == expected
     assert params_equal(first, first_before) and not params_equal(second, second_before)
     assert state.recordings[key].tape is not recording.tape
     recording = state.recordings[key]
@@ -470,7 +497,7 @@ def test_train_step_records_again_for_other_params_or_hyper():
     other_hyper = replace(hyper, init_scale=2.0)  # the same graph, but not the recorded config
     tapes = []
     for _ in range(2):
-        train_step(second, other_hyper, batch, state, config)
+        train_step(second, other_hyper, batch, rows, state, config)
         tapes.append(state.recordings[key].tape)
     assert tapes[0] is not recording.tape and tapes[1] is tapes[0]
 
@@ -492,8 +519,9 @@ def test_training_leaves_no_cyclic_garbage(variant, lengths):
         train(train_ds, val_ds, hyper, config)
         assert gc.collect() == 0
         state = init_optimizer_state(first)
-        train_step(first, hyper, train_ds, state, config)
-        train_step(second, hyper, train_ds, state, config)  # records again: the first tape goes
+        rows = np.arange(len(train_ds))
+        train_step(first, hyper, train_ds, rows, state, config)
+        train_step(second, hyper, train_ds, rows, state, config)  # records again: the first goes
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -600,18 +628,22 @@ def test_checkpoint_load_errors(tmp_path):
     with pytest.raises(FileFormatError):
         load_checkpoint(trailing)
 
-    # config blocks get the INI's finite and range checks
-    hyper, recipe = checkpoint.hyper, checkpoint.train_config
-    for key, bad in (
-        ("learning_rate", replace(checkpoint, train_config=replace(recipe, learning_rate=math.nan))),
-        ("epsilon", replace(checkpoint, train_config=replace(recipe, epsilon=math.nan))),
-        ("init_scale", replace(checkpoint, hyper=replace(hyper, init_scale=math.inf))),
-        ("init_seed", replace(checkpoint, hyper=replace(hyper, init_seed=-1))),
-        ("init_seed", replace(checkpoint, hyper=replace(hyper, init_seed=2**64))),
-    ):
+    # config blocks get the INI's finite and range checks. The configs refuse a
+    # non-finite float, so it is written into the saved text at the same length,
+    # which keeps every length prefix valid
+    for key, value, bad in (("learning_rate", "0.001", "  nan"), ("epsilon", "1e-08", "  nan"),
+                            ("init_scale", "1.0", "inf")):
+        line = f"{key}={value}".encode()
+        assert good.count(line) == 1
         bad_config = tmp_path / f"{key}.mmck"
-        save_checkpoint(bad, bad_config)
-        with pytest.raises(FileFormatError, match=key):
+        bad_config.write_bytes(good.replace(line, f"{key}={bad}".encode()))
+        with pytest.raises(FileFormatError, match=f"^bad value in checkpoint config: {key} "):
+            load_checkpoint(bad_config)
+    for seed in (-1, 2**64):
+        bad_config = tmp_path / "init_seed.mmck"
+        save_checkpoint(replace(checkpoint, hyper=replace(checkpoint.hyper, init_seed=seed)),
+                        bad_config)
+        with pytest.raises(FileFormatError, match="init_seed"):
             load_checkpoint(bad_config)
 
 
