@@ -135,13 +135,10 @@ def perturbation_label(side: str, sigma: float | None) -> str:
 
 @lru_cache(maxsize=1)
 def _unit_noise(noise_seed: int, n: int, width: int) -> np.ndarray:
-    """Row i holds the first ``width`` standard normals of record i's own
-    stream, seeded from (noise_seed, i) through NumPy's documented
-    SeedSequence -> PCG64 path. Read-only: every sigma and side shares it."""
-    rows = np.empty((n, width))
-    for i in range(n):
-        seed = int(np.random.SeedSequence((noise_seed, i)).generate_state(1)[0])
-        rows[i] = np.random.default_rng(seed).standard_normal(width)
+    """Rows of one stream seeded with ``noise_seed``: the generator fills row by
+    row, so row i depends only on (noise_seed, i, width), not on n. Read-only:
+    every sigma and side shares it."""
+    rows = np.random.default_rng(noise_seed).standard_normal((n, width))
     rows.flags.writeable = False
     return rows
 
@@ -152,20 +149,20 @@ def perturb_dataset(dataset: Dataset, side: str, sigma: float | None = None,
     (no sigma) or noised with standard deviation ``sigma``; the input stays
     untouched.
 
-    Each record's noise comes from its own stream, so it does not depend on
-    the other records. ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z``
-    over the stream's standard normals z, which makes one draw per record
-    serve every sigma and both sides. Only the replaced stack can be
-    invalid, so only it is checked, and the copy is built as ``Dataset.take``
-    builds its rows.
+    Record i's noise is row i of one stream at the file's width
+    ``max(l_t*d_t, l_i*d_i)``: it depends on that width, not on n or the other
+    records. ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z`` over the
+    stream's standard normals z, so one draw serves every sigma and both sides.
+    Only the replaced stack can be invalid, so only it is checked, and the copy
+    is built as ``Dataset.take`` builds its rows.
     """
     if side not in ("text", "image"):
         raise InputError(f"perturbation side must be 'text' or 'image', got {side!r}")
     x = getattr(dataset, side)
     if sigma is None:
         perturbed = np.zeros_like(x)
-    elif sigma <= 0.0:
-        raise InputError(f"{side}-noise needs sigma > 0, got {sigma}")
+    elif not 0.0 < sigma < np.inf:
+        raise InputError(f"{side}-noise needs a finite sigma > 0, got {sigma}")
     else:
         width = max(dataset.l_t * dataset.d_t, dataset.l_i * dataset.d_i)
         z = _unit_noise(noise_seed, len(dataset), width)

@@ -702,7 +702,8 @@ def test_empty_feature_file_is_data_error(command, workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,extra,message", [
-    ("perturb", "\n[eval]\nsigmas = 1e308\n", "text-noise(sigma=1e+308): record 0"),
+    ("perturb", "\n[eval]\nsigmas = 1e308\n",
+     "text-noise(sigma=1e+308): record 1: non-finite feature values"),
     ("train", "learning_rate = 1e308\n", "loss diverged at epoch 0"),
 ])
 def test_overflow_exits_one_with_one_line_and_no_warning(command, extra, message, workspace,

@@ -251,22 +251,22 @@ def test_noise_scales_with_sigma():
     assert np.allclose(large.text, 2.0 * small.text, rtol=0, atol=1e-15)
 
 
-def per_record_perturbation(ds, side, sigma, noise_seed):
-    """The per-record perturbation that perturb_dataset replaced, as an oracle:
-    each record draws from a fresh generator seeded from (noise_seed, i)."""
+def one_stream_perturbation(ds, side, sigma, noise_seed):
+    """The perturbation perturb_dataset promises, as an oracle: the records draw
+    in order from one generator seeded with noise_seed, at the file's width."""
     stacks = {"text": ds.text.copy(), "image": ds.image.copy()}
     x = stacks[side]
-    for i in range(len(ds)):
-        if sigma is None:
-            x[i] = np.zeros_like(x[i])
-        else:
-            seed = int(np.random.SeedSequence((noise_seed, i)).generate_state(1)[0])
-            x[i] = x[i] + np.random.default_rng(seed).normal(0.0, sigma, x[i].shape)
+    if sigma is None:
+        x[...] = 0.0
+    else:
+        width = max(ds.l_t * ds.d_t, ds.l_i * ds.d_i)
+        noise = np.random.default_rng(noise_seed).normal(0.0, sigma, (len(ds), width))
+        x += noise[:, :x[0].size].reshape(x.shape)
     return stacks["text"], stacks["image"]
 
 
 @pytest.mark.parametrize("l_t,l_i", [(1, 1), (3, 2)])
-def test_perturb_dataset_matches_per_record_oracle_bitwise(l_t, l_i):
+def test_perturb_dataset_matches_one_stream_oracle_bitwise(l_t, l_i):
     ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=29))
     scenarios = [(side, None, 0) for side in ("text", "image")]
     scenarios += [(side, sigma, noise_seed)
@@ -275,12 +275,22 @@ def test_perturb_dataset_matches_per_record_oracle_bitwise(l_t, l_i):
                   for noise_seed in (0, 2**64 - 3)]
     for side, sigma, noise_seed in scenarios:
         out = perturb_dataset(ds, side, sigma, noise_seed)
-        text, image = per_record_perturbation(ds, side, sigma, noise_seed)
+        text, image = one_stream_perturbation(ds, side, sigma, noise_seed)
         label = (perturbation_label(side, sigma), noise_seed)
         assert out.text.tobytes() == text.tobytes(), label
         assert out.image.tobytes() == image.tobytes(), label
         assert out.ids == ds.ids
         assert np.array_equal(out.labels, ds.labels) and np.array_equal(out.provenance, ds.provenance)
+
+
+@pytest.mark.parametrize("l_t,l_i", [(1, 1), (1, 3)])  # text wider, then image wider
+def test_a_records_noise_does_not_depend_on_the_file_size(l_t, l_i):
+    k = 7
+    ds = generate_synthetic(SyntheticSpec(n_samples=2049, d_t=8, d_i=6, l_t=l_t, l_i=l_i, seed=31))
+    for side in ("text", "image"):
+        first = [getattr(perturb_dataset(ds.take(np.arange(n)), side, 0.5, 11), side)[:k].tobytes()
+                 for n in (k, k + 1, 2 * k + 3, 2049)]
+        assert len(set(first)) == 1, side
 
 
 def test_shared_noise_draw_is_read_only():
@@ -297,8 +307,8 @@ def test_perturb_dataset_guards_and_labels():
         with pytest.raises(InputError, match=f"^perturbation side must be 'text' or 'image', "
                                              f"got {side!r}$"):
             perturb_dataset(ds, side)
-    for sigma in (0.0, -0.5):
-        with pytest.raises(InputError, match=rf"^image-noise needs sigma > 0, got {sigma}$"):
+    for sigma in (0.0, -0.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError, match=rf"^image-noise needs a finite sigma > 0, got {sigma}$"):
             perturb_dataset(ds, "image", sigma)
     assert perturbation_label("text", None) == "text-missing"
     assert perturbation_label("image", 0.5) == "image-noise(sigma=0.5)"
@@ -344,7 +354,10 @@ def test_suite_rows_follow_the_eval_settings():
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     ckpt = Checkpoint(hyper, init_params(hyper), TrainConfig(), 0.5, 0)
     settings = EvalSettings()
+    _unit_noise.cache_clear()
     rows = run_perturbation_suite(ckpt, test_ds, settings.sigmas, settings.noise_seed)
+    info = _unit_noise.cache_info()
+    assert (info.misses, info.hits) == (1, 3)  # one draw serves all four noise rows
     assert [label for label, _ in rows] == [
         "unperturbed",
         "text-missing",
