@@ -18,13 +18,16 @@ alone keeps nothing. Ownership runs one way: a tape holds its kept ops,
 and a node holds its tape only weakly, so reference counting frees each
 value and tape once nothing refers to it.
 ``Tape.backward`` walks the kept ops in reverse, so gradients follow one
-fixed order and repeated runs are bitwise identical. As in PyTorch, a
-parameter adds each contribution into its caller's buffer, and any other
-node keeps its first contribution as it is and sums later ones into a new
-array, so no handed-over array is written. ``Tape.replay`` reruns the kept
-forwards, in their buffers, on whatever the ``input`` arrays now hold (the
-caller refills them in place) and drops their gradients; it refuses a
-tape that dropped an op.
+fixed order and repeated runs are bitwise identical. A parameter's gradient
+goes into its caller's zeroed buffer: the last op recorded that reads it
+once, which backward reaches first, writes its contribution there if it is
+a ``dense`` or stack-by-matrix product; every other contribution adds. Any
+other node keeps its first contribution as it is and sums later ones into a
+new array, so no handed-over array is written. Backward's 2-D products run
+through ``np.dot``, faster there than ``np.matmul`` with equal bits
+(README). ``Tape.replay`` reruns the kept forwards, in their buffers, on
+whatever the ``input`` arrays now hold (the caller refills them in place)
+and drops their gradients; it refuses a tape that dropped an op.
 """
 
 from __future__ import annotations
@@ -80,21 +83,27 @@ def _unbroadcast(g: Array, axes: tuple) -> Array:
 
 
 def _give(node: "Node", contribution: Array) -> None:
-    """Pass ``node`` a consumer's contribution, of its full shape. A
-    parameter adds it into its caller's buffer; any other node keeps the
-    first as it is and sums later ones into a new array, never writing one."""
+    """Pass ``node`` a consumer's contribution, of its full shape. A parameter
+    adds it into its caller's buffer unless it was written there; any other
+    node keeps the first as it is and sums later ones into a new array."""
     if node.op == "parameter":
-        node.grad += contribution
+        if contribution is not node.grad:
+            node.grad += contribution
     elif node.grad is None:
         node.grad = contribution
     else:
         node.grad = node.grad + contribution
 
 
+def _written(node: "Node", out: Array) -> Array | None:
+    """``node``'s buffer if the op with output ``out`` is its writer, else None."""
+    return node.grad if node.writer is out else None
+
+
 class Node:
     """One value in a computation graph, plus its gradient."""
 
-    __slots__ = ("value", "grad", "op", "requires_grad", "owner")
+    __slots__ = ("value", "grad", "op", "requires_grad", "owner", "writer")
 
     def __init__(self, value: Array, op: str, requires_grad: bool, tape: "Tape"):
         self.value = value
@@ -102,6 +111,7 @@ class Node:
         self.op = op
         self.requires_grad = requires_grad
         self.owner = tape._ref  # weak: a tape holds what it records, never the other way
+        self.writer: Array | None = None  # a parameter's: the output buffer of its writer op
 
     @property
     def tape(self) -> "Tape | None":  # None once the tape is freed
@@ -138,9 +148,10 @@ class Tape:
         return self._leaf(as_matrix(values, name=name, stack=np.ndim(values) == 3), "constant")
 
     def parameter(self, value: Array, grad: Array) -> Node:
-        """A leaf that receives gradients: backward adds them in place into
-        ``grad``, a float64 buffer of its shape that the caller owns and
-        zeroes. Both arrays are taken as they are, without checks or a copy."""
+        """A leaf whose gradient goes into ``grad``, a C-contiguous float64 buffer
+        of its shape that the caller owns and zeroes before each backward. The
+        last op recorded that reads it once writes there if it is a ``dense`` or
+        stack-by-matrix product; other contributions add. Taken unchecked."""
         node = self._leaf(value, "parameter", requires_grad=True)
         node.grad = grad
         return node
@@ -165,6 +176,9 @@ class Tape:
         replay and ``backward(g, out)``; otherwise keep nothing."""
         out = np.empty(shape)
         forward(out)
+        for p in parents:  # a later reader takes over as writer; reading twice clears it
+            if p.op == "parameter":
+                p.writer = out if parents.count(p) == 1 else None
         return self._keep(Node(out, op, any(p.requires_grad for p in parents), self),
                           forward, backward, out)
 
@@ -201,9 +215,9 @@ class Tape:
             if stacked:
                 g2 = g.reshape(-1, c)
                 if a.requires_grad:
-                    _give(a, (g2 @ bv.T).reshape(av.shape))
+                    _give(a, np.dot(g2, bv.T).reshape(av.shape))
                 if b.requires_grad:
-                    _give(b, av.reshape(-1, d).T @ g2)
+                    _give(b, np.dot(av.reshape(-1, d).T, g2, out=_written(b, out)))
                 return
             if a.requires_grad:
                 _give(a, g @ bv.swapaxes(-1, -2))
@@ -279,11 +293,11 @@ class Tape:
             elif act == "sigmoid":
                 g = g * out * (1.0 - out)
             if b.requires_grad:  # bias, x, w: the order of separate matmul, add and act ops
-                _give(b, _unbroadcast(g, (0,) if len(g) > 1 else ()))
+                _give(b, np.add.reduce(g, axis=0, keepdims=True, out=_written(b, out)))
             if x.requires_grad:
-                _give(x, g @ w.value.T)
+                _give(x, np.dot(g, w.value.T, out=_written(x, out)))
             if w.requires_grad:
-                _give(w, x.value.T @ g)
+                _give(w, np.dot(x.value.T, g, out=_written(w, out)))
         return self._record((xs[0], ws[1]), "dense", (x, w, b), forward, backward)
 
     def concat_cols(self, a: Node, b: Node) -> Node:
@@ -369,8 +383,8 @@ class Tape:
 
     def backward(self, root: Node) -> None:
         """Seed the root with gradient 1 and propagate through the tape: once
-        per tape, then once per ``replay`` from the same root. Parameters add
-        into their buffers, which the caller zeroes between passes."""
+        per tape, then once per ``replay`` from the same root. Parameter
+        gradients go into buffers the caller zeroes first (see ``parameter``)."""
         self._own(root)
         if root.value.shape != (1, 1):
             raise UsageError(f"backward root must be 1x1, got shape {root.value.shape}")

@@ -100,8 +100,11 @@ def gate_stats_from_alphas(alpha_text, alpha_image,
     a_i = np.asarray(alpha_image, dtype=np.float64)
     if a_t.ndim != 1 or a_t.shape != a_i.shape or a_t.size == 0:
         raise InputError("gate statistics need two equal-length non-empty vectors")
-    if threshold < 0.0:
-        raise InputError(f"threshold must be non-negative, got {threshold}")
+    if not 0.0 <= threshold < np.inf:
+        raise InputError(f"threshold must be finite and non-negative, got {threshold}")
+    bad = np.flatnonzero(~(np.isfinite(a_t) & np.isfinite(a_i)))
+    if bad.size:
+        raise InputError(f"record {bad[0]}: non-finite gate values {a_t[bad[0]]}, {a_i[bad[0]]}")
     diff = a_t - a_i
     n = a_t.size
     text_dom = int(np.sum(diff > threshold))

@@ -161,7 +161,7 @@ def init_params(config: HyperConfig) -> ModelParams:
 
 def register_parameters(tape: Tape, params: ModelParams, grad: Array) -> dict[str, Node]:
     """Put every parameter on a tape as a gradient-receiving leaf whose
-    gradients add into its view of ``grad``, a vector laid out like ``flat``."""
+    gradient goes into its view of ``grad``, a vector laid out like ``flat``."""
     views = params.views(grad)
     return {name: tape.parameter(arr, views[name]) for name, arr in params.items()}
 

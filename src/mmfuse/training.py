@@ -101,7 +101,7 @@ def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
     """Mean cross-entropy of a batch of records as a 1x1 graph node on ``tape``.
 
     ``batch`` and ``grad`` (laid out like ``params.flat``) are read only when the
-    tape records: Tape.backward adds the parameter gradients into ``grad``. A tape
+    tape records: Tape.backward puts the parameter gradients into ``grad``. A tape
     that has run backward on this loss, from these params and hyper-config, is
     replayed on what the recorded batch's arrays now hold."""
     if tape.root is not None:
@@ -171,9 +171,10 @@ def train_step(params: ModelParams, hyper: HyperConfig, dataset: Dataset, rows,
                state: OptimizerState, config: TrainConfig) -> float:
     """One AdamW step, in place, on ``dataset``'s records at ``rows``; returns the loss.
 
-    Gradients add into one vector laid out like ``params.flat``, zeroed by each
-    step, so a parameter the loss does not reach gets zeros. A non-finite loss
-    is returned without updating anything, so the caller decides how to report it.
+    Gradients go into one vector laid out like ``params.flat``, zeroed before
+    each backward (``Tape.parameter``), so a parameter the loss does not reach
+    gets zeros. A non-finite loss is returned without updating anything, so
+    the caller decides how to report it.
 
     The first step at a batch shape records its tape, that vector and its batch
     in ``state``; later ones gather their rows into that batch in place and

@@ -430,6 +430,130 @@ def test_parameter_gradient_adds_into_the_callers_buffer():
     assert x.grad is buffer and np.array_equal(buffer, [[18.0, -8.0]])
 
 
+# -- parameter writers -----------------------------------------------------------
+# The last op recorded that reads a parameter once writes its gradient into
+# the caller's zeroed buffer; every other reader adds. Each case names, per
+# parameter, the node whose op should be its writer (None: no writer).
+
+
+def shared_weight(t, n):
+    """w and b read by two dense layers: the second writes, the first adds."""
+    first = t.dense(n["x"], n["w"], n["b"], "relu")
+    second = t.dense(first, n["w"], n["b"])
+    return sum_all(t, t.matmul(second, n["v"])), {"x": first, "w": second, "b": second}
+
+
+def dense_reads_w_twice(t, n):
+    """dense(w, w, b): w is read twice by one op, which clears its mark."""
+    out = t.dense(n["w"], n["w"], n["b"], "sigmoid")
+    return sum_all(t, t.matmul(out, n["v"])), {"w": None, "b": out}
+
+
+def matmul_reads_w_twice(t, n):
+    """matmul(w, w), after a dense that read w once: the second op clears the mark."""
+    first = t.dense(n["x"], n["w"], n["b"])
+    square = t.matmul(n["w"], n["w"])
+    loss = sum_all(t, t.add(t.matmul(first, n["v"]), t.matmul(square, n["v"])))
+    return loss, {"w": None, "b": first}
+
+
+def stack_after_dense(t, n):
+    """w read by a dense layer, then by a stack-by-matrix product, which writes."""
+    first = t.dense(n["x"], n["w"], n["b"])
+    stacked = t.matmul(n["s"], n["w"])
+    loss = sum_all(t, t.add(t.matmul(first, n["v"]), t.matmul(t.mean_rows(stacked), n["v"])))
+    return loss, {"w": stacked, "b": first}
+
+
+def dead_last_reader(t, n):
+    """w's last reader is off the loss's path: it gets no gradient, so it never
+    writes, and the earlier reader adds into the zeroed buffer."""
+    live = t.dense(n["x"], n["w"], n["b"], "relu")
+    dead = t.dense(n["x"], n["w"], n["b"])
+    return sum_all(t, t.matmul(live, n["v"])), {"w": dead, "b": dead}
+
+
+WRITER_CASES = {
+    "shared_weight": (shared_weight, {"x": (4, 3), "w": (3, 3), "b": (1, 3), "v": (3, 2)}),
+    "dense_reads_w_twice": (dense_reads_w_twice, {"w": (3, 3), "b": (1, 3), "v": (3, 2)}),
+    "matmul_reads_w_twice": (matmul_reads_w_twice,
+                             {"x": (3, 3), "w": (3, 3), "b": (1, 3), "v": (3, 2)}),
+    "stack_after_dense": (stack_after_dense,
+                          {"x": (4, 3), "s": (4, 3, 3), "w": (3, 3), "b": (1, 3), "v": (3, 2)}),
+    "dead_last_reader": (dead_last_reader, {"x": (4, 3), "w": (3, 3), "b": (1, 3), "v": (3, 2)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_parameter_writers_match_adding_into_zeroed_buffers(case):
+    """Gradients equal, bit for bit, those of the same graph with every writer
+    mark cleared, where each contribution adds into the zeroed buffer, and
+    after a replay too; finite differences check them. A written zero may be
+    -0.0 where an added one is +0.0, so both sides add 0.0 before comparing."""
+    build, shapes = WRITER_CASES[case]
+    for seed in range(10):
+        rng = np.random.default_rng(300 + seed)
+        arrays = {k: uniform(rng, *shape) for k, shape in shapes.items()}
+        assert fd_worst_error(lambda t, n: build(t, n)[0], arrays) <= 1e-4
+        runs = []
+        for clear in (False, True):
+            t = Tape()
+            nodes = {k: param(t, v) for k, v in arrays.items()}
+            loss, writers = build(t, nodes)
+            for name, writer in writers.items():
+                assert nodes[name].writer is (None if writer is None else writer.value), name
+            for node in nodes.values() if clear else ():
+                node.writer = None
+            t.backward(loss)
+            first = {k: n.grad + 0.0 for k, n in nodes.items()}
+            t.replay()
+            for node in nodes.values():
+                node.grad.fill(0.0)
+            t.backward(loss)
+            runs.append((first, {k: n.grad + 0.0 for k, n in nodes.items()}))
+        (written, written_replay), (added, added_replay) = runs
+        for name in arrays:
+            assert written[name].tobytes() == added[name].tobytes(), (seed, name)
+            assert written_replay[name].tobytes() == written[name].tobytes(), (seed, name)
+            assert added_replay[name].tobytes() == added[name].tobytes(), (seed, name)
+
+
+def test_a_writer_writes_over_what_its_buffer_held():
+    """The one reader of w and b writes their gradients: whatever the buffers
+    held is gone. A parameter read twice adds into its buffer instead
+    (test_parameter_gradient_adds_into_the_callers_buffer)."""
+    t = Tape()
+    x = t.input(as_matrix([[1.0, 2.0], [3.0, -1.0]]))
+    w = t.parameter(as_matrix([[0.5], [-0.25]]), np.full((2, 1), 7.0))
+    b = t.parameter(as_matrix([[0.125]]), np.full((1, 1), -7.0))
+    t.backward(sum_all(t, t.dense(x, w, b)))
+    assert np.array_equal(w.grad, [[4.0], [1.0]]) and np.array_equal(b.grad, [[2.0]])
+
+
+def test_dot_matches_matmul_bitwise_at_backward_shapes():
+    """Backward's 2-D products run through np.dot, forward ones through
+    np.matmul; a gradient keeps the bits of its forward's products only while
+    the two agree. Rows are a batch of 32 at L in {1, 3, 4, 9}; widths are the
+    model's: 16 and 12 (data), 8 (d_c), 16 (2 * d_c, gate hidden), 32 and 2
+    (classifier), 1 (a gate). Operands come transposed, as x.T @ g and
+    g @ w.T on the tape, and as contiguous copies."""
+    build = (f"numpy {np.__version__}, "
+             f"BLAS {np.show_config(mode='dicts')['Build Dependencies']['blas']}")
+    rng = np.random.default_rng(17)
+    widths = (1, 2, 8, 12, 16, 32)
+    for rows in (32, 96, 128, 288):
+        for k in widths:
+            for n in widths:
+                x, g = rng.normal(size=(rows, k)), rng.normal(size=(rows, n))
+                w = rng.normal(size=(k, n))
+                for a, b in ((x.T, g), (x.T.copy(), g), (g, w.T), (g, w.T.copy())):
+                    written = np.empty((a.shape[0], b.shape[1]))
+                    np.dot(a, b, out=written)
+                    expected = np.matmul(a, b).tobytes()
+                    assert np.dot(a, b).tobytes() == expected == written.tobytes(), \
+                        f"np.dot differs from np.matmul at {a.shape} x {b.shape} under {build}"
+
+
 def test_backward_is_bitwise_deterministic():
     def run():
         rng = np.random.default_rng(7)

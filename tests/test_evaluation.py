@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -152,8 +153,15 @@ def test_gate_stats_input_validation():
         gate_stats_from_alphas(np.array([]), np.array([]), threshold=0.2)
     with pytest.raises(InputError):
         gate_stats_from_alphas(np.array([0.5]), np.array([0.5, 0.5]), threshold=0.2)
-    with pytest.raises(InputError):
-        gate_stats_from_alphas(np.array([0.5]), np.array([0.5]), threshold=-0.1)
+    for threshold in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match=f"non-negative, got {threshold}"):
+            gate_stats_from_alphas(np.array([0.5]), np.array([0.5]), threshold=threshold)
+    gate_stats_from_alphas(np.array([0.5]), np.array([0.5]), threshold=0.0)  # zero is allowed
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match=rf"record 2: non-finite gate values 0.5, {bad}"):
+            gate_stats_from_alphas(np.array([0.5, 0.5, 0.5, 0.5]), np.array([0.5, 0.5, bad, bad]))
+        with pytest.raises(InputError, match=rf"record 1: non-finite gate values {bad}, 0.5"):
+            gate_stats_from_alphas(np.array([0.5, bad]), np.array([0.5, 0.5]))
 
 
 def test_collect_gate_weights_requires_gated_variant():
