@@ -33,7 +33,7 @@ and drops their gradients; it refuses a tape that dropped an op.
 from __future__ import annotations
 
 import weakref
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -342,42 +342,54 @@ class Tape:
                             lambda out: np.copyto(out, a.value.swapaxes(-1, -2)),
                             lambda g, out: _give(a, g.swapaxes(-1, -2)))
 
-    def cross_entropy_logits(self, logits: Node, labels: Node) -> Node:
-        """Mean negative log-likelihood of two-class logits: m x 2 -> 1 x 1.
-        ``labels`` is an ``input`` leaf holding an intp 0/1 class per row, which
-        a replay reads as it then is."""
-        self._own(logits, labels)
-        if logits.value.shape[1] != 2:
-            raise DimensionError(
-                f"cross_entropy_logits: logits must be m x 2, got {logits.value.shape}"
-            )
-        m = logits.value.shape[0]
+    def cross_entropy_logits(self, logits: Sequence[Node], labels: Node,
+                             losses: Array | None = None) -> Node:
+        """Mean negative log-likelihood of each of K m x 2 two-class logits nodes, into
+        ``losses[k]`` (made if not given); its 1 x 1 value is their sum, and backward
+        gives each node the gradient it gets alone. ``labels`` is an ``input`` leaf of
+        an intp 0/1 class per row, shared by all, which a replay reads as it then is."""
+        self._own(labels, *logits)
+        shapes = [n.value.shape for n in logits]
+        k, m = len(logits), shapes[0][0] if shapes else 0
+        if not shapes or any(shape != (m, 2) for shape in shapes):
+            raise DimensionError("cross_entropy_logits: logits must be m x 2, one m for all, "
+                                 f"got {', '.join(map(str, shapes)) or 'no node'}")
         lab = labels.value
         if lab.dtype != np.intp or lab.shape != (m,):
             raise InputError(f"labels must be a length-{m} intp vector, "
                              f"got {lab.dtype} of shape {lab.shape}")
         if not ((lab == 0) | (lab == 1)).all():
             raise InputError("labels must be 0 or 1")
-        rows = np.arange(m)
-        probs = np.empty((m, 2)) if logits.requires_grad else None
+        rows, nodes = np.arange(m), np.arange(k).reshape(k, 1)
+        stacked = np.empty((k * m, 2)) if k > 1 else None  # every node's rows: each op serves all
+        probs = np.empty((k * m, 2)) if any(n.requires_grad for n in logits) else None
+        losses = np.empty(k) if losses is None else losses
 
         def forward(out: Array) -> None:
+            v = logits[0].value if k == 1 else np.concatenate([n.value for n in logits], out=stacked)
             # two columns: the row max and the row sum are one elementwise op each
-            z = logits.value - np.maximum(logits.value[:, 0], logits.value[:, 1]).reshape(m, 1)
+            z = v - np.maximum(v[:, 0], v[:, 1]).reshape(k * m, 1)
             e = np.exp(z)
-            sum_e = np.add(e[:, 0], e[:, 1]).reshape(m, 1)
+            sum_e = np.add(e[:, 0], e[:, 1]).reshape(k * m, 1)
             log_probs = z - np.log(sum_e)
-            out[0, 0] = -(np.add.reduce(log_probs[rows, labels.value]) / m)  # as ndarray.mean
+            if k == 1:  # -ndarray.mean in scalars, cheaper than the arrays below
+                losses[0] = out[0, 0] = -(np.add.reduce(log_probs[rows, labels.value]) / m)
+            else:  # each node's picks a C-ordered row, summed as a lone vector; x / -m is -(x / m)
+                picked = log_probs.reshape(k, m, 2)[nodes, rows, labels.value]
+                np.divide(np.add.reduce(picked, axis=1, out=losses), -m, out=losses)
+                out[0, 0] = np.add.reduce(losses)
             if probs is not None:
                 np.divide(e, sum_e, out=probs)
 
         def backward(g: Array, out: Array) -> None:
-            # d loss / d logits = (softmax - onehot) / m
+            # d loss / d logits = (softmax - onehot) / m, each node's in its slice
             scale = g[0, 0] / m
-            d = probs * scale
-            d[rows, labels.value] -= scale
-            _give(logits, d)
-        return self._record((1, 1), "cross_entropy_logits", (logits,), forward, backward)
+            d = probs * scale  # ufunc.at: cheaper than a fancy -=, and each entry once
+            np.subtract.at(d.reshape(k, m, 2), (slice(None), rows, labels.value), scale)
+            for j, node in enumerate(logits):
+                if node.requires_grad:
+                    _give(node, d[j * m:(j + 1) * m])
+        return self._record((1, 1), "cross_entropy_logits", tuple(logits), forward, backward)
 
     # -- traversal -------------------------------------------------------
 

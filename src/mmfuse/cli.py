@@ -171,7 +171,7 @@ def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
     dataset = _load_dataset(config.feature_file)
     train_ds, val_ds, _ = split(dataset, config.fractions, seed=config.split_seed)
     hyper = replace(config.model, d_t=dataset.d_t, d_i=dataset.d_i)
-    checkpoint, history = train(train_ds, val_ds, hyper, config.train)
+    (checkpoint,), history = train(train_ds, val_ds, [hyper], config.train)
 
     checkpoint_path = out_dir / "model.mmck"
     _write(checkpoint_path, checkpoint)

@@ -20,18 +20,14 @@ def run_ablation(
     hyper_template: HyperConfig,
     train_config: TrainConfig,
 ) -> tuple[list[tuple[Variant, MetricsReport]], dict[Variant, Checkpoint]]:
-    """Train every variant identically; report test metrics in fixed order."""
+    """Train every variant identically, in lockstep on one batch stream (each
+    gets the bits it gets alone); report test metrics in fixed order."""
     train_ds, val_ds, test_ds = splits
     if len(test_ds) == 0:
         raise InputError("ablation needs a non-empty test split")
-    rows = []
-    checkpoints: dict[Variant, Checkpoint] = {}
-    for variant in VARIANT_ORDER:
-        hyper = replace(hyper_template, variant=variant)
-        checkpoint, _ = train(train_ds, val_ds, hyper, train_config)
-        rows.append((variant, evaluate(checkpoint.params, checkpoint.hyper, test_ds)))
-        checkpoints[variant] = checkpoint
-    return rows, checkpoints
+    hypers = [replace(hyper_template, variant=variant) for variant in VARIANT_ORDER]
+    checkpoints = dict(zip(VARIANT_ORDER, train(train_ds, val_ds, hypers, train_config)[0]))
+    return [(v, evaluate(c.params, c.hyper, test_ds)) for v, c in checkpoints.items()], checkpoints
 
 
 def run_perturbation_suite(

@@ -114,16 +114,17 @@ class ModelParams:
 
     def __init__(self, entries):
         # the (name, array) entries set the layout views() follows; zeros(0) lets there be none
-        self._arrays = {name: as_matrix(arr, name=name) for name, arr in entries}
-        self.flat = np.concatenate([np.zeros(0), *(arr.ravel() for arr in self._arrays.values())])
+        arrays = {name: as_matrix(arr, name=name) for name, arr in entries}
+        self._shapes = {name: arr.shape for name, arr in arrays.items()}
+        self.flat = np.concatenate([np.zeros(0), *(arr.ravel() for arr in arrays.values())])
         self._arrays = self.views(self.flat)
 
     def views(self, vector: Array) -> dict[str, Array]:
         """Named (rows, cols) views into a vector laid out like ``flat``."""
         out, start = {}, 0
-        for name, arr in self._arrays.items():
-            out[name] = vector[start:start + arr.size].reshape(arr.shape)
-            start += arr.size
+        for name, (rows, cols) in self._shapes.items():
+            out[name] = vector[start:start + rows * cols].reshape(rows, cols)
+            start += rows * cols
         return out
 
     @property
@@ -139,11 +140,26 @@ class ModelParams:
     def __len__(self) -> int:
         return len(self._arrays)
 
+    @classmethod
+    def view(cls, vector: Array, shapes: dict[str, tuple[int, int]]) -> "ModelParams":
+        """Named views of these shapes, in order, into ``vector``: no copy, no check."""
+        params = object.__new__(cls)
+        params.flat, params._shapes = vector, shapes
+        params._arrays = params.views(vector)
+        return params
+
     def copy(self) -> "ModelParams":
-        clone = object.__new__(ModelParams)
-        clone.flat = self.flat.copy()
-        clone._arrays = self.views(clone.flat)
-        return clone
+        return ModelParams.view(self.flat.copy(), self._shapes)
+
+
+def lockstep_params(vector: Array, configs) -> list[ModelParams]:
+    """Each config's parameters as named views into its slice of ``vector``, which
+    holds the models' vectors in turn (any vector so laid out splits alike)."""
+    models, stop = [], 0
+    for shapes in map(parameter_shapes, configs):
+        start, stop = stop, stop + sum(rows * cols for rows, cols in shapes.values())
+        models.append(ModelParams.view(vector[start:stop], shapes))
+    return models
 
 
 def init_params(config: HyperConfig) -> ModelParams:

@@ -2,8 +2,8 @@
 
 Everything is seeded: parameter init comes from the hyper-config, batch
 order from the train config, so identical inputs give bitwise identical
-checkpoints. Early stopping tracks the best validation F1 (fake class as
-positive) and the returned checkpoint always holds the best parameters.
+checkpoints, alone or in a lockstep of models. Early stopping tracks each
+model's best validation F1 (fake positive); its checkpoint holds the best.
 
 Checkpoint format (little-endian), magic ``MMCK``, version 1::
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .model import (
     check_widths,
     feature_stacks,
     init_params,
+    lockstep_params,
     register_parameters,
 )
 
@@ -96,32 +97,34 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
 # -- loss -----------------------------------------------------------------------
 
 
-def batch_loss(params: ModelParams, hyper: HyperConfig, batch: Dataset,
-               *, tape: Tape, grad: np.ndarray) -> Node:
-    """Mean cross-entropy of a batch of records as a 1x1 graph node on ``tape``.
-
-    ``batch`` and ``grad`` (laid out like ``params.flat``) are read only when the
-    tape records: Tape.backward puts the parameter gradients into ``grad``. A tape
-    that has run backward on this loss, from these params and hyper-config, is
-    replayed on what the recorded batch's arrays now hold."""
+def batch_loss(params: ModelParams, hypers: Sequence[HyperConfig], batch: Dataset, *, tape: Tape,
+               grad: np.ndarray, losses: np.ndarray | None = None, live=None) -> Node:
+    """Summed mean cross-entropy of the models in ``live`` (all if None) on a batch, as a
+    1x1 node on ``tape``, with model ``live[j]``'s in ``losses[j]``; ``params.flat`` holds
+    each hyper-config's vector in turn (``lockstep_params``). ``batch``, ``grad`` (laid out
+    like it) and ``losses`` are read only when the tape records; a tape that has run
+    backward on this loss is replayed on what the recorded batch's arrays now hold."""
     if tape.root is not None:
         return tape.replay()
-    x_text, x_image = feature_stacks(tape, hyper, batch)
-    nodes = build_logits(tape, register_parameters(tape, params, grad), hyper, x_text, x_image)
-    return tape.cross_entropy_logits(nodes["logits"], tape.input(batch.labels))
+    x_text, x_image = feature_stacks(tape, hypers[0], batch)
+    models, grads = lockstep_params(params.flat, hypers), lockstep_params(grad, hypers)
+    logits = [build_logits(tape, register_parameters(tape, models[k], grads[k].flat), hypers[k],
+                           x_text, x_image)["logits"]
+              for k in (range(len(hypers)) if live is None else live)]
+    return tape.cross_entropy_logits(logits, tape.input(batch.labels), losses)
 
 
 # -- optimizer -------------------------------------------------------------------
 
 
 class StepRecording(NamedTuple):
-    """A train_step tape, what it was recorded from, its gradient vector and
-    the batch whose arrays it reads, which each later step refills."""
+    """A train_step tape, what it was recorded from, the losses its replays
+    write and the batch whose arrays it reads, which each later step refills."""
 
     flat: np.ndarray
-    hyper: HyperConfig
+    hypers: tuple
     tape: Tape
-    grad: np.ndarray
+    losses: np.ndarray
     batch: Dataset
 
 
@@ -130,11 +133,13 @@ class OptimizerState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    # train_step's StepRecording per batch shape; adamw_step's two scratch vectors
+    # train_step's StepRecordings, the gradient their tapes write, adamw_step's scratch
     recordings: dict = field(default_factory=dict, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.grad = np.zeros_like(self.first_moment)
         self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
@@ -167,35 +172,39 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
     theta -= np.add(np.multiply(lr, update, out=b), np.multiply(lr * wd, theta, out=a), out=b)
 
 
-def train_step(params: ModelParams, hyper: HyperConfig, dataset: Dataset, rows,
-               state: OptimizerState, config: TrainConfig) -> float:
-    """One AdamW step, in place, on ``dataset``'s records at ``rows``; returns the loss.
-
-    Gradients go into one vector laid out like ``params.flat``, zeroed before
-    each backward (``Tape.parameter``), so a parameter the loss does not reach
-    gets zeros. A non-finite loss is returned without updating anything, so
-    the caller decides how to report it.
-
-    The first step at a batch shape records its tape, that vector and its batch
-    in ``state``; later ones gather their rows into that batch in place and
-    replay, while given the same ``params.flat`` and an equal hyper.
+def train_step(params: ModelParams, hypers: Sequence[HyperConfig], dataset: Dataset, rows,
+               state: OptimizerState, config: TrainConfig, live=None) -> list[float] | None:
+    """One AdamW step, in place, of the models in ``live`` (all if None) on
+    ``dataset``'s records at ``rows``; returns their losses. ``params.flat``
+    holds each hyper-config's vector in turn (``lockstep_params``); gradients go
+    into ``state.grad``, zeroed first: a parameter the loss misses gets zeros.
+    A non-finite loss is returned, and a non-finite gradient behind finite
+    losses returns None, with nothing updated: the caller reports either. The
+    first step at a batch shape and set of live models records its tape and
+    batch in ``state``; later ones gather their rows into that batch in place and
+    replay, while given the same ``params.flat`` and equal hypers.
     """
-    key = (len(rows), dataset.text.shape[1:], dataset.image.shape[1:])
+    hypers, live = tuple(hypers), tuple(range(len(hypers)) if live is None else live)
+    key = (len(rows), dataset.text.shape[1:], dataset.image.shape[1:], live)
     recording = state.recordings.get(key)
-    if recording is None or recording.flat is not params.flat or recording.hyper != hyper:
-        recording = StepRecording(params.flat, hyper, Tape(), np.zeros_like(params.flat),
+    if recording is None or recording.flat is not params.flat or recording.hypers != hypers:
+        recording = StepRecording(params.flat, hypers, Tape(), np.empty(len(live)),
                                   dataset.take(rows))
     else:
         for name in ("labels", "text", "image"):  # ids and provenance stay the first batch's
             getattr(dataset, name).take(rows, axis=0, out=getattr(recording.batch, name))
-    loss = batch_loss(params, hyper, recording.batch, tape=recording.tape, grad=recording.grad)
-    value = float(loss.value[0, 0])
-    if math.isfinite(value):
-        recording.grad.fill(0.0)
+    loss = batch_loss(params, hypers, recording.batch, tape=recording.tape, grad=state.grad,
+                      losses=recording.losses, live=live)
+    losses = recording.losses.tolist()
+    if all(map(math.isfinite, losses)):
+        state.grad.fill(0.0)
         recording.tape.backward(loss)
         state.recordings[key] = recording
-        adamw_step(params, recording.grad, state, config)
-    return value
+        # a finite sum of squares has no inf or NaN term; only an overflow needs the full scan
+        if not math.isfinite(np.dot(state.grad, state.grad)) and not np.isfinite(state.grad).all():
+            return None
+        adamw_step(params, state.grad, state, config)
+    return losses
 
 
 # -- training loop ------------------------------------------------------------------
@@ -210,62 +219,69 @@ class Checkpoint:
     best_epoch: int
 
 
-def train(train_ds: Dataset, val_ds: Dataset, hyper: HyperConfig,
-          config: TrainConfig) -> tuple[Checkpoint, list[dict]]:
-    """Train from a fresh init; returns the best checkpoint and epoch history.
+def _divergence(flat, grad, hypers, live, losses, epoch: int, step: int) -> NumericsError:
+    """The error for a step that updated nothing: the first live model with a non-finite
+    loss and its first non-finite parameter, or (losses None) with a non-finite gradient."""
+    event, what = ("loss diverged", "parameter") if losses else ("gradient not finite", "gradient")
+    finite = lockstep_params(np.isfinite(flat if losses else grad), hypers)
+    k = (live[int(np.argmin(np.isfinite(losses)))] if losses
+         else next(k for k in live if not finite[k].flat.all()))
+    bad = [(name, np.argwhere(~ok)[0].tolist()) for name, ok in finite[k].items() if not ok.all()]
+    where = f"first non-finite {what} {bad[0][0]}{bad[0][1]}" if bad else f"every {what} is finite"
+    return NumericsError(f"variant {hypers[k].variant.value}: {event} at epoch {epoch}, "
+                         f"step {step}; {where}")
 
-    Stops early once `patience` consecutive epochs fail to improve the best
-    validation F1 by more than F1_IMPROVEMENT_THRESHOLD (patience 0 stops
-    on the first non-improving epoch).
-    """
+
+def train(train_ds: Dataset, val_ds: Dataset, hypers: Sequence[HyperConfig],
+          config: TrainConfig) -> tuple[list[Checkpoint], list[dict]]:
+    """Train each hyper-config from a fresh init, in lockstep on one batch stream,
+    each with the bits it gets alone; returns their best checkpoints and every
+    model's epoch history, one model after another. A model stops early, and
+    leaves the step, once `patience` consecutive epochs fail to improve its best
+    validation F1 by more than F1_IMPROVEMENT_THRESHOLD (patience 0 stops on the
+    first non-improving epoch)."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InputError("train and validation splits must both be non-empty")
-    for ds, name in ((train_ds, "train"), (val_ds, "validation")):
-        check_widths(hyper, ds, f"{name} split")
+    for hyper in hypers:
+        for ds, name in ((train_ds, "train"), (val_ds, "validation")):
+            check_widths(hyper, ds, f"{name} split")
 
-    params = init_params(hyper)
+    # one vector, a row per model, which AdamW steps at once; each model views its row
+    params = ModelParams([(str(k), init_params(h).flat[None]) for k, h in enumerate(hypers)])
+    models = lockstep_params(params.flat, hypers)
     state = init_optimizer_state(params)
     epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs, np.uint64)
 
-    best_params = params.copy()
-    best_f1 = -math.inf
-    best_epoch = 0
-    bad_streak = 0
-    history: list[dict] = []
+    best = [Checkpoint(h, p.copy(), config, -math.inf, 0) for h, p in zip(hypers, models)]
+    histories: list[list[dict]] = [[] for _ in hypers]
+    live = list(range(len(hypers)))
 
     for epoch in range(config.max_epochs):
+        if not live:
+            break
         epoch_losses = []
         for step, idx in enumerate(batches(train_ds, config.batch_size, int(epoch_seeds[epoch]))):
-            value = train_step(params, hyper, train_ds, idx, state, config)
-            if not math.isfinite(value):
-                bad = [(name, np.argwhere(~finite)[0].tolist()) for name, finite  # layout order
-                       in params.views(np.isfinite(params.flat)).items() if not finite.all()]
-                where = (f"first non-finite parameter {bad[0][0]}{bad[0][1]}" if bad
-                         else "every parameter is finite")
-                raise NumericsError(f"loss diverged at epoch {epoch}, step {step}; {where}")
-            epoch_losses.append(value)
+            losses = train_step(params, hypers, train_ds, idx, state, config, live)
+            if losses is None or not all(map(math.isfinite, losses)):
+                raise _divergence(params.flat, state.grad, hypers, live, losses, epoch, step)
+            epoch_losses.append(losses)
 
-        val = evaluate(params, hyper, val_ds)
-        history.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
-            "val_accuracy": val.accuracy,
-            "val_precision": val.precision,
-            "val_recall": val.recall,
-            "val_f1": val.f1,
-        })
-        if val.f1 > best_f1 + F1_IMPROVEMENT_THRESHOLD:
-            best_params = params.copy()
-            best_f1 = val.f1
-            best_epoch = epoch
-            bad_streak = 0
-        else:
-            bad_streak += 1
-            if bad_streak >= config.patience:
-                break
+        for k, model_losses in zip(list(live), np.array(epoch_losses).T.copy()):
+            val = evaluate(models[k], hypers[k], val_ds)
+            histories[k].append({
+                "epoch": epoch,
+                "train_loss": float(np.mean(model_losses)),
+                "val_accuracy": val.accuracy,
+                "val_precision": val.precision,
+                "val_recall": val.recall,
+                "val_f1": val.f1,
+            })
+            if val.f1 > best[k].best_val_f1 + F1_IMPROVEMENT_THRESHOLD:
+                best[k] = Checkpoint(hypers[k], models[k].copy(), config, float(val.f1), epoch)
+            elif epoch - best[k].best_epoch >= config.patience:  # epoch 0 always gains: F1 >= 0
+                live.remove(k)
 
-    checkpoint = Checkpoint(hyper, best_params, config, float(best_f1), best_epoch)
-    return checkpoint, history
+    return best, [row for history in histories for row in history]
 
 
 # -- checkpoint io --------------------------------------------------------------------

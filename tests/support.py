@@ -70,7 +70,7 @@ def sum_all(tape: Tape, a: Node) -> Node:
 def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):
     """The batch loss and every parameter's gradient, zeros where the loss does not reach."""
     tape, grad = Tape(), np.zeros_like(params.flat)
-    loss = batch_loss(params, hyper, batch, tape=tape, grad=grad)
+    loss = batch_loss(params, [hyper], batch, tape=tape, grad=grad)
     tape.backward(loss)
     return loss.value[0, 0], params.views(grad)
 
@@ -88,7 +88,7 @@ def loss_value(params: ModelParams, hyper: HyperConfig, batch: Dataset) -> Node:
     x_text, x_image = model.feature_stacks(tape, hyper, batch)
     labels = tape.input(batch.labels)
     nodes = model.build_logits(tape, input_leaves(tape, params), hyper, x_text, x_image)
-    return tape.cross_entropy_logits(nodes["logits"], labels)
+    return tape.cross_entropy_logits([nodes["logits"]], labels)
 
 
 def set_param(params: ModelParams, name: str, values) -> None:

@@ -254,7 +254,7 @@ def _train_gate_candidate(train_ds, val_ds, backbone, data_seed, index):
     best = (_SELECTION_FLOOR, params.copy())
     for epoch in range(_GATE_EPOCHS):
         for batch_idx in batches(train_ds, config.batch_size, int(epoch_seeds[epoch])):
-            train_step(params, hyper, train_ds, batch_idx, state, config)
+            train_step(params, [hyper], train_ds, batch_idx, state, config)
         val_seps = _provenance_separations(params, hyper, val_ds)
         if min(val_seps) > best[0]:
             best = (min(val_seps), params.copy())
@@ -271,7 +271,7 @@ def test_gating_adaptivity(acceptance_log, five_seed_ablation):
         backbone_seed = int(np.random.SeedSequence((seed, 1, 17)).generate_state(1)[0])
         backbone_hyper = HyperConfig(d_t=train_ds.d_t, d_i=train_ds.d_i,
                                      variant=Variant.FIXED_ATTENTION, init_seed=backbone_seed)
-        fresh_backbone, _ = train(train_ds, val_ds, backbone_hyper,
+        (fresh_backbone,), _ = train(train_ds, val_ds, [backbone_hyper],
                                   TrainConfig(seed=backbone_seed))
         backbones = (run["checkpoints"][Variant.FIXED_ATTENTION], fresh_backbone)
 

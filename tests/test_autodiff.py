@@ -246,7 +246,7 @@ def test_value_only_tape_frees_intermediates():
 def test_cross_entropy_values():
     def loss(logits, labels):
         t = Tape()
-        return t.cross_entropy_logits(t.constant(logits), t.input(np.array(labels)))
+        return t.cross_entropy_logits([t.constant(logits)], t.input(np.array(labels)))
 
     even = loss([[0.0, 0.0]], [1])
     assert abs(even.value[0, 0] - math.log(2.0)) <= 1e-15
@@ -326,6 +326,12 @@ OPS = {
         {"a": (2, 4, 3)},
         lambda t, n: sum_all(t, t.matmul(t.transpose(n["a"]), n["w"])),
     ),
+    # one loss op over three logits nodes that share a parent and the labels
+    "cross_entropy_three": (
+        {"a": (5, 4), "b": (4, 2), "c": (4, 2)},
+        lambda t, n: t.cross_entropy_logits([t.matmul(n["a"], n[k]) for k in "wbc"],
+                                            t.input(np.array([0, 1, 1, 0, 1], dtype=np.intp))),
+    ),
 }
 # add and mul at equal shapes and at each broadcast the model uses: a bias
 # row, a gate column, a sequence of length 1 and the attention scale; in the
@@ -358,9 +364,52 @@ def test_cross_entropy_gradient_matches_finite_differences():
         rng = np.random.default_rng(100 + seed)
         labels = rng.integers(0, 2, 5)
         arrays = {"a": uniform(rng, 5, 3), "w": uniform(rng, 3, 2)}
-        build = lambda t, n: t.cross_entropy_logits(t.matmul(n["a"], n["w"]),
+        build = lambda t, n: t.cross_entropy_logits([t.matmul(n["a"], n["w"])],
                                                     t.input(labels))
         assert fd_worst_error(build, arrays) <= 1e-4
+
+
+# numpy sums 7 rows in order, 37 on 8 lanes and 300 pairwise
+@pytest.mark.parametrize("m", [7, 37, 300])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_cross_entropy_over_k_nodes_matches_k_one_node_ops_bytewise(k, m):
+    """One loss op over K logits nodes gives each node the mean loss and the
+    gradient that a one-node op gives it alone, byte for byte, and its value
+    is their sum; so does a replay on refilled logits and labels."""
+    rng = np.random.default_rng(60 + k + m)
+    values = [rng.normal(scale=4.0, size=(m, 2)) for _ in range(k)]
+    labels = rng.integers(0, 2, m)
+    t, losses = Tape(), np.empty(k)
+    nodes = [param(t, v) for v in values]
+    root = t.cross_entropy_logits(nodes, t.input(labels), losses)
+    for step in range(2):
+        if step:  # refill in place and replay, as train_step does
+            for v in values:
+                v[...] = rng.normal(scale=4.0, size=(m, 2))
+            labels[...] = rng.integers(0, 2, m)
+            assert t.replay() is root
+            for node in nodes:
+                node.grad.fill(0.0)
+        t.backward(root)
+        for j, v in enumerate(values):
+            alone = Tape()
+            node = param(alone, v.copy())
+            loss = alone.cross_entropy_logits([node], alone.input(labels.copy()))
+            alone.backward(loss)
+            assert losses[j].tobytes() == loss.value[0, 0].tobytes(), (step, j)
+            assert nodes[j].grad.tobytes() == node.grad.tobytes(), (step, j)
+        assert root.value[0, 0].tobytes() == np.add.reduce(losses).tobytes()
+
+
+def test_cross_entropy_refuses_logits_of_other_shapes():
+    t = Tape()
+    labels = t.input(np.array([0, 1]))
+    pair = t.constant(np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match=r"^cross_entropy_logits: logits must be m x 2, "
+                                             r"one m for all, got \(2, 2\), \(3, 2\)$"):
+        t.cross_entropy_logits([pair, t.constant(np.zeros((3, 2)))], labels)
+    with pytest.raises(DimensionError, match="got no node$"):
+        t.cross_entropy_logits([], labels)
 
 
 def test_composite_graph_gradient():
@@ -561,7 +610,7 @@ def test_backward_is_bitwise_deterministic():
         a = param(t, rng.normal(size=(4, 5)))
         b = param(t, rng.normal(size=(5, 3)))
         logits = t.matmul(t.softmax_rows(t.matmul(a, b)), t.constant(rng.normal(size=(3, 2))))
-        out = t.cross_entropy_logits(logits, t.input(np.array([0, 1, 1, 0])))
+        out = t.cross_entropy_logits([logits], t.input(np.array([0, 1, 1, 0])))
         t.backward(out)
         return a.grad.copy(), b.grad.copy(), out.value.copy()
 
@@ -590,7 +639,7 @@ def handoff_graph(t, x, labels, w, bias, v):
     n["s"] = t.add(n["hb"], n["hb"])
     n["pooled"] = t.mean_rows(n["s"])
     n["logits"] = t.matmul(n["pooled"], n["v"])
-    n["loss"] = t.cross_entropy_logits(n["logits"], t.input(labels))
+    n["loss"] = t.cross_entropy_logits([n["logits"]], t.input(labels))
     return n
 
 
@@ -678,7 +727,7 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(DimensionError):
         t.concat_cols(a, t.constant(np.zeros((3, 3))))
     with pytest.raises(DimensionError):
-        t.cross_entropy_logits(a, t.input(np.array([0, 1])))
+        t.cross_entropy_logits([a], t.input(np.array([0, 1])))
     stack = t.constant(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionError):
         t.matmul(stack, t.constant(np.zeros((3, 4, 2))))  # batch sizes differ
@@ -694,15 +743,15 @@ def test_cross_entropy_rejects_bad_labels():
     t = Tape()
     logits = t.constant(np.zeros((2, 2)))
     with pytest.raises(InputError, match="^labels must be 0 or 1$"):
-        t.cross_entropy_logits(logits, t.input(np.array([0, 2])))
+        t.cross_entropy_logits([logits], t.input(np.array([0, 2])))
     with pytest.raises(InputError, match=r"^labels must be a length-2 intp vector, got "
                                          rf"{np.dtype(np.intp)} of shape \(1,\)$"):
-        t.cross_entropy_logits(logits, t.input(np.array([0], dtype=np.intp)))
+        t.cross_entropy_logits([logits], t.input(np.array([0], dtype=np.intp)))
     # labels of another dtype are refused, not converted: a replay reads the leaf's own array
     for other in (np.float64, np.int32, np.bool_):
         with pytest.raises(InputError, match=f"^labels must be a length-2 intp vector, "
                                              f"got {np.dtype(other)} of shape"):
-            t.cross_entropy_logits(logits, t.input(np.array([0, 1], dtype=other)))
+            t.cross_entropy_logits([logits], t.input(np.array([0, 1], dtype=other)))
 
 
 def test_backward_requires_scalar_root():

@@ -705,6 +705,7 @@ def test_empty_feature_file_is_data_error(command, workspace, tmp_path, capsys):
     ("perturb", "\n[eval]\nsigmas = 1e308\n",
      "text-noise(sigma=1e+308): record 1: non-finite feature values"),
     ("train", "learning_rate = 1e308\n", "loss diverged at epoch 0"),
+    ("ablate", "learning_rate = 1e308\n", "mmfuse: error: variant text-only: loss diverged at epoch 0"),
 ])
 def test_overflow_exits_one_with_one_line_and_no_warning(command, extra, message, workspace,
                                                          tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_history_row_layout():
     ds = generate_synthetic(SyntheticSpec(n_samples=40, d_t=4, d_i=3, seed=0))
     train_ds, val_ds, _ = split(ds, (0.6, 0.4, 0.0), seed=0)
     hyper = HyperConfig(d_t=4, d_i=3, d_c=2, gate_hidden=2, cls_hidden=2)
-    _, history = train(train_ds, val_ds, hyper, TrainConfig(max_epochs=1))
+    _, history = train(train_ds, val_ds, [hyper], TrainConfig(max_epochs=1))
     entry = history[0]
     assert list(entry) == [
         "epoch",

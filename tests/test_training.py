@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmfuse import training
+from mmfuse import experiments, training
 from mmfuse.autodiff import Tape
 from mmfuse.data import SyntheticSpec, batches, generate_synthetic, split
 from mmfuse.errors import (FileFormatError, InputError, NumericsError, VariantMismatchError,
@@ -26,6 +26,7 @@ from mmfuse.model import (
     VARIANT_ORDER,
     forward_batch,
     init_params,
+    lockstep_params,
 )
 from mmfuse.training import (
     Checkpoint,
@@ -162,7 +163,7 @@ def test_batch_loss_rejects_empty_batch():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     params = init_params(config)
     with pytest.raises(InputError):
-        batch_loss(params, config, small_dataset().take([]), tape=Tape(),
+        batch_loss(params, [config], small_dataset().take([]), tape=Tape(),
                    grad=np.zeros_like(params.flat))
 
 
@@ -305,7 +306,7 @@ def default_splits(seed=0):
 def test_full_variant_learns_the_default_task():
     train_ds, val_ds, _ = default_splits(seed=7)
     hyper = HyperConfig(d_t=16, d_i=12, variant=Variant.FULL)
-    checkpoint, history = train(train_ds, val_ds, hyper, TrainConfig(seed=7))
+    (checkpoint,), history = train(train_ds, val_ds, [hyper], TrainConfig(seed=7))
     assert len(history) <= 10
     assert checkpoint.best_val_f1 > 0.85
     train_f1 = evaluate(checkpoint.params, hyper, train_ds).f1
@@ -317,7 +318,7 @@ def test_loss_drops_for_every_variant():
     for variant in VARIANT_ORDER:
         hyper = HyperConfig(d_t=16, d_i=12, variant=variant)
         initial = float(loss_value(init_params(hyper), hyper, train_ds).value[0, 0])
-        _, history = train(train_ds, val_ds, hyper, TrainConfig(max_epochs=3, patience=3, seed=8))
+        _, history = train(train_ds, val_ds, [hyper], TrainConfig(max_epochs=3, patience=3, seed=8))
         assert history[-1]["train_loss"] <= 0.7 * initial, variant
 
 
@@ -328,9 +329,9 @@ def test_early_stopping_patience_semantics():
     # learning rate too small to change predictions: F1 never improves
     frozen = TrainConfig(learning_rate=1e-12, max_epochs=10, seed=9)
 
-    _, history0 = train(train_ds, val_ds, hyper, replace(frozen, patience=0))
+    _, history0 = train(train_ds, val_ds, [hyper], replace(frozen, patience=0))
     assert len(history0) == 2  # first epoch sets the best, second fails, stop
-    _, history3 = train(train_ds, val_ds, hyper, replace(frozen, patience=3))
+    _, history3 = train(train_ds, val_ds, [hyper], replace(frozen, patience=3))
     assert len(history3) == 4
     f1s = [h["val_f1"] for h in history3]
     assert max(f1s[1:]) <= f1s[0] + 1e-6
@@ -339,7 +340,7 @@ def test_early_stopping_patience_semantics():
 def test_checkpoint_holds_best_parameters():
     train_ds, val_ds, _ = default_splits(seed=10)
     hyper = HyperConfig(d_t=16, d_i=12, variant=Variant.CONCAT)
-    checkpoint, history = train(train_ds, val_ds, hyper, TrainConfig(max_epochs=4, seed=10))
+    (checkpoint,), history = train(train_ds, val_ds, [hyper], TrainConfig(max_epochs=4, seed=10))
     best_seen = max(h["val_f1"] for h in history)
     assert checkpoint.best_val_f1 == best_seen
     assert evaluate(checkpoint.params, hyper, val_ds).f1 == checkpoint.best_val_f1
@@ -351,11 +352,11 @@ def test_training_is_deterministic():
     train_ds, val_ds, _ = split(ds, (0.7, 0.3, 0.0), seed=11)
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     config = TrainConfig(max_epochs=2, seed=11)
-    ckpt_a, hist_a = train(train_ds, val_ds, hyper, config)
-    ckpt_b, hist_b = train(train_ds, val_ds, hyper, config)
+    (ckpt_a,), hist_a = train(train_ds, val_ds, [hyper], config)
+    (ckpt_b,), hist_b = train(train_ds, val_ds, [hyper], config)
     assert hist_a == hist_b
     assert params_equal(ckpt_a.params, ckpt_b.params)
-    ckpt_c, _ = train(train_ds, val_ds, hyper, replace(config, seed=99))
+    (ckpt_c,), _ = train(train_ds, val_ds, [hyper], replace(config, seed=99))
     assert not params_equal(ckpt_a.params, ckpt_c.params)
 
 
@@ -366,8 +367,9 @@ def test_divergence_names_epoch_and_step():
     # one step this large sends the weights past what the next forward can hold
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericsError,
-                          match=r"^loss diverged at epoch 0, step 1; every parameter is finite$"):
-        train(train_ds, val_ds, hyper, TrainConfig(learning_rate=1e300, seed=15))
+                          match=r"^variant concat: loss diverged at epoch 0, step 1; "
+                                r"every parameter is finite$"):
+        train(train_ds, val_ds, [hyper], TrainConfig(learning_rate=1e300, seed=15))
 
 
 def test_divergence_names_the_first_non_finite_parameter(monkeypatch):
@@ -375,19 +377,90 @@ def test_divergence_names_the_first_non_finite_parameter(monkeypatch):
     train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=15)
     real_step, losses = training.train_step, []
 
-    def corrupting_step(params, *args):
-        losses.append(real_step(params, *args))
+    def corrupting_step(params, hypers, *args):
+        losses.append(real_step(params, hypers, *args))
         if len(losses) < 2:
             return losses[-1]
-        params["cls_b2"][0, 0] = np.nan  # later in the layout than cls_w2
-        params["cls_w2"][4, 0] = np.inf  # later in cls_w2's rows than [3, 1]
-        params["cls_w2"][3, 1] = -np.inf
-        return math.nan
+        (model,) = lockstep_params(params.flat, hypers)  # train's one model, as it views it
+        model["cls_b2"][0, 0] = np.nan  # later in the layout than cls_w2
+        model["cls_w2"][4, 0] = np.inf  # later in cls_w2's rows than [3, 1]
+        model["cls_w2"][3, 1] = -np.inf
+        return [math.nan]
 
     monkeypatch.setattr(training, "train_step", corrupting_step)
-    with pytest.raises(NumericsError, match=r"^loss diverged at epoch 0, step 1; "
+    with pytest.raises(NumericsError, match=r"^variant full: loss diverged at epoch 0, step 1; "
                                             r"first non-finite parameter cls_w2\[3, 1\]$"):
-        train(train_ds, val_ds, HyperConfig(variant=Variant.FULL, **SMALL), TrainConfig(seed=15))
+        train(train_ds, val_ds, [HyperConfig(variant=Variant.FULL, **SMALL)], TrainConfig(seed=15))
+
+
+def test_divergence_names_the_first_model_to_diverge():
+    """A lockstep stops at the first step where any model diverges, and names
+    the first such model in order, not the first model."""
+    ds = generate_synthetic(SyntheticSpec(n_samples=100, d_t=8, d_i=6, seed=15))
+    train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=15)
+    # weights this large overflow the first forward's logits
+    hypers = [HyperConfig(variant=Variant.TEXT_ONLY, **SMALL)] + [
+        HyperConfig(variant=v, init_scale=1e200, **SMALL) for v in (Variant.CONCAT, Variant.FULL)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match=r"^variant concat: loss diverged at epoch 0, "
+                                               r"step 0; every parameter is finite$"):
+        train(train_ds, val_ds, hypers, TrainConfig(seed=15))
+
+
+def finite_loss_nan_gradient_params(hyper):
+    """Full-variant parameters at which the loss is finite and gradients are
+    not: both gates sit at exactly 0, so the sigmoid derivative multiplies
+    infinite pooled features by 0."""
+    params = init_params(hyper)
+    for name, value in (("proj_text", 1e306), ("proj_image", 1e306), ("attn_v_text", 0.0),
+                        ("attn_v_image", 0.0), ("gate_w1", 0.0), ("gate_w_text", 0.0),
+                        ("gate_w_image", 0.0), ("gate_b1", 1.0), ("gate_b_text", -1e4),
+                        ("gate_b_image", -1e4), ("cls_w1", 1e3), ("cls_b1", 1.0)):
+        params[name][...] = value
+    return params
+
+
+def test_non_finite_gradient_behind_a_finite_loss_updates_nothing():
+    hyper = HyperConfig(variant=Variant.FULL, **SMALL)
+    params = finite_loss_nan_gradient_params(hyper)
+    ds = small_dataset(n=16, seed=48)
+    rows = np.arange(16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = loss_and_grads(params, hyper, ds.take(rows))
+        assert math.isfinite(loss)
+        assert not all(np.isfinite(g).all() for g in grads.values())
+        before, state = params.copy(), init_optimizer_state(params)
+        assert train_step(params, [hyper], ds, rows, state, TrainConfig()) is None
+    assert params.flat.tobytes() == before.flat.tobytes() and state.step_count == 0
+    assert not state.first_moment.any() and not state.second_moment.any()
+
+
+def test_finite_gradient_whose_squares_overflow_still_updates():
+    """The gradient check's quick sum of squares overflows on a large finite
+    gradient; the full scan then finds it finite, and AdamW steps."""
+    hyper = HyperConfig(variant=Variant.CONCAT, **SMALL)
+    params = init_params(hyper)
+    params["cls_w2"][:, 0] = 1e160  # d loss / d hidden ~ 1e160, so cls_w1's squares overflow
+    ds, rows = small_dataset(n=16, seed=49), np.arange(16)
+    state = init_optimizer_state(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (loss,) = train_step(params, [hyper], ds, rows, state, TrainConfig())
+        assert not math.isfinite(np.dot(state.grad, state.grad))
+    assert math.isfinite(loss) and state.step_count == 1 and np.isfinite(state.grad).all()
+
+
+def test_non_finite_gradient_names_model_epoch_step_and_entry(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(n_samples=100, d_t=8, d_i=6, seed=15))
+    train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=15)
+    real_init = training.init_params
+    monkeypatch.setattr(training, "init_params", lambda hyper: (
+        finite_loss_nan_gradient_params(hyper) if hyper.variant is Variant.FULL
+        else real_init(hyper)))
+    hypers = [HyperConfig(variant=v, **SMALL) for v in (Variant.CONCAT, Variant.FULL)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match=r"^variant full: gradient not finite at epoch 0, "
+                                               r"step 0; first non-finite gradient proj_text\[0, 0\]$"):
+        train(train_ds, val_ds, hypers, TrainConfig(seed=15))
 
 
 def test_train_step_loop_reproduces_one_epoch_of_train():
@@ -395,12 +468,12 @@ def test_train_step_loop_reproduces_one_epoch_of_train():
     train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=16)
     hyper = HyperConfig(variant=Variant.FULL, init_seed=16, **SMALL)
     config = TrainConfig(max_epochs=1, batch_size=16, seed=16)
-    checkpoint, history = train(train_ds, val_ds, hyper, config)
+    (checkpoint,), history = train(train_ds, val_ds, [hyper], config)
 
     params = init_params(hyper)
     state = init_optimizer_state(params)
     epoch_seed = int(np.random.SeedSequence(config.seed).generate_state(1, np.uint64)[0])
-    losses = [train_step(params, hyper, train_ds, idx, state, config)
+    losses = [train_step(params, [hyper], train_ds, idx, state, config)[0]
               for idx in batches(train_ds, config.batch_size, epoch_seed)]
     assert params_equal(params, checkpoint.params)
     assert float(np.mean(losses)) == history[0]["train_loss"]
@@ -416,7 +489,7 @@ def test_train_step_skips_update_on_non_finite_loss():
     before = params.copy()
     state = init_optimizer_state(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = train_step(params, hyper, ds, fakes, state, TrainConfig())
+        (value,) = train_step(params, [hyper], ds, fakes, state, TrainConfig())
     assert not math.isfinite(value)
     assert params_equal(params, before) and state.step_count == 0
 
@@ -439,7 +512,7 @@ def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
     for epoch in range(4):
         ds = sources[epoch % 2]
         for idx in batches(ds, 16, epoch):  # 16, 16, then a tail of 8
-            value = train_step(params, hyper, ds, idx, state, config)
+            (value,) = train_step(params, [hyper], ds, idx, state, config)
             ref_value, grads = loss_and_grads(reference, hyper, ds.take(idx))
             adamw_step(reference, np.concatenate([grads[n].ravel() for n in reference.names]),
                        ref_state, config)
@@ -448,7 +521,7 @@ def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
             assert params.flat.tobytes() == reference.flat.tobytes()
             assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
             assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
-            tape = state.recordings[len(idx), ds.text.shape[1:], ds.image.shape[1:]].tape
+            tape = state.recordings[len(idx), ds.text.shape[1:], ds.image.shape[1:], (0,)].tape
             assert recorded.setdefault(len(idx), tape) is tape
     assert sorted(recorded) == [8, 16] and len(state.recordings) == 2
 
@@ -463,15 +536,15 @@ def test_train_step_records_again_at_another_sequence_length():
     state = init_optimizer_state(params)
     config = TrainConfig(learning_rate=0.01)
     rows = np.arange(8)
-    train_step(params, hyper, short, rows, state, config)
+    train_step(params, [hyper], short, rows, state, config)
     (first,) = state.recordings.values()
     expected, _ = loss_and_grads(params, hyper, long.take(rows))
-    assert np.float64(train_step(params, hyper, long, rows, state, config)).tobytes() \
+    assert np.float64(train_step(params, [hyper], long, rows, state, config)[0]).tobytes() \
         == expected.tobytes()
-    assert set(state.recordings) == {(8, (1, 8), (2, 6)), (8, (3, 8), (2, 6))}
-    assert state.recordings[8, (3, 8), (2, 6)].tape is not first.tape
-    train_step(params, hyper, short, rows + 8, state, config)
-    assert state.recordings[8, (1, 8), (2, 6)] is first
+    assert set(state.recordings) == {(8, (1, 8), (2, 6), (0,)), (8, (3, 8), (2, 6), (0,))}
+    assert state.recordings[8, (3, 8), (2, 6), (0,)].tape is not first.tape
+    train_step(params, [hyper], short, rows + 8, state, config)
+    assert state.recordings[8, (1, 8), (2, 6), (0,)] is first
 
 
 def test_train_step_records_again_for_other_params_or_hyper():
@@ -484,12 +557,12 @@ def test_train_step_records_again_for_other_params_or_hyper():
     config = TrainConfig(learning_rate=0.01)
     first, second = init_params(hyper), init_params(replace(hyper, init_seed=42))
     state = init_optimizer_state(first)
-    train_step(first, hyper, batch, rows, state, config)
+    train_step(first, [hyper], batch, rows, state, config)
     (key, recording), = state.recordings.items()
 
     first_before, second_before = first.copy(), second.copy()
     expected, _ = loss_and_grads(second, hyper, batch)
-    assert train_step(second, hyper, batch, rows, state, config) == expected
+    assert train_step(second, [hyper], batch, rows, state, config)[0] == expected
     assert params_equal(first, first_before) and not params_equal(second, second_before)
     assert state.recordings[key].tape is not recording.tape
     recording = state.recordings[key]
@@ -497,9 +570,70 @@ def test_train_step_records_again_for_other_params_or_hyper():
     other_hyper = replace(hyper, init_scale=2.0)  # the same graph, but not the recorded config
     tapes = []
     for _ in range(2):
-        train_step(second, other_hyper, batch, rows, state, config)
+        train_step(second, [other_hyper], batch, rows, state, config)
         tapes.append(state.recordings[key].tape)
     assert tapes[0] is not recording.tape and tapes[1] is tapes[0]
+
+
+def test_train_step_records_again_for_another_set_of_live_models():
+    """The set of live models is part of a recording's key: a step without a
+    model records its own tape, which later steps with that set replay. Each
+    live model gets the bits it gets alone; the model that left gets zeros in
+    the gradient vector."""
+    hypers = tuple(HyperConfig(variant=v, init_seed=47, **SMALL)
+                   for v in (Variant.FULL, Variant.CONCAT, Variant.TEXT_ONLY))
+    alone = [init_params(h) for h in hypers]
+    params = ModelParams([(str(k), p.flat[None]) for k, p in enumerate(alone)])
+    models = lockstep_params(params.flat, hypers)
+    state, states = init_optimizer_state(params), [init_optimizer_state(p) for p in alone]
+    ds, config = small_dataset(n=40, seed=47), TrainConfig(learning_rate=0.01)
+    tapes = {}
+    for step, live in enumerate([(0, 1, 2), (0, 2), (0, 2), (0, 2)]):
+        rows = np.arange(16) + 8 * step
+        losses = train_step(params, hypers, ds, rows, state, config, list(live))
+        for loss, k in zip(losses, live, strict=True):
+            (expected,) = train_step(alone[k], [hypers[k]], ds, rows, states[k], config)
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+            assert models[k].flat.tobytes() == alone[k].flat.tobytes()
+        tape = state.recordings[16, ds.text.shape[1:], ds.image.shape[1:], live].tape
+        assert tapes.setdefault(live, tape) is tape
+        if 1 not in live:
+            assert not lockstep_params(state.grad, hypers)[1].flat.any()
+    assert len(state.recordings) == 2 and len(tapes[0, 2]) < len(tapes[0, 1, 2])
+
+
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
+def test_ablation_in_lockstep_equals_five_one_model_trains_bytewise(lengths, monkeypatch):
+    """run_ablation trains the five variants in one lockstep; each checkpoint
+    and history row equals a one-model train's byte for byte, with a short
+    tail batch and variants that stop early at different epochs."""
+    ds = small_dataset(n=60, seed=20, l_t=lengths[0], l_i=lengths[1])
+    splits = split(ds, (0.6, 0.2, 0.2), seed=20)
+    assert len(splits[0]) % 16 != 0
+    hyper = HyperConfig(init_seed=20, **SMALL)
+    config = TrainConfig(batch_size=16, max_epochs=6, patience=1, learning_rate=0.01, seed=20)
+    real_train, histories = experiments.train, []
+
+    def keeping_history(*args):
+        checkpoints, history = real_train(*args)
+        histories.append(history)
+        return checkpoints, history
+
+    monkeypatch.setattr(experiments, "train", keeping_history)
+    _, checkpoints = experiments.run_ablation(splits, hyper, config)
+    (history_in_lockstep,) = histories
+    expected_history, epochs = [], []
+    for variant in VARIANT_ORDER:
+        (alone,), history = train(splits[0], splits[1], [replace(hyper, variant=variant)], config)
+        lockstep = checkpoints[variant]
+        assert lockstep.params.flat.tobytes() == alone.params.flat.tobytes(), variant
+        assert lockstep.params.names == alone.params.names
+        assert (lockstep.best_epoch, np.float64(lockstep.best_val_f1).tobytes()) == \
+            (alone.best_epoch, np.float64(alone.best_val_f1).tobytes())
+        expected_history += history
+        epochs.append(len(history))
+    assert repr(history_in_lockstep) == repr(expected_history)  # repr tells -0.0 from 0.0
+    assert len({n for n in epochs if n < config.max_epochs}) >= 2, epochs
 
 
 @pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
@@ -516,12 +650,12 @@ def test_training_leaves_no_cyclic_garbage(variant, lengths):
     gc.collect()
     gc.disable()
     try:
-        train(train_ds, val_ds, hyper, config)
+        train(train_ds, val_ds, [hyper], config)
         assert gc.collect() == 0
         state = init_optimizer_state(first)
         rows = np.arange(len(train_ds))
-        train_step(first, hyper, train_ds, rows, state, config)
-        train_step(second, hyper, train_ds, rows, state, config)  # records again: the first goes
+        train_step(first, [hyper], train_ds, rows, state, config)
+        train_step(second, [hyper], train_ds, rows, state, config)  # records again: the first goes
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -533,14 +667,14 @@ def test_train_validates_inputs():
     hyper_wrong = HyperConfig(d_t=16, d_i=12)
     with pytest.raises(WidthMismatchError, match=r"^train split widths \(d_t=8, d_i=6\) do not "
                        r"match the model \(d_t=16, d_i=12\)$"):
-        train(train_ds, val_ds, hyper_wrong, TrainConfig())
+        train(train_ds, val_ds, [hyper_wrong], TrainConfig())
     wide = generate_synthetic(SyntheticSpec(n_samples=10, d_t=16, d_i=12, seed=12))
     with pytest.raises(WidthMismatchError, match=r"^validation split widths \(d_t=8, d_i=6\)"):
-        train(wide, val_ds, hyper_wrong, TrainConfig())
+        train(wide, val_ds, [hyper_wrong], TrainConfig())
     empty = train_ds.take([])
     hyper = HyperConfig(variant=Variant.FULL, **SMALL)
     with pytest.raises(InputError):
-        train(empty, val_ds, hyper, TrainConfig())
+        train(empty, val_ds, [hyper], TrainConfig())
 
 
 # -- checkpoints -----------------------------------------------------------------------
