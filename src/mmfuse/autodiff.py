@@ -6,9 +6,9 @@ stack-by-stack products multiply matching sequences, ``dense`` is a
 layer (product, bias row, optional relu or sigmoid), softmax normalises
 over the last axis, and ``mean_rows`` pools a stack over its sequence
 axis. The elementwise ``add`` and ``mul`` broadcast an operand's length-1
-axes, and sum its gradient back over them. Softmax and cross-entropy are
-stabilized (max subtraction, log-sum-exp), which keeps every output
-finite for finite inputs.
+axes, and sum its gradient back over them. Softmax and cross-entropy (K
+logits nodes' mean losses as one 1 x K row) are stabilized (max
+subtraction, log-sum-exp), which keeps every output finite for finite inputs.
 
 Each operation is one record: an output buffer (for a length-1 mean, a
 view of the input) and a forward function that fills it, run once when
@@ -17,7 +17,8 @@ a parent needs a gradient; an op on ``input`` and ``constant`` leaves
 alone keeps nothing. Ownership runs one way: a tape holds its kept ops,
 and a node holds its tape only weakly, so reference counting frees each
 value and tape once nothing refers to it.
-``Tape.backward`` walks the kept ops in reverse, so gradients follow one
+``Tape.backward`` seeds a one-row root with ones, the gradient of the
+row's sum, and walks the kept ops in reverse, so gradients follow one
 fixed order and repeated runs are bitwise identical. A parameter's gradient
 goes into its caller's zeroed buffer: the last op recorded that reads it
 once, which backward reaches first, writes its contribution there if it is
@@ -342,12 +343,11 @@ class Tape:
                             lambda out: np.copyto(out, a.value.swapaxes(-1, -2)),
                             lambda g, out: _give(a, g.swapaxes(-1, -2)))
 
-    def cross_entropy_logits(self, logits: Sequence[Node], labels: Node,
-                             losses: Array | None = None) -> Node:
-        """Mean negative log-likelihood of each of K m x 2 two-class logits nodes, into
-        ``losses[k]`` (made if not given); its 1 x 1 value is their sum, and backward
-        gives each node the gradient it gets alone. ``labels`` is an ``input`` leaf of
-        an intp 0/1 class per row, shared by all, which a replay reads as it then is."""
+    def cross_entropy_logits(self, logits: Sequence[Node], labels: Node) -> Node:
+        """Mean negative log-likelihood of each of K m x 2 two-class logits nodes, as
+        entry k of a 1 x K row; backward gives node j the gradient it gets alone,
+        scaled by the row's gradient at j. ``labels`` is an ``input`` leaf of an
+        intp 0/1 class per row, shared by all, which a replay reads as it then is."""
         self._own(labels, *logits)
         shapes = [n.value.shape for n in logits]
         k, m = len(logits), shapes[0][0] if shapes else 0
@@ -360,50 +360,46 @@ class Tape:
                              f"got {lab.dtype} of shape {lab.shape}")
         if not ((lab == 0) | (lab == 1)).all():
             raise InputError("labels must be 0 or 1")
-        rows, nodes = np.arange(m), np.arange(k).reshape(k, 1)
-        stacked = np.empty((k * m, 2)) if k > 1 else None  # every node's rows: each op serves all
+        rows = np.arange(k * m).reshape(k, m)  # each node's rows of the stacked buffer
+        stacked = np.empty((k * m, 2))  # every node's rows: each op serves all
         probs = np.empty((k * m, 2)) if any(n.requires_grad for n in logits) else None
-        losses = np.empty(k) if losses is None else losses
 
         def forward(out: Array) -> None:
-            v = logits[0].value if k == 1 else np.concatenate([n.value for n in logits], out=stacked)
+            v = np.concatenate([n.value for n in logits], out=stacked)
             # two columns: the row max and the row sum are one elementwise op each
             z = v - np.maximum(v[:, 0], v[:, 1]).reshape(k * m, 1)
             e = np.exp(z)
             sum_e = np.add(e[:, 0], e[:, 1]).reshape(k * m, 1)
             log_probs = z - np.log(sum_e)
-            if k == 1:  # -ndarray.mean in scalars, cheaper than the arrays below
-                losses[0] = out[0, 0] = -(np.add.reduce(log_probs[rows, labels.value]) / m)
-            else:  # each node's picks a C-ordered row, summed as a lone vector; x / -m is -(x / m)
-                picked = log_probs.reshape(k, m, 2)[nodes, rows, labels.value]
-                np.divide(np.add.reduce(picked, axis=1, out=losses), -m, out=losses)
-                out[0, 0] = np.add.reduce(losses)
+            # each node's picks a C-ordered row, summed as a lone vector; x / -m is -(x / m)
+            np.divide(np.add.reduce(log_probs[rows, labels.value], axis=1), -m, out=out[0])
             if probs is not None:
                 np.divide(e, sum_e, out=probs)
 
         def backward(g: Array, out: Array) -> None:
-            # d loss / d logits = (softmax - onehot) / m, each node's in its slice
-            scale = g[0, 0] / m
-            d = probs * scale  # ufunc.at: cheaper than a fancy -=, and each entry once
-            np.subtract.at(d.reshape(k, m, 2), (slice(None), rows, labels.value), scale)
+            # d loss_j / d logits_j = (softmax - onehot) / m, each node's in its slice
+            scale = g.reshape(k, 1) / m
+            d = probs.reshape(k, m, 2) * scale.reshape(k, 1, 1)
+            # ufunc.at: cheaper than a fancy -=, and each entry once
+            np.subtract.at(d.reshape(k * m, 2), (rows, labels.value), scale)
             for j, node in enumerate(logits):
                 if node.requires_grad:
-                    _give(node, d[j * m:(j + 1) * m])
-        return self._record((1, 1), "cross_entropy_logits", tuple(logits), forward, backward)
+                    _give(node, d[j])
+        return self._record((1, k), "cross_entropy_logits", tuple(logits), forward, backward)
 
     # -- traversal -------------------------------------------------------
 
     def backward(self, root: Node) -> None:
-        """Seed the root with gradient 1 and propagate through the tape: once
+        """Seed a one-row root with ones (its sum's gradient) and propagate: once
         per tape, then once per ``replay`` from the same root. Parameter
         gradients go into buffers the caller zeroes first (see ``parameter``)."""
         self._own(root)
-        if root.value.shape != (1, 1):
-            raise UsageError(f"backward root must be 1x1, got shape {root.value.shape}")
+        if root.value.ndim != 2 or len(root.value) != 1:
+            raise UsageError(f"backward root must be one row, 1 x K, got shape {root.value.shape}")
         if root.grad is not None or self.root not in (None, root):
             raise UsageError("backward runs once per tape, then once per replay from its root")
         self.root = root
-        root.grad = np.ones((1, 1))
+        root.grad = np.ones_like(root.value)
         for _, backward, node, out in reversed(self._steps):
             if node.grad is not None:
                 backward(node.grad, out)

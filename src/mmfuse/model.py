@@ -175,11 +175,10 @@ def init_params(config: HyperConfig) -> ModelParams:
     return ModelParams(entries)
 
 
-def register_parameters(tape: Tape, params: ModelParams, grad: Array) -> dict[str, Node]:
-    """Put every parameter on a tape as a gradient-receiving leaf whose
-    gradient goes into its view of ``grad``, a vector laid out like ``flat``."""
-    views = params.views(grad)
-    return {name: tape.parameter(arr, views[name]) for name, arr in params.items()}
+def register_parameters(tape: Tape, params: ModelParams, grads) -> dict[str, Node]:
+    """Put every parameter on a tape as a gradient-receiving leaf whose gradient
+    goes into ``grads[name]``, a buffer of its shape (``ModelParams`` or dict)."""
+    return {name: tape.parameter(arr, grads[name]) for name, arr in params.items()}
 
 
 def check_params_match(params: ModelParams, config: HyperConfig) -> None:

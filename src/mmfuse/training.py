@@ -98,33 +98,33 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
 
 
 def batch_loss(params: ModelParams, hypers: Sequence[HyperConfig], batch: Dataset, *, tape: Tape,
-               grad: np.ndarray, losses: np.ndarray | None = None, live=None) -> Node:
-    """Summed mean cross-entropy of the models in ``live`` (all if None) on a batch, as a
-    1x1 node on ``tape``, with model ``live[j]``'s in ``losses[j]``; ``params.flat`` holds
-    each hyper-config's vector in turn (``lockstep_params``). ``batch``, ``grad`` (laid out
-    like it) and ``losses`` are read only when the tape records; a tape that has run
-    backward on this loss is replayed on what the recorded batch's arrays now hold."""
+               grad: np.ndarray, live=None) -> Node:
+    """Mean cross-entropy of the models in ``live`` (all if None) on a batch, as a
+    1 x len(live) node on ``tape`` whose entry j is model ``live[j]``'s; ``params.flat``
+    holds each hyper-config's vector in turn (``lockstep_params``). ``batch`` and ``grad``
+    (laid out like it) are read only when the tape records; a tape that has run backward
+    on this loss is replayed on what the recorded batch's arrays now hold."""
     if tape.root is not None:
         return tape.replay()
     x_text, x_image = feature_stacks(tape, hypers[0], batch)
     models, grads = lockstep_params(params.flat, hypers), lockstep_params(grad, hypers)
-    logits = [build_logits(tape, register_parameters(tape, models[k], grads[k].flat), hypers[k],
+    logits = [build_logits(tape, register_parameters(tape, models[k], grads[k]), hypers[k],
                            x_text, x_image)["logits"]
               for k in (range(len(hypers)) if live is None else live)]
-    return tape.cross_entropy_logits(logits, tape.input(batch.labels), losses)
+    return tape.cross_entropy_logits(logits, tape.input(batch.labels))
 
 
 # -- optimizer -------------------------------------------------------------------
 
 
 class StepRecording(NamedTuple):
-    """A train_step tape, what it was recorded from, the losses its replays
-    write and the batch whose arrays it reads, which each later step refills."""
+    """A train_step tape, what it was recorded from (parameter vector, hyper-configs,
+    live models) and the batch whose arrays it reads, which each later step refills."""
 
     flat: np.ndarray
     hypers: tuple
+    live: tuple
     tape: Tape
-    losses: np.ndarray
     batch: Dataset
 
 
@@ -180,22 +180,22 @@ def train_step(params: ModelParams, hypers: Sequence[HyperConfig], dataset: Data
     into ``state.grad``, zeroed first: a parameter the loss misses gets zeros.
     A non-finite loss is returned, and a non-finite gradient behind finite
     losses returns None, with nothing updated: the caller reports either. The
-    first step at a batch shape and set of live models records its tape and
-    batch in ``state``; later ones gather their rows into that batch in place and
-    replay, while given the same ``params.flat`` and equal hypers.
+    first step at a batch shape records its tape and batch in ``state``; later
+    ones gather their rows into that batch in place and replay while given the
+    same ``params.flat``, hypers and live models, else record in its place.
     """
     hypers, live = tuple(hypers), tuple(range(len(hypers)) if live is None else live)
-    key = (len(rows), dataset.text.shape[1:], dataset.image.shape[1:], live)
+    key = (len(rows), dataset.text.shape[1:], dataset.image.shape[1:])
     recording = state.recordings.get(key)
-    if recording is None or recording.flat is not params.flat or recording.hypers != hypers:
-        recording = StepRecording(params.flat, hypers, Tape(), np.empty(len(live)),
-                                  dataset.take(rows))
+    if (recording is None or recording.flat is not params.flat
+            or (recording.hypers, recording.live) != (hypers, live)):
+        recording = StepRecording(params.flat, hypers, live, Tape(), dataset.take(rows))
     else:
         for name in ("labels", "text", "image"):  # ids and provenance stay the first batch's
             getattr(dataset, name).take(rows, axis=0, out=getattr(recording.batch, name))
     loss = batch_loss(params, hypers, recording.batch, tape=recording.tape, grad=state.grad,
-                      losses=recording.losses, live=live)
-    losses = recording.losses.tolist()
+                      live=live)
+    losses = loss.value[0].tolist()
     if all(map(math.isfinite, losses)):
         state.grad.fill(0.0)
         recording.tape.backward(loss)

@@ -14,7 +14,7 @@ import pytest
 
 from mmfuse.autodiff import Tape, as_matrix
 from mmfuse.errors import DimensionError, InputError, UsageError
-from support import finite_difference_check, sum_all
+from support import finite_difference_check, reference_cross_entropy, sum_all
 
 
 def param(t, value):
@@ -329,8 +329,9 @@ OPS = {
     # one loss op over three logits nodes that share a parent and the labels
     "cross_entropy_three": (
         {"a": (5, 4), "b": (4, 2), "c": (4, 2)},
-        lambda t, n: t.cross_entropy_logits([t.matmul(n["a"], n[k]) for k in "wbc"],
-                                            t.input(np.array([0, 1, 1, 0, 1], dtype=np.intp))),
+        lambda t, n: sum_all(t, t.cross_entropy_logits(
+            [t.matmul(n["a"], n[k]) for k in "wbc"],
+            t.input(np.array([0, 1, 1, 0, 1], dtype=np.intp)))),
     ),
 }
 # add and mul at equal shapes and at each broadcast the model uses: a bias
@@ -373,15 +374,17 @@ def test_cross_entropy_gradient_matches_finite_differences():
 @pytest.mark.parametrize("m", [7, 37, 300])
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_cross_entropy_over_k_nodes_matches_k_one_node_ops_bytewise(k, m):
-    """One loss op over K logits nodes gives each node the mean loss and the
-    gradient that a one-node op gives it alone, byte for byte, and its value
-    is their sum; so does a replay on refilled logits and labels."""
+    """One loss op over K logits nodes is a 1 x K row whose entry j is node j's
+    mean loss, and gives node j its gradient, byte for byte as the one-node
+    formulas of ``support.reference_cross_entropy`` give them; so does a replay
+    on refilled logits and labels."""
     rng = np.random.default_rng(60 + k + m)
     values = [rng.normal(scale=4.0, size=(m, 2)) for _ in range(k)]
     labels = rng.integers(0, 2, m)
-    t, losses = Tape(), np.empty(k)
+    t = Tape()
     nodes = [param(t, v) for v in values]
-    root = t.cross_entropy_logits(nodes, t.input(labels), losses)
+    root = t.cross_entropy_logits(nodes, t.input(labels))
+    assert root.value.shape == (1, k)
     for step in range(2):
         if step:  # refill in place and replay, as train_step does
             for v in values:
@@ -392,13 +395,9 @@ def test_cross_entropy_over_k_nodes_matches_k_one_node_ops_bytewise(k, m):
                 node.grad.fill(0.0)
         t.backward(root)
         for j, v in enumerate(values):
-            alone = Tape()
-            node = param(alone, v.copy())
-            loss = alone.cross_entropy_logits([node], alone.input(labels.copy()))
-            alone.backward(loss)
-            assert losses[j].tobytes() == loss.value[0, 0].tobytes(), (step, j)
-            assert nodes[j].grad.tobytes() == node.grad.tobytes(), (step, j)
-        assert root.value[0, 0].tobytes() == np.add.reduce(losses).tobytes()
+            loss, grad = reference_cross_entropy(v, labels)
+            assert root.value[0, j].tobytes() == loss.tobytes(), (step, j)
+            assert nodes[j].grad.tobytes() == grad.tobytes(), (step, j)
 
 
 def test_cross_entropy_refuses_logits_of_other_shapes():
@@ -755,10 +754,16 @@ def test_cross_entropy_rejects_bad_labels():
 
 
 def test_backward_requires_scalar_root():
+    """A root is one row: each entry is seeded with 1, the gradient of its sum."""
     t = Tape()
     x = param(t, np.ones((2, 2)))
-    with pytest.raises(UsageError):
-        t.backward(t.add(x, x))
+    for root in (t.add(x, x), t.transpose(param(t, np.ones((1, 2))))):
+        with pytest.raises(UsageError) as err:
+            t.backward(root)
+        assert str(err.value).endswith(f"got shape {root.shape}")
+    row = param(t, np.arange(3.0).reshape(1, 3))
+    t.backward(t.mul(row, row))
+    assert np.array_equal(row.grad, [[0.0, 2.0, 4.0]])
 
 
 def test_nodes_cannot_cross_tapes():

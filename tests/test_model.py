@@ -274,7 +274,7 @@ def test_gate_gradient_matches_finite_differences():
     pooled_t_arr, pooled_i_arr = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
 
     tape = Tape()
-    pn = register_parameters(tape, params, np.zeros_like(params.flat))
+    pn = register_parameters(tape, params, params.views(np.zeros_like(params.flat)))
     alpha_t, _ = _gate_alphas(tape, pn, tape.constant(pooled_t_arr), tape.constant(pooled_i_arr))
     tape.backward(alpha_t)
     arrays = {"gate_w1": params["gate_w1"]}
@@ -509,7 +509,7 @@ def test_scoring_tape_keeps_only_leaves_and_matches_a_parameter_graph(lengths, v
     assert not tape._steps
 
     recorded = Tape()  # the training graph: parameter leaves, every op kept
-    pn = register_parameters(recorded, params, np.zeros_like(params.flat))
+    pn = register_parameters(recorded, params, params.views(np.zeros_like(params.flat)))
     graph = model.build_logits(recorded, pn, config, *model.feature_stacks(recorded, config, ds))
     assert all(node.requires_grad for node in graph.values())
     assert nodes.keys() == graph.keys()

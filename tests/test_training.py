@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import struct
+import weakref
 
 from dataclasses import replace
 
@@ -521,7 +522,7 @@ def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
             assert params.flat.tobytes() == reference.flat.tobytes()
             assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
             assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
-            tape = state.recordings[len(idx), ds.text.shape[1:], ds.image.shape[1:], (0,)].tape
+            tape = state.recordings[len(idx), ds.text.shape[1:], ds.image.shape[1:]].tape
             assert recorded.setdefault(len(idx), tape) is tape
     assert sorted(recorded) == [8, 16] and len(state.recordings) == 2
 
@@ -541,10 +542,10 @@ def test_train_step_records_again_at_another_sequence_length():
     expected, _ = loss_and_grads(params, hyper, long.take(rows))
     assert np.float64(train_step(params, [hyper], long, rows, state, config)[0]).tobytes() \
         == expected.tobytes()
-    assert set(state.recordings) == {(8, (1, 8), (2, 6), (0,)), (8, (3, 8), (2, 6), (0,))}
-    assert state.recordings[8, (3, 8), (2, 6), (0,)].tape is not first.tape
+    assert set(state.recordings) == {(8, (1, 8), (2, 6)), (8, (3, 8), (2, 6))}
+    assert state.recordings[8, (3, 8), (2, 6)].tape is not first.tape
     train_step(params, [hyper], short, rows + 8, state, config)
-    assert state.recordings[8, (1, 8), (2, 6), (0,)] is first
+    assert state.recordings[8, (1, 8), (2, 6)] is first
 
 
 def test_train_step_records_again_for_other_params_or_hyper():
@@ -576,10 +577,10 @@ def test_train_step_records_again_for_other_params_or_hyper():
 
 
 def test_train_step_records_again_for_another_set_of_live_models():
-    """The set of live models is part of a recording's key: a step without a
-    model records its own tape, which later steps with that set replay. Each
-    live model gets the bits it gets alone; the model that left gets zeros in
-    the gradient vector."""
+    """A recording serves only the set of live models it was recorded with: a
+    step without a model records a tape in place of the old one, which later
+    steps with that set replay. Each live model gets the bits it gets alone;
+    the model that left gets zeros in the gradient vector."""
     hypers = tuple(HyperConfig(variant=v, init_seed=47, **SMALL)
                    for v in (Variant.FULL, Variant.CONCAT, Variant.TEXT_ONLY))
     alone = [init_params(h) for h in hypers]
@@ -595,11 +596,36 @@ def test_train_step_records_again_for_another_set_of_live_models():
             (expected,) = train_step(alone[k], [hypers[k]], ds, rows, states[k], config)
             assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
             assert models[k].flat.tobytes() == alone[k].flat.tobytes()
-        tape = state.recordings[16, ds.text.shape[1:], ds.image.shape[1:], live].tape
-        assert tapes.setdefault(live, tape) is tape
+        recording = state.recordings[16, ds.text.shape[1:], ds.image.shape[1:]]
+        assert recording.live == live and tapes.setdefault(live, recording.tape) is recording.tape
         if 1 not in live:
             assert not lockstep_params(state.grad, hypers)[1].flat.any()
-    assert len(state.recordings) == 2 and len(tapes[0, 2]) < len(tapes[0, 1, 2])
+    assert len(state.recordings) == 1 and len(tapes[0, 2]) < len(tapes[0, 1, 2])
+
+
+def test_a_stopped_model_s_tape_is_freed_by_the_next_step_at_its_shape():
+    """Once a model leaves the lockstep, each batch shape's next step records a
+    tape without it in place of the one that held it: the state keeps one
+    recording per batch shape, and reference counting alone frees the old tapes."""
+    hypers = tuple(HyperConfig(variant=v, init_seed=48, **SMALL)
+                   for v in (Variant.FULL, Variant.CONCAT, Variant.TEXT_ONLY))
+    params = ModelParams([(str(k), init_params(h).flat[None]) for k, h in enumerate(hypers)])
+    state, config = init_optimizer_state(params), TrainConfig(learning_rate=0.01)
+    ds = small_dataset(n=40, seed=48)
+    full, tail = np.arange(16), np.arange(16, 24)  # two batch shapes: 16 rows and 8
+    gc.disable()
+    try:
+        for rows in (full, tail, full, tail):
+            train_step(params, hypers, ds, rows, state, config)
+        stopped = [weakref.ref(state.recordings[len(rows), (1, 8), (1, 6)].tape)
+                   for rows in (full, tail)]
+        train_step(params, hypers, ds, full, state, config, [0, 2])
+        assert len(state.recordings) == 2 and stopped[0]() is None and stopped[1]() is not None
+        train_step(params, hypers, ds, tail, state, config, [0, 2])
+        assert len(state.recordings) == 2 and stopped[1]() is None
+        assert all(r.live == (0, 2) for r in state.recordings.values())
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("lengths", [(1, 1), (3, 2)], ids=["L1", "L3x2"])
