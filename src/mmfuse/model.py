@@ -24,7 +24,7 @@ from math import sqrt
 
 import numpy as np
 
-from .autodiff import Node, Tape, as_matrix
+from .autodiff import Node, Tape
 from .data import Dataset
 from .errors import InputError, WidthMismatchError
 
@@ -109,23 +109,15 @@ def parameter_shapes(config: HyperConfig) -> dict[str, tuple[int, int]]:
 
 
 class ModelParams:
-    """Named parameter matrices, in order, each a (rows, cols) view into one
-    float64 vector ``flat``; ``views`` lays out any such vector the same way."""
+    """Named parameter matrices of the given shapes, in order, each a (rows, cols)
+    view into the vector ``flat``, which is taken as given: no copy, no check."""
 
-    def __init__(self, entries):
-        # the (name, array) entries set the layout views() follows; zeros(0) lets there be none
-        arrays = {name: as_matrix(arr, name=name) for name, arr in entries}
-        self._shapes = {name: arr.shape for name, arr in arrays.items()}
-        self.flat = np.concatenate([np.zeros(0), *(arr.ravel() for arr in arrays.values())])
-        self._arrays = self.views(self.flat)
-
-    def views(self, vector: Array) -> dict[str, Array]:
-        """Named (rows, cols) views into a vector laid out like ``flat``."""
-        out, start = {}, 0
-        for name, (rows, cols) in self._shapes.items():
-            out[name] = vector[start:start + rows * cols].reshape(rows, cols)
+    def __init__(self, flat: Array, shapes: dict[str, tuple[int, int]]):
+        self.flat, self._shapes, self._arrays = flat, shapes, {}
+        start = 0
+        for name, (rows, cols) in shapes.items():
+            self._arrays[name] = flat[start:start + rows * cols].reshape(rows, cols)
             start += rows * cols
-        return out
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -140,16 +132,8 @@ class ModelParams:
     def __len__(self) -> int:
         return len(self._arrays)
 
-    @classmethod
-    def view(cls, vector: Array, shapes: dict[str, tuple[int, int]]) -> "ModelParams":
-        """Named views of these shapes, in order, into ``vector``: no copy, no check."""
-        params = object.__new__(cls)
-        params.flat, params._shapes = vector, shapes
-        params._arrays = params.views(vector)
-        return params
-
     def copy(self) -> "ModelParams":
-        return ModelParams.view(self.flat.copy(), self._shapes)
+        return ModelParams(self.flat.copy(), self._shapes)
 
 
 def lockstep_params(vector: Array, configs) -> list[ModelParams]:
@@ -158,39 +142,21 @@ def lockstep_params(vector: Array, configs) -> list[ModelParams]:
     models, stop = [], 0
     for shapes in map(parameter_shapes, configs):
         start, stop = stop, stop + sum(rows * cols for rows, cols in shapes.values())
-        models.append(ModelParams.view(vector[start:stop], shapes))
+        models.append(ModelParams(vector[start:stop], shapes))
     return models
 
 
 def init_params(config: HyperConfig) -> ModelParams:
-    """Seeded init: weights uniform in +-init_scale/sqrt(fan_in), biases zero."""
+    """Seeded init into a zero vector: weights uniform in +-init_scale/sqrt(fan_in),
+    drawn in canonical order; biases stay zero."""
     rng = np.random.default_rng(config.init_seed)
-    entries = []
-    for name, shape in parameter_shapes(config).items():
-        if name in _BIAS_NAMES:
-            entries.append((name, np.zeros(shape)))
-        else:
-            bound = config.init_scale / sqrt(shape[0])
-            entries.append((name, rng.uniform(-bound, bound, shape)))
-    return ModelParams(entries)
-
-
-def register_parameters(tape: Tape, params: ModelParams, grads) -> dict[str, Node]:
-    """Put every parameter on a tape as a gradient-receiving leaf whose gradient
-    goes into ``grads[name]``, a buffer of its shape (``ModelParams`` or dict)."""
-    return {name: tape.parameter(arr, grads[name]) for name, arr in params.items()}
-
-
-def check_params_match(params: ModelParams, config: HyperConfig) -> None:
-    expected = parameter_shapes(config)
-    if tuple(expected) != params.names:
-        raise InputError(
-            f"parameter names {params.names} do not match variant "
-            f"{config.variant.value} (expected {tuple(expected)})"
-        )
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise InputError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
+    shapes = parameter_shapes(config)
+    params = ModelParams(np.zeros(sum(rows * cols for rows, cols in shapes.values())), shapes)
+    for name, arr in params.items():
+        if name not in _BIAS_NAMES:
+            bound = config.init_scale / sqrt(arr.shape[0])
+            arr[...] = rng.uniform(-bound, bound, arr.shape)
+    return params
 
 
 # -- graph builders -----------------------------------------------------------

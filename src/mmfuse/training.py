@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, as_matrix
 from .data import ByteReader, Dataset, atomic_write_bytes, batches
 from .errors import FileFormatError, InputError, NumericsError, VariantMismatchError
 from .evaluation import evaluate
@@ -35,12 +35,11 @@ from .model import (
     ModelParams,
     Variant,
     build_logits,
-    check_params_match,
     check_widths,
     feature_stacks,
     init_params,
     lockstep_params,
-    register_parameters,
+    parameter_shapes,
 )
 
 CHECKPOINT_MAGIC = b"MMCK"
@@ -97,19 +96,20 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
 # -- loss -----------------------------------------------------------------------
 
 
-def batch_loss(params: ModelParams, hypers: Sequence[HyperConfig], batch: Dataset, *, tape: Tape,
+def batch_loss(flat: np.ndarray, hypers: Sequence[HyperConfig], batch: Dataset, *, tape: Tape,
                grad: np.ndarray, live=None) -> Node:
     """Mean cross-entropy of the models in ``live`` (all if None) on a batch, as a
-    1 x len(live) node on ``tape`` whose entry j is model ``live[j]``'s; ``params.flat``
-    holds each hyper-config's vector in turn (``lockstep_params``). ``batch`` and ``grad``
-    (laid out like it) are read only when the tape records; a tape that has run backward
-    on this loss is replayed on what the recorded batch's arrays now hold."""
+    1 x len(live) node on ``tape`` whose entry j is model ``live[j]``'s; ``flat`` holds
+    each hyper-config's parameter vector in turn (``lockstep_params``), and ``grad``
+    (laid out like it) gets their gradients. Both ``batch`` and ``grad`` are read only when
+    the tape records; a tape that has run backward on this loss is replayed on what the
+    recorded batch's arrays now hold."""
     if tape.root is not None:
         return tape.replay()
     x_text, x_image = feature_stacks(tape, hypers[0], batch)
-    models, grads = lockstep_params(params.flat, hypers), lockstep_params(grad, hypers)
-    logits = [build_logits(tape, register_parameters(tape, models[k], grads[k]), hypers[k],
-                           x_text, x_image)["logits"]
+    models, grads = lockstep_params(flat, hypers), lockstep_params(grad, hypers)
+    logits = [build_logits(tape, {n: tape.parameter(a, grads[k][n]) for n, a in models[k].items()},
+                           hypers[k], x_text, x_image)["logits"]
               for k in (range(len(hypers)) if live is None else live)]
     return tape.cross_entropy_logits(logits, tape.input(batch.labels))
 
@@ -143,19 +143,18 @@ class OptimizerState:
         self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
-def init_optimizer_state(params: ModelParams) -> OptimizerState:
-    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat))
+def init_optimizer_state(flat: np.ndarray) -> OptimizerState:
+    return OptimizerState(np.zeros_like(flat), np.zeros_like(flat))
 
 
-def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
+def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
                config: TrainConfig) -> None:
-    """One AdamW update of ``params.flat`` in place, with decoupled weight
-    decay; ``grad``, both moments and the two scratch vectors that take the
-    place of temporaries are laid out like it.
+    """One AdamW update of the parameter vector ``theta`` in place, with
+    decoupled weight decay; ``grad``, both moments and the two scratch vectors
+    that take the place of temporaries are laid out like it.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * theta
     """
-    theta = params.flat
     if grad.shape != theta.shape:
         raise InputError(f"gradient has shape {grad.shape}, the parameters {theta.shape}")
     state.step_count += 1
@@ -172,28 +171,28 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: OptimizerState,
     theta -= np.add(np.multiply(lr, update, out=b), np.multiply(lr * wd, theta, out=a), out=b)
 
 
-def train_step(params: ModelParams, hypers: Sequence[HyperConfig], dataset: Dataset, rows,
+def train_step(flat: np.ndarray, hypers: Sequence[HyperConfig], dataset: Dataset, rows,
                state: OptimizerState, config: TrainConfig, live=None) -> list[float] | None:
     """One AdamW step, in place, of the models in ``live`` (all if None) on
-    ``dataset``'s records at ``rows``; returns their losses. ``params.flat``
-    holds each hyper-config's vector in turn (``lockstep_params``); gradients go
+    ``dataset``'s records at ``rows``; returns their losses. The vector ``flat``
+    holds each hyper-config's parameters in turn (``lockstep_params``); gradients go
     into ``state.grad``, zeroed first: a parameter the loss misses gets zeros.
     A non-finite loss is returned, and a non-finite gradient behind finite
     losses returns None, with nothing updated: the caller reports either. The
     first step at a batch shape records its tape and batch in ``state``; later
     ones gather their rows into that batch in place and replay while given the
-    same ``params.flat``, hypers and live models, else record in its place.
+    same ``flat``, hypers and live models, else record in its place.
     """
     hypers, live = tuple(hypers), tuple(range(len(hypers)) if live is None else live)
     key = (len(rows), dataset.text.shape[1:], dataset.image.shape[1:])
     recording = state.recordings.get(key)
-    if (recording is None or recording.flat is not params.flat
+    if (recording is None or recording.flat is not flat
             or (recording.hypers, recording.live) != (hypers, live)):
-        recording = StepRecording(params.flat, hypers, live, Tape(), dataset.take(rows))
+        recording = StepRecording(flat, hypers, live, Tape(), dataset.take(rows))
     else:
         for name in ("labels", "text", "image"):  # ids and provenance stay the first batch's
             getattr(dataset, name).take(rows, axis=0, out=getattr(recording.batch, name))
-    loss = batch_loss(params, hypers, recording.batch, tape=recording.tape, grad=state.grad,
+    loss = batch_loss(flat, hypers, recording.batch, tape=recording.tape, grad=state.grad,
                       live=live)
     losses = loss.value[0].tolist()
     if all(map(math.isfinite, losses)):
@@ -203,7 +202,7 @@ def train_step(params: ModelParams, hypers: Sequence[HyperConfig], dataset: Data
         # a finite sum of squares has no inf or NaN term; only an overflow needs the full scan
         if not math.isfinite(np.dot(state.grad, state.grad)) and not np.isfinite(state.grad).all():
             return None
-        adamw_step(params, state.grad, state, config)
+        adamw_step(flat, state.grad, state, config)
     return losses
 
 
@@ -246,10 +245,10 @@ def train(train_ds: Dataset, val_ds: Dataset, hypers: Sequence[HyperConfig],
         for ds, name in ((train_ds, "train"), (val_ds, "validation")):
             check_widths(hyper, ds, f"{name} split")
 
-    # one vector, a row per model, which AdamW steps at once; each model views its row
-    params = ModelParams([(str(k), init_params(h).flat[None]) for k, h in enumerate(hypers)])
-    models = lockstep_params(params.flat, hypers)
-    state = init_optimizer_state(params)
+    # the models' vectors in turn, in one vector that AdamW steps at once; each views its slice
+    flat = np.concatenate([init_params(h).flat for h in hypers])
+    models = lockstep_params(flat, hypers)
+    state = init_optimizer_state(flat)
     epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs, np.uint64)
 
     best = [Checkpoint(h, p.copy(), config, -math.inf, 0) for h, p in zip(hypers, models)]
@@ -261,9 +260,9 @@ def train(train_ds: Dataset, val_ds: Dataset, hypers: Sequence[HyperConfig],
             break
         epoch_losses = []
         for step, idx in enumerate(batches(train_ds, config.batch_size, int(epoch_seeds[epoch]))):
-            losses = train_step(params, hypers, train_ds, idx, state, config, live)
+            losses = train_step(flat, hypers, train_ds, idx, state, config, live)
             if losses is None or not all(map(math.isfinite, losses)):
-                raise _divergence(params.flat, state.grad, hypers, live, losses, epoch, step)
+                raise _divergence(flat, state.grad, hypers, live, losses, epoch, step)
             epoch_losses.append(losses)
 
         for k, model_losses in zip(list(live), np.array(epoch_losses).T.copy()):
@@ -342,6 +341,9 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint:
+    """Read a checkpoint into one fresh parameter vector. Its parameters as read must be
+    finite and be the hyper-config's, by name, in order, and shape (else FileFormatError),
+    and its variant ``expected_variant`` if that is given (else VariantMismatchError)."""
     with open(path, "rb") as fh:
         reader = ByteReader(fh.read(), "checkpoint")
     magic, version = reader.unpack("<4sI")
@@ -360,7 +362,7 @@ def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint
         )
 
     (n_params,) = reader.unpack("<I")
-    entries = []
+    entries = []  # (name, values) as read, a repeated name too
     for _ in range(n_params):
         (name_len,) = reader.unpack("<I")
         try:
@@ -377,9 +379,19 @@ def load_checkpoint(path, expected_variant: Variant | None = None) -> Checkpoint
     if reader.pos != len(reader.buf):
         raise FileFormatError(f"{len(reader.buf) - reader.pos} trailing bytes after checkpoint")
 
+    shapes = parameter_shapes(hyper)
     try:
-        params = ModelParams(entries)
-        check_params_match(params, hyper)
+        for name, values in entries:
+            as_matrix(values, name=name)  # refuses a non-finite entry
+        names = tuple(name for name, _ in entries)
+        if names != tuple(shapes):
+            raise InputError(f"parameter names {names} do not match variant "
+                             f"{hyper.variant.value} (expected {tuple(shapes)})")
+        for name, values in entries:
+            if values.shape != shapes[name]:
+                raise InputError(f"parameter {name} has shape {values.shape}, "
+                                 f"expected {shapes[name]}")
     except InputError as err:
         raise FileFormatError(f"checkpoint parameters are inconsistent: {err}") from err
+    params = ModelParams(np.concatenate([values.ravel() for _, values in entries]), shapes)
     return Checkpoint(hyper, params, train_config, best_f1, best_epoch)

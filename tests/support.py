@@ -84,15 +84,21 @@ def reference_cross_entropy(logits: Array, labels: Array) -> tuple[np.float64, A
 def loss_and_grads(params: ModelParams, hyper: HyperConfig, batch: Dataset):
     """The batch loss and every parameter's gradient, zeros where the loss does not reach."""
     tape, grad = Tape(), np.zeros_like(params.flat)
-    loss = batch_loss(params, [hyper], batch, tape=tape, grad=grad)
+    loss = batch_loss(params.flat, [hyper], batch, tape=tape, grad=grad)
     tape.backward(loss)
-    return loss.value[0, 0], params.views(grad)
+    return loss.value[0, 0], dict(ModelParams(grad, model.parameter_shapes(hyper)).items())
 
 
 def input_leaves(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Every parameter on a tape as an input leaf, for probes that need only values:
     no op on them needs a gradient, so the tape keeps none."""
     return {name: tape.input(arr) for name, arr in params.items()}
+
+
+def parameter_leaves(tape: Tape, params: ModelParams) -> dict[str, Node]:
+    """Every parameter on a tape as a gradient-receiving leaf, as ``batch_loss``
+    puts it there, but each with a zeroed gradient buffer of its own."""
+    return {name: tape.parameter(arr, np.zeros_like(arr)) for name, arr in params.items()}
 
 
 def loss_value(params: ModelParams, hyper: HyperConfig, batch: Dataset) -> Node:

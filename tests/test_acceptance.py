@@ -41,6 +41,7 @@ from mmfuse.model import (
     Variant,
     forward_batch,
     init_params,
+    parameter_shapes,
 )
 from mmfuse.training import (
     TrainConfig,
@@ -158,7 +159,9 @@ def test_attention_closed_form_and_gate_pinning(acceptance_log):
     full_hyper = HyperConfig(d_t=9, d_i=7, d_c=5, variant=Variant.FULL, init_seed=8)
     fixed_hyper = replace(full_hyper, variant=Variant.FIXED_ATTENTION)
     full_params = init_params(full_hyper)
-    fixed_params = ModelParams((name, full_params[name]) for name in init_params(fixed_hyper).names)
+    fixed_shapes = parameter_shapes(fixed_hyper)
+    fixed_params = ModelParams(np.concatenate([full_params[n].ravel() for n in fixed_shapes]),
+                               fixed_shapes)
     rng = np.random.default_rng(400)
     bitwise = unit_gates = True
     for seq_len, count in ((1, 6), (3, 3)):
@@ -249,12 +252,12 @@ def _train_gate_candidate(train_ds, val_ds, backbone, data_seed, index):
 
     config = TrainConfig(seed=init_seed, learning_rate=lr, weight_decay=0.01,
                          batch_size=32, max_epochs=_GATE_EPOCHS)
-    state = init_optimizer_state(params)
+    state = init_optimizer_state(params.flat)
     epoch_seeds = np.random.SeedSequence(config.seed).generate_state(_GATE_EPOCHS, np.uint64)
     best = (_SELECTION_FLOOR, params.copy())
     for epoch in range(_GATE_EPOCHS):
         for batch_idx in batches(train_ds, config.batch_size, int(epoch_seeds[epoch])):
-            train_step(params, [hyper], train_ds, batch_idx, state, config)
+            train_step(params.flat, [hyper], train_ds, batch_idx, state, config)
         val_seps = _provenance_separations(params, hyper, val_ds)
         if min(val_seps) > best[0]:
             best = (min(val_seps), params.copy())
@@ -459,20 +462,20 @@ def test_determinism_and_persistence(acceptance_log, tmp_path):
 
 
 def test_optimizer_step(acceptance_log):
-    params = ModelParams([("w", np.array([[1.0]]))])
-    state = init_optimizer_state(params)
+    vector = np.array([1.0])
+    state = init_optimizer_state(vector)
     config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
-    adamw_step(params, np.array([1.0]), state, config)
-    theta = float(params["w"][0, 0])
+    adamw_step(vector, np.array([1.0]), state, config)
+    theta = float(vector[0])
     # m = (1-b1)*g, v = (1-b2)*g^2; bias correction divides both back to 1
     expected = 1.0 - 0.1 * (1.0 / (np.sqrt(1.0) + config.epsilon))
     step_err = abs(theta - expected)
 
-    frozen = ModelParams([("w", np.array([[0.7, -0.3]]))])
-    before = frozen["w"].tobytes()
+    frozen = np.array([0.7, -0.3])
+    before = frozen.tobytes()
     adamw_step(frozen, np.zeros(2), init_optimizer_state(frozen),
                TrainConfig(learning_rate=0.5, weight_decay=0.0))
-    identity = frozen["w"].tobytes() == before
+    identity = frozen.tobytes() == before
 
     _report(
         acceptance_log,

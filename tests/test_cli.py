@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from mmfuse.cli import build_parser, main
 from mmfuse.config import apply_master_seed, load_config, render_config
 from mmfuse.data import Dataset, load, save
-from mmfuse.model import CHUNK, Variant, VARIANT_ORDER
+from mmfuse.model import CHUNK, HyperConfig, Variant, VARIANT_ORDER, parameter_shapes
 from mmfuse.training import load_checkpoint
 
 SMALL_INI = """\
@@ -616,6 +616,14 @@ def edit_checkpoint(payload: bytes, old: bytes, new: bytes) -> bytes:
 
 
 PROJ_TEXT = b"proj_text" + struct.pack("<II", 8, 4)  # name, rows, cols in the small config
+FULL_NAMES = tuple(parameter_shapes(HyperConfig(d_t=8, d_i=6)))
+FIRST_ENTRY = struct.pack("<II", len(FULL_NAMES), 9) + PROJ_TEXT  # the count, then proj_text
+
+
+def extra_proj_text(value: float) -> bytes:
+    """FIRST_ENTRY with one more entry in front of proj_text: a 1 x 1 proj_text holding ``value``."""
+    return (struct.pack("<II", len(FULL_NAMES) + 1, 9) + b"proj_text"
+            + struct.pack("<IIdI", 1, 1, value, 9) + PROJ_TEXT)
 
 
 @pytest.mark.parametrize("old,new,message", [
@@ -628,7 +636,13 @@ PROJ_TEXT = b"proj_text" + struct.pack("<II", 8, 4)  # name, rows, cols in the s
     (PROJ_TEXT, b"proj_text" + struct.pack("<II", 4, 8),
      "checkpoint parameters are inconsistent: parameter proj_text has shape (4, 8), "
      "expected (8, 4)"),
-], ids=["blank-line", "missing-key", "invalid-value", "zero-rows", "wrong-shape"])
+    (FIRST_ENTRY, extra_proj_text(0.0),
+     f"checkpoint parameters are inconsistent: parameter names {('proj_text',) + FULL_NAMES} "
+     f"do not match variant full (expected {FULL_NAMES})"),
+    (FIRST_ENTRY, extra_proj_text(float("nan")),
+     "checkpoint parameters are inconsistent: proj_text contains non-finite entries"),
+], ids=["blank-line", "missing-key", "invalid-value", "zero-rows", "wrong-shape", "repeated-name",
+        "non-finite"])
 def test_edited_checkpoint_exits_three_or_loads(old, new, message, workspace, tmp_path, capsys):
     path = tmp_path / "edited.mmck"
     path.write_bytes(edit_checkpoint(workspace["full"].read_bytes(), old, new))

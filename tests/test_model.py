@@ -25,15 +25,13 @@ from mmfuse.model import (
     VARIANT_ORDER,
     _classify,
     _gate_alphas,
-    check_params_match,
     forward_batch,
     init_params,
     parameter_shapes,
     predict_labels,
-    register_parameters,
 )
-from support import (cross_attend, finite_difference_check, forward, input_leaves, pin_gates,
-                     set_param)
+from support import (cross_attend, finite_difference_check, forward, input_leaves,
+                     parameter_leaves, pin_gates, set_param)
 
 SMALL = dict(d_t=8, d_i=6, d_c=4, gate_hidden=5, cls_hidden=6)
 
@@ -46,9 +44,10 @@ def config_for(variant, **overrides):
 
 def random_params(config, seed=0):
     rng = np.random.default_rng(seed)
-    return ModelParams(
-        (name, rng.uniform(-0.6, 0.6, shape)) for name, shape in parameter_shapes(config).items()
-    )
+    params = init_params(config)
+    for _, arr in params.items():
+        arr[...] = rng.uniform(-0.6, 0.6, arr.shape)
+    return params
 
 
 def one_record(text, image, label=0):
@@ -108,23 +107,16 @@ def test_hyper_config_validation():
     assert HyperConfig(d_t=4, d_i=4, variant="concat").variant is Variant.CONCAT
 
 
-def test_check_params_match_flags_wrong_variant():
-    full = config_for(Variant.FULL)
-    params = init_params(full)
-    check_params_match(params, full)
-    with pytest.raises(InputError):
-        check_params_match(params, config_for(Variant.CONCAT))
-
-
 def test_params_are_views_into_one_vector():
-    params = init_params(config_for(Variant.FULL))
+    config = config_for(Variant.FULL)
+    params = init_params(config)
     assert params.flat.dtype == np.float64 and params.flat.ndim == 1
     # canonical order, back to back
     assert np.array_equal(params.flat, np.concatenate([arr.ravel() for _, arr in params.items()]))
     assert all(np.shares_memory(arr, params.flat) for _, arr in params.items())
     grad = np.arange(params.flat.size, dtype=np.float64)
-    views = params.views(grad)
-    assert tuple(views) == params.names
+    views = ModelParams(grad, parameter_shapes(config))  # taken as given: no copy
+    assert views.names == params.names and views.flat is grad
     assert all(views[n].shape == params[n].shape and np.shares_memory(views[n], grad)
                for n in params.names)
 
@@ -138,13 +130,13 @@ def test_params_are_views_into_one_vector():
 
 
 def test_params_copy_their_entries():
-    entries = np.ones((2, 3))
-    params = ModelParams([("w", entries)])
-    assert not np.shares_memory(params["w"], entries)
-    params["w"][0, 0] = 5.0
-    assert entries[0, 0] == 1.0
-    with pytest.raises(InputError):
-        set_param(params, "w", np.ones((3, 2)))
+    params = init_params(config_for(Variant.CONCAT))
+    clone = params.copy()
+    assert not np.shares_memory(clone.flat, params.flat)
+    clone["cls_w1"][0, 0] = 5.0
+    assert params["cls_w1"][0, 0] != 5.0
+    with pytest.raises(InputError, match=r"^parameter cls_w1 has shape \(8, 6\), got \(6, 8\)$"):
+        set_param(params, "cls_w1", np.ones((6, 8)))
 
 
 # -- projections ------------------------------------------------------------------
@@ -274,7 +266,7 @@ def test_gate_gradient_matches_finite_differences():
     pooled_t_arr, pooled_i_arr = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
 
     tape = Tape()
-    pn = register_parameters(tape, params, params.views(np.zeros_like(params.flat)))
+    pn = parameter_leaves(tape, params)
     alpha_t, _ = _gate_alphas(tape, pn, tape.constant(pooled_t_arr), tape.constant(pooled_i_arr))
     tape.backward(alpha_t)
     arrays = {"gate_w1": params["gate_w1"]}
@@ -364,7 +356,9 @@ def test_pinned_gates_equal_ungated_attention_bitwise():
     full_config = config_for(Variant.FULL)
     fixed_config = config_for(Variant.FIXED_ATTENTION)
     params = random_params(full_config, seed=22)
-    fixed_params = ModelParams((name, params[name]) for name in parameter_shapes(fixed_config))
+    fixed_shapes = parameter_shapes(fixed_config)
+    fixed_params = ModelParams(np.concatenate([params[n].ravel() for n in fixed_shapes]),
+                               fixed_shapes)
     for seed in range(5):
         record = random_record(full_config, seed=30 + seed)
         pinned = forward(pin_gates(params), full_config, record)
@@ -509,7 +503,7 @@ def test_scoring_tape_keeps_only_leaves_and_matches_a_parameter_graph(lengths, v
     assert not tape._steps
 
     recorded = Tape()  # the training graph: parameter leaves, every op kept
-    pn = register_parameters(recorded, params, params.views(np.zeros_like(params.flat)))
+    pn = parameter_leaves(recorded, params)
     graph = model.build_logits(recorded, pn, config, *model.feature_stacks(recorded, config, ds))
     assert all(node.requires_grad for node in graph.values())
     assert nodes.keys() == graph.keys()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import struct
 import weakref
 
@@ -28,6 +29,7 @@ from mmfuse.model import (
     forward_batch,
     init_params,
     lockstep_params,
+    parameter_shapes,
 )
 from mmfuse.training import (
     Checkpoint,
@@ -164,7 +166,7 @@ def test_batch_loss_rejects_empty_batch():
     config = HyperConfig(variant=Variant.FULL, **SMALL)
     params = init_params(config)
     with pytest.raises(InputError):
-        batch_loss(params, [config], small_dataset().take([]), tape=Tape(),
+        batch_loss(params.flat, [config], small_dataset().take([]), tape=Tape(),
                    grad=np.zeros_like(params.flat))
 
 
@@ -185,51 +187,51 @@ def reference_adamw(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_adamw_first_step_hand_value():
     config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
-    params = ModelParams([("w", np.array([[1.0]]))])
-    state = init_optimizer_state(params)
-    adamw_step(params, np.array([1.0]), state, config)
+    theta = np.array([1.0])
+    state = init_optimizer_state(theta)
+    adamw_step(theta, np.array([1.0]), state, config)
     # bias correction makes m_hat = v_hat = 1 on step one
-    assert abs(params["w"][0, 0] - (1.0 - 0.1 / (1.0 + 1e-8))) <= 1e-12
+    assert abs(theta[0] - (1.0 - 0.1 / (1.0 + 1e-8))) <= 1e-12
     assert state.step_count == 1
 
 
 def test_adamw_matches_reference_recurrence_over_steps():
     config = TrainConfig(learning_rate=0.05, weight_decay=0.02)
-    params = ModelParams([("w", np.array([[0.7]]))])
-    state = init_optimizer_state(params)
+    theta = np.array([0.7])
+    state = init_optimizer_state(theta)
     grads = [0.3, -1.1, 0.45, 2.0]
     for g in grads:
-        adamw_step(params, np.array([g]), state, config)
+        adamw_step(theta, np.array([g]), state, config)
     expected = reference_adamw(0.7, grads, lr=0.05, wd=0.02)
-    assert abs(params["w"][0, 0] - expected) <= 1e-12
+    assert abs(theta[0] - expected) <= 1e-12
 
 
 def test_weight_decay_alone_shrinks_exactly():
     config = TrainConfig(learning_rate=0.1, weight_decay=0.1)
-    params = ModelParams([("w", np.ones((2, 3)))])
-    state = init_optimizer_state(params)
-    adamw_step(params, np.zeros(6), state, config)
-    assert np.array_equal(params["w"], np.full((2, 3), 0.99))
+    theta = np.ones(6)
+    state = init_optimizer_state(theta)
+    adamw_step(theta, np.zeros(6), state, config)
+    assert np.array_equal(theta, np.full(6, 0.99))
 
 
 def test_zero_grad_zero_decay_is_identity():
     config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
     rng = np.random.default_rng(5)
-    original = rng.normal(size=(3, 2))
-    params = ModelParams([("w", original.copy())])
-    state = init_optimizer_state(params)
+    original = rng.normal(size=6)
+    theta = original.copy()
+    state = init_optimizer_state(theta)
     for _ in range(3):
-        adamw_step(params, np.zeros(6), state, config)
-    assert np.array_equal(params["w"], original)
+        adamw_step(theta, np.zeros(6), state, config)
+    assert np.array_equal(theta, original)
 
 
 def test_adamw_rejects_gradient_of_wrong_length():
-    params = ModelParams([("w", np.ones((1, 2)))])
-    state = init_optimizer_state(params)
+    theta = np.ones(2)
+    state = init_optimizer_state(theta)
     for grad in (np.zeros(0), np.zeros(3), np.zeros((1, 2))):
         with pytest.raises(InputError):
-            adamw_step(params, grad, state, TrainConfig())
-    assert state.step_count == 0 and params["w"].tolist() == [[1.0, 1.0]]
+            adamw_step(theta, grad, state, TrainConfig())
+    assert state.step_count == 0 and theta.tolist() == [1.0, 1.0]
 
 
 def per_parameter_adamw(arrays, grads, moments, step, config):
@@ -251,11 +253,12 @@ def test_flat_adamw_matches_per_parameter_loop_bitwise():
     """Byte for byte, signed zeros included: after 10 steps a third of the
     gradient entries stay 0.0 or -0.0, and with beta1 = 0.01 their first
     moments underflow to signed zeros well before the last step."""
-    params = init_params(HyperConfig(d_t=SyntheticSpec.d_t, d_i=SyntheticSpec.d_i,
-                                     variant=Variant.FULL, init_seed=30))
+    hyper = HyperConfig(d_t=SyntheticSpec.d_t, d_i=SyntheticSpec.d_i, variant=Variant.FULL,
+                        init_seed=30)
+    params = init_params(hyper)
     reference = {name: arr.copy() for name, arr in params.items()}
     moments = {name: (np.zeros_like(arr), np.zeros_like(arr)) for name, arr in reference.items()}
-    state = init_optimizer_state(params)
+    state = init_optimizer_state(params.flat)
     config = TrainConfig(learning_rate=0.01, weight_decay=0.05, beta1=0.01)
     rng = np.random.default_rng(30)
     zeroed = rng.random(params.flat.shape) < 1 / 3
@@ -264,8 +267,9 @@ def test_flat_adamw_matches_per_parameter_loop_bitwise():
         grad = rng.normal(size=params.flat.shape)
         if step > 10:
             grad[zeroed] = zeros
-        adamw_step(params, grad, state, config)
-        per_parameter_adamw(reference, params.views(grad), moments, step, config)
+        adamw_step(params.flat, grad, state, config)
+        per_parameter_adamw(reference, ModelParams(grad, parameter_shapes(hyper)), moments, step,
+                            config)
 
     def flat(index):
         return np.concatenate([mv[index].ravel() for mv in moments.values()])
@@ -378,11 +382,11 @@ def test_divergence_names_the_first_non_finite_parameter(monkeypatch):
     train_ds, val_ds, _ = split(ds, (0.8, 0.2, 0.0), seed=15)
     real_step, losses = training.train_step, []
 
-    def corrupting_step(params, hypers, *args):
-        losses.append(real_step(params, hypers, *args))
+    def corrupting_step(flat, hypers, *args):
+        losses.append(real_step(flat, hypers, *args))
         if len(losses) < 2:
             return losses[-1]
-        (model,) = lockstep_params(params.flat, hypers)  # train's one model, as it views it
+        (model,) = lockstep_params(flat, hypers)  # train's one model, as it views it
         model["cls_b2"][0, 0] = np.nan  # later in the layout than cls_w2
         model["cls_w2"][4, 0] = np.inf  # later in cls_w2's rows than [3, 1]
         model["cls_w2"][3, 1] = -np.inf
@@ -430,8 +434,8 @@ def test_non_finite_gradient_behind_a_finite_loss_updates_nothing():
         loss, grads = loss_and_grads(params, hyper, ds.take(rows))
         assert math.isfinite(loss)
         assert not all(np.isfinite(g).all() for g in grads.values())
-        before, state = params.copy(), init_optimizer_state(params)
-        assert train_step(params, [hyper], ds, rows, state, TrainConfig()) is None
+        before, state = params.copy(), init_optimizer_state(params.flat)
+        assert train_step(params.flat, [hyper], ds, rows, state, TrainConfig()) is None
     assert params.flat.tobytes() == before.flat.tobytes() and state.step_count == 0
     assert not state.first_moment.any() and not state.second_moment.any()
 
@@ -443,9 +447,9 @@ def test_finite_gradient_whose_squares_overflow_still_updates():
     params = init_params(hyper)
     params["cls_w2"][:, 0] = 1e160  # d loss / d hidden ~ 1e160, so cls_w1's squares overflow
     ds, rows = small_dataset(n=16, seed=49), np.arange(16)
-    state = init_optimizer_state(params)
+    state = init_optimizer_state(params.flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        (loss,) = train_step(params, [hyper], ds, rows, state, TrainConfig())
+        (loss,) = train_step(params.flat, [hyper], ds, rows, state, TrainConfig())
         assert not math.isfinite(np.dot(state.grad, state.grad))
     assert math.isfinite(loss) and state.step_count == 1 and np.isfinite(state.grad).all()
 
@@ -472,9 +476,9 @@ def test_train_step_loop_reproduces_one_epoch_of_train():
     (checkpoint,), history = train(train_ds, val_ds, [hyper], config)
 
     params = init_params(hyper)
-    state = init_optimizer_state(params)
+    state = init_optimizer_state(params.flat)
     epoch_seed = int(np.random.SeedSequence(config.seed).generate_state(1, np.uint64)[0])
-    losses = [train_step(params, [hyper], train_ds, idx, state, config)[0]
+    losses = [train_step(params.flat, [hyper], train_ds, idx, state, config)[0]
               for idx in batches(train_ds, config.batch_size, epoch_seed)]
     assert params_equal(params, checkpoint.params)
     assert float(np.mean(losses)) == history[0]["train_loss"]
@@ -488,9 +492,9 @@ def test_train_step_skips_update_on_non_finite_loss():
     ds = small_dataset(seed=17)
     fakes = np.flatnonzero(ds.labels == 1)[:4]
     before = params.copy()
-    state = init_optimizer_state(params)
+    state = init_optimizer_state(params.flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        (value,) = train_step(params, [hyper], ds, fakes, state, TrainConfig())
+        (value,) = train_step(params.flat, [hyper], ds, fakes, state, TrainConfig())
     assert not math.isfinite(value)
     assert params_equal(params, before) and state.step_count == 0
 
@@ -507,15 +511,15 @@ def test_replayed_train_step_matches_a_fresh_tape_bitwise(variant, seq_len):
                                                 l_i=seq_len, seed=seed)) for seed in (40, 45)]
     params = init_params(hyper)
     reference = params.copy()
-    state, ref_state = init_optimizer_state(params), init_optimizer_state(reference)
+    state, ref_state = init_optimizer_state(params.flat), init_optimizer_state(reference.flat)
     config = TrainConfig(learning_rate=0.01, seed=40)
     recorded = {}
     for epoch in range(4):
         ds = sources[epoch % 2]
         for idx in batches(ds, 16, epoch):  # 16, 16, then a tail of 8
-            (value,) = train_step(params, [hyper], ds, idx, state, config)
+            (value,) = train_step(params.flat, [hyper], ds, idx, state, config)
             ref_value, grads = loss_and_grads(reference, hyper, ds.take(idx))
-            adamw_step(reference, np.concatenate([grads[n].ravel() for n in reference.names]),
+            adamw_step(reference.flat, np.concatenate([grads[n].ravel() for n in reference.names]),
                        ref_state, config)
             # bytes, not np.array_equal, which takes -0.0 for +0.0
             assert np.float64(value).tobytes() == ref_value.tobytes()
@@ -534,17 +538,17 @@ def test_train_step_records_again_at_another_sequence_length():
     hyper = HyperConfig(variant=Variant.FULL, init_seed=46, **SMALL)
     short, long = (small_dataset(n=16, seed=46, l_t=length, l_i=2) for length in (1, 3))
     params = init_params(hyper)
-    state = init_optimizer_state(params)
+    state = init_optimizer_state(params.flat)
     config = TrainConfig(learning_rate=0.01)
     rows = np.arange(8)
-    train_step(params, [hyper], short, rows, state, config)
+    train_step(params.flat, [hyper], short, rows, state, config)
     (first,) = state.recordings.values()
     expected, _ = loss_and_grads(params, hyper, long.take(rows))
-    assert np.float64(train_step(params, [hyper], long, rows, state, config)[0]).tobytes() \
+    assert np.float64(train_step(params.flat, [hyper], long, rows, state, config)[0]).tobytes() \
         == expected.tobytes()
     assert set(state.recordings) == {(8, (1, 8), (2, 6)), (8, (3, 8), (2, 6))}
     assert state.recordings[8, (3, 8), (2, 6)].tape is not first.tape
-    train_step(params, [hyper], short, rows + 8, state, config)
+    train_step(params.flat, [hyper], short, rows + 8, state, config)
     assert state.recordings[8, (1, 8), (2, 6)] is first
 
 
@@ -557,13 +561,13 @@ def test_train_step_records_again_for_other_params_or_hyper():
     rows = np.arange(16)
     config = TrainConfig(learning_rate=0.01)
     first, second = init_params(hyper), init_params(replace(hyper, init_seed=42))
-    state = init_optimizer_state(first)
-    train_step(first, [hyper], batch, rows, state, config)
+    state = init_optimizer_state(first.flat)
+    train_step(first.flat, [hyper], batch, rows, state, config)
     (key, recording), = state.recordings.items()
 
     first_before, second_before = first.copy(), second.copy()
     expected, _ = loss_and_grads(second, hyper, batch)
-    assert train_step(second, [hyper], batch, rows, state, config)[0] == expected
+    assert train_step(second.flat, [hyper], batch, rows, state, config)[0] == expected
     assert params_equal(first, first_before) and not params_equal(second, second_before)
     assert state.recordings[key].tape is not recording.tape
     recording = state.recordings[key]
@@ -571,7 +575,7 @@ def test_train_step_records_again_for_other_params_or_hyper():
     other_hyper = replace(hyper, init_scale=2.0)  # the same graph, but not the recorded config
     tapes = []
     for _ in range(2):
-        train_step(second, [other_hyper], batch, rows, state, config)
+        train_step(second.flat, [other_hyper], batch, rows, state, config)
         tapes.append(state.recordings[key].tape)
     assert tapes[0] is not recording.tape and tapes[1] is tapes[0]
 
@@ -584,16 +588,16 @@ def test_train_step_records_again_for_another_set_of_live_models():
     hypers = tuple(HyperConfig(variant=v, init_seed=47, **SMALL)
                    for v in (Variant.FULL, Variant.CONCAT, Variant.TEXT_ONLY))
     alone = [init_params(h) for h in hypers]
-    params = ModelParams([(str(k), p.flat[None]) for k, p in enumerate(alone)])
-    models = lockstep_params(params.flat, hypers)
-    state, states = init_optimizer_state(params), [init_optimizer_state(p) for p in alone]
+    flat = np.concatenate([p.flat for p in alone])
+    models = lockstep_params(flat, hypers)
+    state, states = init_optimizer_state(flat), [init_optimizer_state(p.flat) for p in alone]
     ds, config = small_dataset(n=40, seed=47), TrainConfig(learning_rate=0.01)
     tapes = {}
     for step, live in enumerate([(0, 1, 2), (0, 2), (0, 2), (0, 2)]):
         rows = np.arange(16) + 8 * step
-        losses = train_step(params, hypers, ds, rows, state, config, list(live))
+        losses = train_step(flat, hypers, ds, rows, state, config, list(live))
         for loss, k in zip(losses, live, strict=True):
-            (expected,) = train_step(alone[k], [hypers[k]], ds, rows, states[k], config)
+            (expected,) = train_step(alone[k].flat, [hypers[k]], ds, rows, states[k], config)
             assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
             assert models[k].flat.tobytes() == alone[k].flat.tobytes()
         recording = state.recordings[16, ds.text.shape[1:], ds.image.shape[1:]]
@@ -609,19 +613,19 @@ def test_a_stopped_model_s_tape_is_freed_by_the_next_step_at_its_shape():
     recording per batch shape, and reference counting alone frees the old tapes."""
     hypers = tuple(HyperConfig(variant=v, init_seed=48, **SMALL)
                    for v in (Variant.FULL, Variant.CONCAT, Variant.TEXT_ONLY))
-    params = ModelParams([(str(k), init_params(h).flat[None]) for k, h in enumerate(hypers)])
-    state, config = init_optimizer_state(params), TrainConfig(learning_rate=0.01)
+    flat = np.concatenate([init_params(h).flat for h in hypers])
+    state, config = init_optimizer_state(flat), TrainConfig(learning_rate=0.01)
     ds = small_dataset(n=40, seed=48)
     full, tail = np.arange(16), np.arange(16, 24)  # two batch shapes: 16 rows and 8
     gc.disable()
     try:
         for rows in (full, tail, full, tail):
-            train_step(params, hypers, ds, rows, state, config)
+            train_step(flat, hypers, ds, rows, state, config)
         stopped = [weakref.ref(state.recordings[len(rows), (1, 8), (1, 6)].tape)
                    for rows in (full, tail)]
-        train_step(params, hypers, ds, full, state, config, [0, 2])
+        train_step(flat, hypers, ds, full, state, config, [0, 2])
         assert len(state.recordings) == 2 and stopped[0]() is None and stopped[1]() is not None
-        train_step(params, hypers, ds, tail, state, config, [0, 2])
+        train_step(flat, hypers, ds, tail, state, config, [0, 2])
         assert len(state.recordings) == 2 and stopped[1]() is None
         assert all(r.live == (0, 2) for r in state.recordings.values())
     finally:
@@ -678,10 +682,10 @@ def test_training_leaves_no_cyclic_garbage(variant, lengths):
     try:
         train(train_ds, val_ds, [hyper], config)
         assert gc.collect() == 0
-        state = init_optimizer_state(first)
+        state = init_optimizer_state(first.flat)
         rows = np.arange(len(train_ds))
-        train_step(first, [hyper], train_ds, rows, state, config)
-        train_step(second, [hyper], train_ds, rows, state, config)  # records again: the first goes
+        train_step(first.flat, [hyper], train_ds, rows, state, config)
+        train_step(second.flat, [hyper], train_ds, rows, state, config)  # records again: the first goes
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -735,7 +739,8 @@ def test_loaded_parameters_are_writable(tmp_path):
     params = load_checkpoint(path).params
     assert params.flat.flags.writeable
     assert all(np.shares_memory(arr, params.flat) for _, arr in params.items())
-    adamw_step(params, np.ones_like(params.flat), init_optimizer_state(params), TrainConfig())
+    adamw_step(params.flat, np.ones_like(params.flat), init_optimizer_state(params.flat),
+               TrainConfig())
     assert not np.array_equal(params.flat, checkpoint.params.flat)
 
 
@@ -841,5 +846,8 @@ def test_checkpoint_rejects_inconsistent_params(tmp_path):
     mismatched = Checkpoint(concat_hyper, full.params, TrainConfig(), 0.5, 0)
     path = tmp_path / "bad.mmck"
     save_checkpoint(mismatched, path)
-    with pytest.raises(FileFormatError):
+    names, expected = full.params.names, tuple(parameter_shapes(concat_hyper))
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"checkpoint parameters are inconsistent: parameter names {names} do not match "
+            f"variant concat (expected {expected})")):
         load_checkpoint(path)

@@ -6,7 +6,9 @@ line hook that traces only the frames of ``src/mmfuse`` files, then prints
 their count. A statement is executable when the compiled module gives one of
 its own lines (a compound statement's header, not its body) a bytecode line.
 Lines that run only in a child process, as the byte manifest test's
-commands do, are not seen.
+commands do, are not seen. Each source is read before the run and listed
+against that text; a file whose text differs once the run ends is named on
+one line, and the tool exits 1 without listing anything.
 
 ``test_gating_adaptivity`` is deselected, as tracing makes a run several
 times slower and that test is most of the suite. Test outcomes are ignored:
@@ -54,9 +56,9 @@ def _statements(tree: ast.AST):
             yield node, set(range(first, min([node.end_lineno + 1, *nested])))
 
 
-def unrun(path: Path, ran: set[int]) -> list[tuple[int, str]]:
-    """The executable statements of one source file none of whose lines ran."""
-    source = path.read_text(encoding="utf-8")
+def unrun(path: Path, source: str, ran: set[int]) -> list[tuple[int, str]]:
+    """The executable statements of one source file, whose text is ``source``,
+    none of whose lines ran."""
     executable = _code_lines(compile(source, str(path), "exec"))
     text = source.splitlines()
     return sorted((node.lineno, text[node.lineno - 1].strip())
@@ -86,15 +88,22 @@ def main(argv: list[str]) -> int:
 
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     sys.settrace(tracer)
     try:
         pytest.main([*TIER1, *argv])
     finally:
         sys.settrace(None)
 
+    changed = [path for path, source in sources.items()
+               if not path.is_file() or path.read_text(encoding="utf-8") != source]
+    for path in changed:
+        print(f"{path.relative_to(ROOT)} changed during the run; no statement is listed")
+    if changed:
+        return 1
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        for line, text in unrun(path, ran.get(str(path), set())):
+    for path, source in sources.items():
+        for line, text in unrun(path, source, ran.get(str(path), set())):
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
             total += 1
     print(f"{total} executable statements of src/mmfuse never ran")
